@@ -29,6 +29,7 @@ from pathlib import Path
 
 from m3ab.complexity import (
     DEFAULT_MAX_ENUMERATION,
+    delta_min,
     error_bound,
     h3,
     h3_prime,
@@ -39,7 +40,6 @@ from m3ab.core import (
     best_treatment,
     joint_pass_probability,
     pass_probability,
-    z_profile,
 )
 from m3ab.errors import InsufficientBudgetError, M3ABError, TooLargeError
 from m3ab.halving import ALGORITHMS
@@ -317,14 +317,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_complexity(args) -> int:
     instance = _resolve_instance(args)
+    surrogate = h3_prime(instance)  # rejects single-treatment instances
     lines = [f"instance: A={instance.num_treatments} treatments, "
-             f"M={instance.num_metrics} metrics"]
-    star = best_treatment(instance)
-    minz = z_profile(instance).min_z
-    others = [minz[a - 1] for a in instance.treatments if a != star]
-    delta_min = float(minz[star - 1] - max(others))
-    lines.append(f"best treatment: {star}")
-    lines.append(f"delta_min: {delta_min:.6g}")
+             f"M={instance.num_metrics} metrics",
+             f"best treatment: {best_treatment(instance)}",
+             f"delta_min: {delta_min(instance):.6g}"]
     try:
         report = h3(instance, max_enumeration=args.max_enum)
         h_for_bounds = report.h3
@@ -334,9 +331,9 @@ def cmd_complexity(args) -> int:
         lines.append(f"rho_sigma: {report.rho_sigma:.6g}")
         lines.append(f"lambda_sigma: {report.lambda_sigma:.6g}")
     except TooLargeError as exc:
-        h_for_bounds = h3_prime(instance)
+        h_for_bounds = surrogate
         lines.append(f"H3: too large to enumerate ({exc})")
-    lines.append(f"H3': {h3_prime(instance):.6g}")
+    lines.append(f"H3': {surrogate:.6g}")
     for budget in args.budget or ():
         parts = [f"budget {budget}:"]
         if budget > 0 and instance.num_treatments <= args.max_enum:

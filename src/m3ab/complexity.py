@@ -58,6 +58,7 @@ from .errors import TooLargeError
 __all__ = [
     "ComplexityReport",
     "ErrorBound",
+    "delta_min",
     "effective_gap",
     "effective_gap_tilde",
     "error_bound",
@@ -153,6 +154,14 @@ def _delta_min(z: np.ndarray, star: int) -> float:
     minz = z.min(axis=1)
     others = np.delete(minz, star - 1)
     return float(minz[star - 1] - others.max())
+
+
+def delta_min(instance: Instance) -> float:
+    """Smallest gap in bottleneck z-values between the best treatment and
+    any other."""
+    if instance.num_treatments < 2:
+        raise ValueError("need at least two treatments for a gap")
+    return _delta_min(z_profile(instance).z, best_treatment(instance))
 
 
 def _pair_gap_sq(instance: Instance, subset, treatment: int,
@@ -281,12 +290,8 @@ def _check_enumerable(instance: Instance, max_enumeration: int) -> None:
 def h3_prime(instance: Instance) -> float:
     """Closed-form surrogate (sum of max relative variances over the smallest
     squared bottleneck z-gap); looser than h3 but O(A M)."""
-    if instance.num_treatments < 2:
-        raise ValueError("need at least two treatments for a gap")
+    dm = delta_min(instance)
     rho2 = _treatment_relvars(instance)
-    z = z_profile(instance).z
-    star = best_treatment(instance)
-    dm = _delta_min(z, star)
     total = float(rho2.max(axis=1).sum() + (1.0 - rho2).max())
     if dm == 0.0:
         return math.inf
@@ -301,15 +306,13 @@ def h3(instance: Instance, max_enumeration: int = DEFAULT_MAX_ENUMERATION,
         raise ValueError("need at least two treatments for a gap")
     _check_enumerable(instance, max_enumeration)
     value, members, scales = _best_over_subsets(instance, None)
-    z = z_profile(instance).z
-    star = best_treatment(instance)
     tilde = None
     if budget is not None:
         tilde = h3_tilde(instance, budget, max_enumeration)
     return ComplexityReport(
         h3=1.0 / value if value > 0 else math.inf,
         h3_prime=h3_prime(instance),
-        delta_min=_delta_min(z, star),
+        delta_min=delta_min(instance),
         argmin_subset=tuple(int(a) for a in members),
         rho_sigma=scales[0],
         lambda_sigma=scales[1],

@@ -315,59 +315,49 @@ def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
 
 
 def _confidence_levels(stats: StageStats) -> dict[int, float]:
-    """delta_s(a) for every active treatment, by vectorized bisection.
+    """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment.
 
-    With c = sqrt(log(|A_s|M/delta)), the per-metric bonus is 2c sqrt(v) and
+    With c = sqrt(log(|A_s|M/delta)) and s = 2 sqrt(v), arm a's UCB
+    min_i(zhat[a,i] + c s[a,i]) and a rival's LCB min_j(zhat[a',j] - c s[a',j])
+    are minima of terms linear in c, so the point where the UCB clears every
+    rival LCB has the closed form
 
-        f_a(c) = min_i(zhat[a,i] + 2c sqrt(v[a,i]))
-                 - max_a' min_i(zhat[a',i] - 2c sqrt(v[a',i]))
+        c*_a = max_a' max_i min_j (zhat[a',j] - zhat[a,i]) / (s[a,i] + s[a',j]).
 
-    is nondecreasing in c with f_a(0) <= 0 (equality exactly for the
-    empirical-best arm, which receives the cap).  delta = |A_s|M exp(-c*^2).
+    "For every metric i some rival metric j lies below" and "some rival
+    metric j lies below every i" are the same predicate (the rival's
+    minimizing j serves all i), so max_i min_j here equals min_j max_i.
+    The term a' = a is exactly 0 (take i = j = argmin zhat[a]), so c* >= 0
+    with no clip, and the empirical-best arm (and any arm tied with it)
+    gets c* = 0, hence the cap.
     """
     arms = list(stats.active)
-    cap = float(len(arms) * next(iter(stats.empirical_z.values())).size)
     z = np.array([stats.empirical_z[a] for a in arms])
-    sd = 2.0 * np.sqrt(np.array([stats.z_variances[a] for a in arms]))
-
-    def f(c):
-        # f_a(c_a) compares arm a's UCB against every rival's LCB evaluated
-        # at the same c_a, so rival bounds broadcast over the c vector.
-        ucb = (z + c[:, None] * sd).min(axis=1)
-        lcb = (z[None, :, :] - c[:, None, None] * sd[None, :, :]).min(axis=2)
-        return ucb - lcb.max(axis=1)
-
-    at_zero = f(np.zeros(len(arms)))
-    # Analytic upper bracket: f_a(c) >= (min_i z_a + c min_i sd_a)
-    # - (max_a' min_i z_a' - c min_{a',i} sd), positive from c_hi_a on.
-    min_z_rows = z.min(axis=1)
-    min_sd_rows = sd.min(axis=1)
-    hi = (min_z_rows.max() - min_z_rows) / (min_sd_rows + sd.min()) + 1.0
-    lo = np.zeros(len(arms))
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        pos = f(mid) > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    c_star = 0.5 * (lo + hi)
-    out = {}
-    for idx, a in enumerate(arms):
-        if at_zero[idx] >= 0.0:  # empirical best (f(0) = 0): capped
-            out[a] = cap
-        else:
-            out[a] = cap * math.exp(-c_star[idx] ** 2)
-    return out
+    s = 2.0 * np.sqrt(np.array([stats.z_variances[a] for a in arms]))
+    # crossing[a, b, i, j]: the c at which a's metric-i UCB term meets
+    # rival b's metric-j LCB term
+    crossing = (z[None, :, None, :] - z[:, None, :, None]) \
+        / (s[:, None, :, None] + s[None, :, None, :])
+    c_star = crossing.min(axis=3).max(axis=(1, 2))
+    levels = z.size * np.exp(-c_star**2)  # z.size = |A_s| * M, the cap
+    return dict(zip(arms, levels.tolist()))
 
 
 def confidence_level(stats: StageStats, treatment: int) -> float:
-    """The elimination confidence level delta_s(a) of one treatment."""
+    """The elimination confidence level delta_s(a) of one treatment: the
+    delta at which its UCB meets the best rival LCB, from the closed-form
+    crossing point c*_a (see _confidence_levels)."""
     if treatment not in stats.active:
         raise ValueError(f"treatment {treatment} is not active")
     return _confidence_levels(stats)[treatment]
 
 
 def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:
-    """Keep the `keep` treatments with largest delta_s(a); ties -> lowest index."""
+    """Keep the `keep` treatments with largest delta_s(a); ties -> lowest index.
+
+    The key is delta, not c*: where exp(-c*^2) underflows to 0, arms with
+    different c* tie at 0 and the lowest index wins.
+    """
     if not 1 <= keep <= len(stats.active):
         raise ValueError(f"keep must be in [1, {len(stats.active)}]")
     levels = _confidence_levels(stats)

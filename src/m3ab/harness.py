@@ -241,7 +241,7 @@ def _validation_source(reward_source) -> str:
 def _count_range(instance: Instance, spec: AlgorithmSpec, budget: int,
                  reward_source, master_seed: int, value_idx: int,
                  budget_idx: int, start: int, stop: int, star: int,
-                 uniformly_better: np.ndarray) -> tuple[int, int, int]:
+                 positive_min_z: np.ndarray) -> tuple[int, int, int]:
     """Accumulate event counts over repetitions [start, stop)."""
     validation_source = _validation_source(reward_source)
     explore = vs = t1 = 0
@@ -257,7 +257,7 @@ def _count_range(instance: Instance, spec: AlgorithmSpec, budget: int,
         if result.recommended == star:
             explore += 1
         if outcome.pass_all:
-            if uniformly_better[result.recommended - 1]:
+            if positive_min_z[result.recommended - 1]:
                 vs += 1
             else:
                 t1 += 1
@@ -273,7 +273,7 @@ def _chunks(repetitions: int, parts: int) -> list[tuple[int, int]]:
 def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
                threads: int) -> tuple[CellReport, ...]:
     star = best_treatment(instance)
-    uniformly_better = z_profile(instance).min_z > 0.0
+    positive_min_z = z_profile(instance).min_z > 0.0
     cells = []
     for budget_idx, budget in enumerate(config.budgets):
         for spec in config.algorithms:
@@ -283,12 +283,12 @@ def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
             try:
                 if threads <= 1:
                     counts = _count_range(*base, 0, config.repetitions,
-                                          star, uniformly_better)
+                                          star, positive_min_z)
                 else:
                     with ProcessPoolExecutor(max_workers=threads) as pool:
                         parts = pool.map(
                             _count_star,
-                            [base + (lo, hi, star, uniformly_better)
+                            [base + (lo, hi, star, positive_min_z)
                              for lo, hi in _chunks(config.repetitions, threads)])
                         counts = tuple(map(sum, zip(*parts)))
             except InsufficientBudgetError as exc:

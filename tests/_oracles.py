@@ -4,9 +4,10 @@ Everything here is deliberately written against a different numeric route
 than the package: the normal CDF/quantile come from the stdlib
 (statistics.NormalDist, Wichura's AS241 under the hood), the allocation
 oracle solves the min-max program numerically instead of using the closed
-form, and the halving reference is a scalar loop over plain floats driven by
-the stdlib generator (random.Random) instead of numpy's.  Keep these free of
-imports from m3ab so a bug cannot leak into its own check.
+form, the confidence level is bisected instead of taken from the closed-form
+crossing point, and the halving reference is a scalar loop over plain floats
+driven by the stdlib generator (random.Random) instead of numpy's.  Keep
+these free of imports from m3ab so a bug cannot leak into its own check.
 """
 
 from __future__ import annotations
@@ -203,6 +204,39 @@ def shrvar_reference_picks(means, stddevs, xi, budget: int, reps: int,
             active = sorted(a for _, a in ranked[:(len(active) + 1) // 2])
         picks.append(active[0])
     return picks
+
+
+# --- confidence level by scalar bisection ----------------------------------
+# The elimination confidence level found the slow way: bisect on c for the
+# point where the treatment's UCB clears every rival's LCB, with no use of
+# the closed-form crossing the package computes.
+
+def confidence_level_bisection(z, v, arm) -> float:
+    """delta_s(arm) = |A_s| M exp(-c*^2) for a stage with ``z[a]``/``v[a]``
+    the per-metric zhat values and their variances of each active arm a.
+
+    With c = sqrt(log(|A_s| M / delta)) the bonus on metric i is
+    2 c sqrt(v[a][i]); c* is where min_i(UCB) minus the largest rival
+    min_j(LCB) turns positive.  An arm already on top at c = 0 gets the cap.
+    """
+    arms = list(z)
+    cap = float(len(arms) * len(z[arm]))
+
+    def f(c):
+        ucb = min(zi + 2.0 * c * math.sqrt(vi) for zi, vi in zip(z[arm], v[arm]))
+        lcb = max(min(zj - 2.0 * c * math.sqrt(vj) for zj, vj in zip(z[b], v[b]))
+                  for b in arms)
+        return ucb - lcb
+
+    if f(0.0) >= 0.0:
+        return cap
+    lo, hi = 0.0, 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) > 0.0 else (mid, hi)
+    return cap * math.exp(-(0.5 * (lo + hi)) ** 2)
 
 
 # --- Table-of-two-treatments reference point -------------------------------

@@ -15,6 +15,7 @@ from m3ab import (
     best_treatment,
     load,
     preset,
+    save,
     z_profile,
 )
 from m3ab.cli import RUN_COLUMNS, SWEEP_COLUMNS, main
@@ -277,6 +278,15 @@ def test_complexity_too_large_falls_back(capsys):
     assert code == 0
     assert "too large" in out
     assert "H3':" in out  # the closed-form surrogate is always printed
+
+
+def test_complexity_single_treatment_is_input_error(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    save(Instance(means=np.array([[0.0], [0.5]]), stddevs=np.ones((2, 1)),
+                  validation=ValidationConfig.non_bayesian([0.05], 100)), path)
+    code, out, err = run_cli(capsys, "complexity", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert "need at least two treatments" in err
 
 
 # --- gen ---------------------------------------------------------------------

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _gen import random_instance
-from m3ab.alloc import StageAllocation
+from _oracles import confidence_level_bisection
+from m3ab.alloc import (
+    StageAllocation,
+    neyman_allocation,
+    shrvar_allocation,
+    uniform_allocation,
+    variance_allocation,
+)
 from m3ab.core import Instance, ValidationConfig, best_treatment, z_profile
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 from m3ab.halving import (
@@ -17,15 +27,19 @@ from m3ab.halving import (
     FixedMeanSource,
     GaussianPullSource,
     StageStats,
+    _allocate,
+    _belief_cache,
     confidence_bonus,
     confidence_eliminate,
     confidence_level,
     empirical_z,
     mean_eliminate,
     minz_eliminate,
+    num_stages,
     run_exploration,
     run_exploration_adaptive,
 )
+from m3ab.instances import preset
 
 
 def unit_instance(num_treatments: int, delta: float = 0.5) -> Instance:
@@ -38,20 +52,25 @@ def unit_instance(num_treatments: int, delta: float = 0.5) -> Instance:
     )
 
 
-def stats_with_z(zhat: dict[int, float], variance: float = 0.01) -> StageStats:
-    """Hand-built single-metric StageStats for elimination tests."""
-    arms = sorted(zhat)
-    pulls = StageAllocation(
-        control_pulls=10, treatment_pulls={a: 10 for a in arms},
-        stage_budget=10 * (len(arms) + 1),
-    )
+def stats_from_zv(z: dict[int, np.ndarray], v: dict[int, np.ndarray]) -> StageStats:
+    """Hand-built StageStats with the given zhat rows and their variances."""
+    arms = sorted(z)
+    m = len(z[arms[0]])
+    pulls = StageAllocation(control_pulls=10,
+                            treatment_pulls={a: 10 for a in arms},
+                            stage_budget=10 * (len(arms) + 1))
     return StageStats(
-        empirical_means={arm: np.zeros(1) for arm in [0] + arms},
-        pulls=pulls,
-        empirical_z={a: np.array([v]) for a, v in zhat.items()},
-        z_variances={a: np.array([variance]) for a in arms},
+        empirical_means={arm: np.zeros(m) for arm in [0] + arms},
+        pulls=pulls, empirical_z={a: np.asarray(z[a], dtype=float) for a in arms},
+        z_variances={a: np.asarray(v[a], dtype=float) for a in arms},
         active=tuple(arms),
     )
+
+
+def stats_with_z(zhat: dict[int, float], variance: float = 0.01) -> StageStats:
+    """Hand-built single-metric StageStats for elimination tests."""
+    return stats_from_zv({a: [v] for a, v in zhat.items()},
+                         {a: [variance] for a in zhat})
 
 
 # --- empirical_z ------------------------------------------------------------
@@ -229,32 +248,68 @@ def test_confidence_level_matches_scalar_bisection():
         arms = list(range(1, 5))
         z = {a: rng.normal(size=2) for a in arms}
         v = {a: rng.uniform(0.005, 0.1, size=2) for a in arms}
-        pulls = StageAllocation(control_pulls=10,
-                                treatment_pulls={a: 10 for a in arms},
-                                stage_budget=50)
-        stats = StageStats(
-            empirical_means={arm: np.zeros(2) for arm in [0] + arms},
-            pulls=pulls, empirical_z=z, z_variances=v, active=tuple(arms),
-        )
-        cap = 8.0
-
-        def f(c, a):
-            ucb = (z[a] + 2.0 * c * np.sqrt(v[a])).min()
-            lcb = max((z[b] - 2.0 * c * np.sqrt(v[b])).min() for b in arms)
-            return ucb - lcb
-
+        stats = stats_from_zv(z, v)
         for a in arms:
-            if f(0.0, a) >= 0.0:
-                want = cap
-            else:
-                lo, hi = 0.0, 1.0
-                while f(hi, a) <= 0.0:
-                    hi *= 2.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (lo, mid) if f(mid, a) > 0.0 else (mid, hi)
-                want = cap * math.exp(-(0.5 * (lo + hi)) ** 2)
+            want = confidence_level_bisection(z, v, a)
             assert confidence_level(stats, a) == pytest.approx(want, rel=1e-6)
+
+
+@st.composite
+def confidence_stages(draw):
+    """Random stages: 1-6 arms, 1-3 metrics, optionally a copied zhat row,
+    one variance shared by every cell, or a best arm so far ahead that every
+    other arm's exp(-c*^2) underflows to 0."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    cell = st.floats(-5.0, 5.0)
+    z = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(k)))[:2]
+        z[dst] = list(z[src])
+    if draw(st.booleans()):
+        var = draw(st.floats(1e-4, 1.0))
+        v = [[var] * m for _ in range(k)]
+    else:
+        v = [draw(st.lists(st.floats(1e-4, 1.0), min_size=m, max_size=m))
+             for _ in range(k)]
+    if draw(st.booleans()):
+        lead = draw(st.integers(0, k - 1))
+        z[lead] = [x + 1e3 for x in z[lead]]
+    return ({a + 1: row for a, row in enumerate(z)},
+            {a + 1: row for a, row in enumerate(v)})
+
+
+# Named cases: M = 1; two tied rows with one shared variance; a leader so
+# far ahead that the three trailing arms all underflow to delta = 0 and the
+# lowest indices survive.
+@example(({1: [0.3], 2: [-0.1], 3: [0.3]}, {1: [0.02], 2: [0.05], 3: [0.01]}))
+@example(({1: [0.5, -0.2], 2: [0.1, 0.4], 3: [0.5, -0.2]},
+          {a: [0.03, 0.03] for a in (1, 2, 3)}))
+@example(({1: [0.0, 0.1], 2: [0.2, 0.0], 3: [1e3, 1e3], 4: [0.1, 0.3]},
+          {a: [0.01, 0.02] for a in (1, 2, 3, 4)}))
+@settings(max_examples=150, deadline=None)
+@given(confidence_stages())
+def test_confidence_closed_form_matches_bisection_oracle(stage):
+    z, v = stage
+    stats = stats_from_zv(z, v)
+    arms = sorted(z)
+    want = {a: confidence_level_bisection(z, v, a) for a in arms}
+    got = {a: confidence_level(stats, a) for a in arms}
+    for a in arms:
+        # below the normal range a float carries too few bits for rel 1e-9
+        assert math.isclose(got[a], want[a], rel_tol=1e-9,
+                            abs_tol=sys.float_info.min), (a, got[a], want[a])
+    for keep in range(1, len(arms) + 1):
+        kept = confidence_eliminate(stats, keep)
+        assert len(kept) == keep
+        for k in kept:
+            for d in set(arms) - set(kept):
+                if math.isclose(want[k], want[d], rel_tol=1e-9):
+                    # a tie to the oracle's precision: only an exact tie
+                    # (capped, or both underflowed to 0) pins the order
+                    assert got[k] != got[d] or k < d
+                else:
+                    assert want[k] > want[d]
 
 
 def test_confidence_level_monotone_in_own_z():
@@ -310,6 +365,34 @@ def test_zero_noise_recovers_best_treatment():
         res = run_exploration(inst, "shrvar", 5000, reward_source=FixedMeanSource(),
                               rng=np.random.default_rng(0))
         assert res.recommended == best_treatment(inst)
+
+
+@pytest.mark.parametrize("name,knobs,budget", [
+    ("exp1", {}, 8000),
+    *[("exp2", {"l": l}, 500) for l in range(6)],
+    ("exp3", {"seed": 7}, 120000),
+])
+def test_engine_allocation_equals_public_allocators(name, knobs, budget):
+    # The engine reaches the allocation rules through its own cached copy;
+    # it must hand out exactly the counts of the public allocators.
+    inst = preset(name, **knobs)
+    cache = _belief_cache(inst)
+    stage_budget = budget // num_stages(inst.num_treatments)
+    public = {
+        "relative_variance": lambda act: shrvar_allocation(inst, act, stage_budget),
+        "uniform": lambda act: uniform_allocation(act, stage_budget),
+        "variance": lambda act: variance_allocation(inst, act, stage_budget),
+        "neyman": lambda act: neyman_allocation(inst, act, stage_budget),
+    }
+    active = list(inst.treatments)
+    while True:
+        for sampling, allocate in public.items():
+            spec = AlgorithmSpec(sampling, "min_z")
+            assert _allocate(spec, cache, active, stage_budget) == allocate(active), \
+                (sampling, len(active))
+        if len(active) == 1:
+            break
+        active = active[:math.ceil(len(active) / 2)]
 
 
 def test_stage_structure_and_budget_accounting():
