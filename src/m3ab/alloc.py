@@ -67,40 +67,122 @@ class SetVariances:
     lambda_sigma: float
 
 
-def max_rho_sq(stddevs: np.ndarray, active: list[int]) -> np.ndarray:
-    """max_i rho2[a,i] for each active treatment, from an (A+1) x M stddev matrix."""
-    rho_sq, _ = relative_variance(stddevs[active], stddevs[0])
-    return np.atleast_2d(rho_sq).max(axis=1)
+@dataclass(frozen=True)
+class ArmWeights:
+    """Per-arm weights of the sampling rules, indexed by arm (0 = control).
+
+    rho_sq/lambda_sq split every arm's z noise against the control, (A+1, M)
+    with a row 0 no rule reads; the vectors are row maxima over the metrics.
+    """
+
+    rho_sq: np.ndarray
+    lambda_sq: np.ndarray
+    max_rho_sq: np.ndarray
+    max_lambda_sq: np.ndarray
+    max_var: np.ndarray
+    max_sd: np.ndarray
 
 
-def set_variances_from(stddevs: np.ndarray, active: list[int]) -> SetVariances:
-    if len(active) == 0:
-        raise ValueError("active set must be nonempty")
-    rho_sq, lambda_sq = relative_variance(stddevs[active], stddevs[0])
-    rho_sq = np.atleast_2d(rho_sq)
-    lambda_sq = np.atleast_2d(lambda_sq)
-    return SetVariances(
-        rho_sigma=float(np.sqrt(rho_sq.max(axis=1).sum())),
-        lambda_sigma=float(np.sqrt(lambda_sq.max())),
+def arm_weights(stddevs: np.ndarray) -> ArmWeights:
+    """The weights of an (A+1) x M stddev matrix."""
+    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[0])
+    return ArmWeights(
+        rho_sq=rho_sq, lambda_sq=lambda_sq,
+        max_rho_sq=rho_sq.max(axis=1), max_lambda_sq=lambda_sq.max(axis=1),
+        max_var=(stddevs**2).max(axis=1), max_sd=stddevs.max(axis=1),
     )
+
+
+def active_index(active, num_treatments: int | None = None) -> np.ndarray:
+    """The active set as an ascending index array, after checking that it is
+    nonempty and holds distinct treatments in 1..num_treatments (any count
+    when None)."""
+    arms = np.array(sorted(active))
+    if arms.size == 0 or arms.dtype.kind not in "iu" or arms[0] < 1 \
+            or (num_treatments is not None and arms[-1] > num_treatments) \
+            or np.any(arms[1:] == arms[:-1]):
+        raise ValueError(f"active set {arms.tolist()} must be nonempty and hold "
+                         f"distinct treatments in 1..{num_treatments or 'A'}")
+    return arms.astype(np.intp, copy=False)
+
+
+def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[float, float]:
+    """(rho_sigma, lambda_sigma) of an active set."""
+    return (math.sqrt(float(w.max_rho_sq[active].sum())),
+            math.sqrt(float(w.max_lambda_sq[active].max())))
+
+
+def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.ndarray:
+    """Unrounded relative-variance shares [control, *active]; they sum to B."""
+    rho_sigma, lambda_sigma = _set_scales(w, active)
+    denom = rho_sigma + lambda_sigma
+    return np.concatenate(
+        ([lambda_sigma / denom * stage_budget],
+         w.max_rho_sq[active] / (rho_sigma * denom) * stage_budget)
+    )
+
+
+def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
+                 stage_budget: int, rounding: str = FLOOR) -> np.ndarray:
+    """Pull counts [control, *active] of one stage under a sampling rule.
+
+    Every rule is written here once, over the weights ``w`` (unread by the
+    uniform rule) and an index array from ``active_index``; ``rounding``
+    applies to the relative-variance rule only.
+    """
+    if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
+        raise ValueError("stage_budget must be a positive integer")
+    if sampling == "uniform":
+        counts = np.full(active.size + 1, stage_budget // (active.size + 1))
+    elif sampling == "relative_variance":
+        exact = _shrvar_shares(w, active, stage_budget)
+        counts = np.floor(exact).astype(int)
+        if rounding == LARGEST_REMAINDER:
+            # Hand the discarded remainder back, largest fractional part
+            # first (ties -> lower position); each arm gains at most one pull.
+            leftover = stage_budget - int(counts.sum())
+            order = np.lexsort((np.arange(exact.size), -(exact - counts)))
+            counts[order[:leftover]] += 1
+        elif rounding != FLOOR:
+            raise ValueError(f"unknown rounding mode {rounding!r}")
+    elif sampling in ("variance", "neyman"):
+        weights = w.max_var if sampling == "variance" else w.max_sd
+        weights = np.concatenate((weights[:1], weights[active]))
+        counts = np.floor(weights / weights.sum() * stage_budget).astype(int)
+    else:
+        raise ValueError(f"unknown sampling rule {sampling!r}")
+    return _fund_starved(counts, active, stage_budget)
+
+
+def _allocation(sampling: str, instance: Instance | None, active,
+                stage_budget: int, rounding: str = FLOOR) -> StageAllocation:
+    """The kernel's counts for a public call, keyed by arm."""
+    if instance is None:
+        w, arms = None, active_index(active)
+    else:
+        w = arm_weights(instance.stddevs)
+        arms = active_index(active, instance.num_treatments)
+    control, *treated = stage_counts(sampling, w, arms, stage_budget,
+                                     rounding).tolist()
+    return StageAllocation(control_pulls=control,
+                           treatment_pulls=dict(zip(arms.tolist(), treated)),
+                           stage_budget=stage_budget)
 
 
 def set_variances(instance: Instance, active) -> SetVariances:
     """rho_sigma = sqrt(sum of per-treatment max rho2); lambda_sigma = max lambda."""
-    return set_variances_from(instance.stddevs, sorted(active))
+    arms = active_index(active, instance.num_treatments)
+    return SetVariances(*_set_scales(arm_weights(instance.stddevs), arms))
 
 
 def shrvar_allocation_unrounded(
     instance: Instance, active, stage_budget: int
 ) -> tuple[float, dict[int, float]]:
     """The exact (real-valued) relative-variance allocation before rounding."""
-    arms = sorted(active)
-    sv = set_variances_from(instance.stddevs, arms)
-    rho2 = max_rho_sq(instance.stddevs, arms)
-    denom = sv.rho_sigma + sv.lambda_sigma
-    control = sv.lambda_sigma / denom * stage_budget
-    per_arm = rho2 / (sv.rho_sigma * denom) * stage_budget
-    return control, dict(zip(arms, per_arm.tolist()))
+    arms = active_index(active, instance.num_treatments)
+    control, *treated = _shrvar_shares(arm_weights(instance.stddevs), arms,
+                                       stage_budget).tolist()
+    return control, dict(zip(arms.tolist(), treated))
 
 
 def shrvar_allocation(
@@ -113,115 +195,40 @@ def shrvar_allocation(
     all other counts keep their exact floors.  Raises
     InsufficientBudgetError when the budget cannot cover one pull per arm.
     """
-    _check_budget(stage_budget)
-    arms = sorted(active)
-    sv = set_variances_from(instance.stddevs, arms)
-    rho2 = max_rho_sq(instance.stddevs, arms)
-    counts = _shrvar_counts(rho2, sv.lambda_sigma, stage_budget, rounding)
-    return _to_allocation([0] + arms, counts, stage_budget)
+    return _allocation("relative_variance", instance, active, stage_budget,
+                       rounding)
 
 
 def uniform_allocation(active, stage_budget: int) -> StageAllocation:
     """Every arm (control included) gets floor(B / (|active|+1)) pulls."""
-    _check_budget(stage_budget)
-    arms = sorted(active)
-    per = stage_budget // (len(arms) + 1)
-    if per == 0:
-        raise InsufficientBudgetError(
-            f"stage budget {stage_budget} cannot cover {len(arms) + 1} arms", arm=0
-        )
-    return StageAllocation(
-        control_pulls=per,
-        treatment_pulls={a: per for a in arms},
-        stage_budget=stage_budget,
-    )
+    return _allocation("uniform", None, active, stage_budget)
 
 
 def variance_allocation(instance: Instance, active, stage_budget: int) -> StageAllocation:
     """Pulls proportional to max_i sigma[arm,i]^2, control folded in as an arm."""
-    arms = sorted(active)
-    weights = np.max(instance.stddevs[[0] + arms] ** 2, axis=1)
-    return _proportional([0] + arms, weights, stage_budget)
+    return _allocation("variance", instance, active, stage_budget)
 
 
 def neyman_allocation(instance: Instance, active, stage_budget: int) -> StageAllocation:
     """Pulls proportional to max_i sigma[arm,i], control folded in as an arm."""
-    arms = sorted(active)
-    weights = np.max(instance.stddevs[[0] + arms], axis=1)
-    return _proportional([0] + arms, weights, stage_budget)
+    return _allocation("neyman", instance, active, stage_budget)
 
 
-def _check_budget(stage_budget: int):
-    if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
-        raise ValueError("stage_budget must be a positive integer")
-
-
-def _shrvar_counts(max_rho2: np.ndarray, lambda_sigma: float, stage_budget: int,
-                   rounding: str) -> np.ndarray:
-    """Rounded counts [control, treatments...] of the relative-variance rule."""
-    rho_sigma = math.sqrt(float(max_rho2.sum()))
-    denom = rho_sigma + lambda_sigma
-    exact = np.concatenate(
-        ([lambda_sigma / denom * stage_budget],
-         max_rho2 / (rho_sigma * denom) * stage_budget)
-    )
-    return _round(exact, stage_budget, rounding)
-
-
-def _to_allocation(arms: list[int], counts: np.ndarray,
-                   stage_budget: int) -> StageAllocation:
-    counts = _fund_starved(counts, arms, stage_budget)
-    return StageAllocation(
-        control_pulls=int(counts[0]),
-        treatment_pulls=dict(zip(arms[1:], (int(c) for c in counts[1:]))),
-        stage_budget=stage_budget,
-    )
-
-
-def _fund_starved(counts: np.ndarray, arms: list[int], stage_budget: int) -> np.ndarray:
-    """Give every zero-count arm one pull without exceeding the budget.
-
-    The discarded rounding remainder pays first; if that runs out, pulls are
-    taken back from the largest counts (deterministically, first position on
-    ties).  A count above one is always available to shrink unless the
-    budget is below the arm count, which is reported as insufficient.
-    """
+def _fund_starved(counts: np.ndarray, active: np.ndarray,
+                  stage_budget: int) -> np.ndarray:
+    """Give every zero-count arm one pull without exceeding the budget;
+    beyond the discarded remainder, pulls come back from the largest counts
+    (first position on ties)."""
     if not np.any(counts == 0):
         return counts
-    if stage_budget < len(arms):
-        starved = arms[int(np.argmin(counts))]
+    if stage_budget < counts.size:
+        starved = int(np.argmin(counts))
         raise InsufficientBudgetError(
-            f"stage budget {stage_budget} cannot cover {len(arms)} arms",
-            arm=starved,
+            f"stage budget {stage_budget} cannot cover {counts.size} arms",
+            arm=0 if starved == 0 else int(active[starved - 1]),
         )
     counts = counts.copy()
     counts[counts == 0] = 1
     while counts.sum() > stage_budget:
         counts[np.argmax(counts)] -= 1
     return counts
-
-
-def _round(exact: np.ndarray, stage_budget: int, rounding: str) -> np.ndarray:
-    counts = np.floor(exact).astype(int)
-    if rounding == LARGEST_REMAINDER:
-        # Hand the discarded remainder back, largest fractional part first
-        # (ties -> lower position); each arm gains at most one pull.
-        leftover = stage_budget - int(counts.sum())
-        order = np.lexsort((np.arange(exact.size), -(exact - counts)))
-        counts[order[:leftover]] += 1
-    elif rounding != FLOOR:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
-    return counts
-
-
-def _proportional(arms: list[int], weights: np.ndarray, stage_budget: int) -> StageAllocation:
-    """Weight-proportional pulls, floored, with a one-pull-per-arm guarantee.
-
-    Weight ratios for these baselines can span many orders of magnitude, so a
-    plain floor could zero out low-weight arms and break their estimators.
-    Floored zeros are bumped to one pull and the excess is taken back from the
-    largest counts, deterministically.
-    """
-    _check_budget(stage_budget)
-    counts = np.floor(weights / weights.sum() * stage_budget).astype(int)
-    return _to_allocation(arms, counts, stage_budget)

@@ -15,11 +15,25 @@ noisy treatment is to validate).  The adaptive-variance engine first spends
 a uniform round estimating every stddev, then runs the relative-variance
 engine on the estimates.
 
-Reward sources decouple "what the algorithm sees" from "how it is sampled":
-the engines only ever consume per-stage means (and phase-0 sample variances),
-so drawing each pull ("pulls") and drawing the sufficient statistics from
-their exact laws ("means": mean ~ N(mu, sigma^2/n), sample variance ~
-sigma^2 * chi2_{n-1}/(n-1)) induce identical distributions over trajectories.
+Each stage is one array pipeline: ``alloc.stage_counts`` gives the pull
+counts [control, *active], the reward source draws the stage means, and a
+StageStats holds the stage as arrays: ``active`` (k,), the treatments
+ascending; ``means`` (k+1, M) and ``counts`` (k+1,), rows [control,
+*active]; ``z`` and ``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) +
+lambda2[a,i]/N(0) is the exact variance of zhat[a,i].  Its
+``empirical_means``, ``empirical_z``, ``z_variances`` and ``pulls`` key the
+same rows by arm.
+
+Reward sources decouple "what the algorithm sees" from "how it is sampled".
+A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rng)`` returns
+the stage means of the given arms, drawn arm by arm in row order (control
+first, then the active treatments ascending), and its
+``mean_and_variance(mu, sigma, n, rng)`` draws one arm's mean and unbiased
+sample variance for the adaptive engine's phase 0.  The engines consume
+nothing else, so drawing each pull
+("pulls") and drawing the sufficient statistics from their exact laws
+("means": mean ~ N(mu, sigma^2/n), sample variance ~ sigma^2 *
+chi2_{n-1}/(n-1)) induce identical distributions over trajectories.
 "means" makes very large budgets cheap to simulate.
 """
 
@@ -30,14 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import (
-    FLOOR,
-    StageAllocation,
-    _shrvar_counts,
-    _to_allocation,
-    uniform_allocation,
-)
-from m3ab.core import Instance, relative_variance, xi_matrix
+from m3ab.alloc import active_index, arm_weights, stage_counts
+from m3ab.core import Instance, xi_matrix
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
 SAMPLING_RULES = ("relative_variance", "uniform", "variance", "neyman")
@@ -106,8 +114,9 @@ ALGORITHMS = {
 class GaussianPullSource:
     """Draws every individual reward; the canonical simulator."""
 
-    def stage_mean(self, mu, sigma, n, rng):
-        return rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0)
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
+        return np.stack([rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0)
+                         for mu, sigma, n in zip(mu_rows, sigma_rows, counts)])
 
     def mean_and_variance(self, mu, sigma, n, rng):
         x = rng.normal(mu, sigma, size=(n, mu.size))
@@ -117,12 +126,9 @@ class GaussianPullSource:
 class GaussianStatSource:
     """Draws per-stage means (and phase-0 variances) from their exact laws."""
 
-    def stage_mean(self, mu, sigma, n, rng):
-        return rng.normal(mu, sigma / math.sqrt(n))
-
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
         # One draw call; C-order filling consumes the generator's normal
-        # stream row by row, identically to per-row stage_mean calls.
+        # stream row by row, identically to one call per arm.
         return rng.normal(mu_rows, sigma_rows / np.sqrt(counts)[:, None])
 
     def mean_and_variance(self, mu, sigma, n, rng):
@@ -142,9 +148,6 @@ class FixedMeanSource:
         if variances not in ("true", "zero"):
             raise ValueError("variances must be 'true' or 'zero'")
         self.variances = variances
-
-    def stage_mean(self, mu, sigma, n, rng):
-        return mu.copy()
 
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
         return mu_rows.copy()
@@ -174,79 +177,48 @@ def get_reward_source(source):
 
 @dataclass(frozen=True)
 class StageStats:
-    """Everything one stage observed.
+    """Everything one stage observed, as arrays (see the module docstring)."""
 
-    empirical_means is keyed by arm (0 = control); empirical_z and
-    z_variances by treatment.  z_variances[a][i] = rho2[a,i]/N(a) +
-    lambda2[a,i]/N(0), the exact variance of zhat[a,i], used by the
-    confidence bonuses.
-    """
+    active: np.ndarray
+    means: np.ndarray
+    counts: np.ndarray
+    z: np.ndarray
+    z_var: np.ndarray
 
-    empirical_means: dict[int, np.ndarray]
-    pulls: StageAllocation
-    empirical_z: dict[int, np.ndarray]
-    z_variances: dict[int, np.ndarray]
-    active: tuple[int, ...]
+    @property
+    def empirical_means(self) -> dict[int, np.ndarray]:
+        return dict(zip([0, *self.active.tolist()], self.means))
 
-    def min_z(self, treatment: int) -> float:
-        return float(self.empirical_z[treatment].min())
+    @property
+    def empirical_z(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.active.tolist(), self.z))
 
+    @property
+    def z_variances(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.active.tolist(), self.z_var))
 
-@dataclass(frozen=True)
-class _BeliefCache:
-    """Arrays derived from (stddevs, validation) once per run.
-
-    Treatment-indexed arrays use row a-1 for treatment a; the weight vectors
-    include the control at position 0.
-    """
-
-    xi: np.ndarray               # (A, M)
-    sqrt_var_sum: np.ndarray     # (A, M)
-    rho_sq: np.ndarray           # (A, M)
-    lambda_sq: np.ndarray        # (A, M)
-    max_rho_sq: np.ndarray       # (A,)
-    max_lambda_sq: np.ndarray    # (A,)
-    variance_weights: np.ndarray  # (A+1,) max_i sigma[arm,i]^2
-    stddev_weights: np.ndarray    # (A+1,) max_i sigma[arm,i]
+    @property
+    def pulls(self) -> dict[int, int]:
+        return dict(zip([0, *self.active.tolist()], self.counts.tolist()))
 
 
-def _belief_cache(belief: Instance) -> _BeliefCache:
-    rho_sq, lambda_sq = relative_variance(belief.stddevs[1:], belief.stddevs[0])
-    rho_sq = np.atleast_2d(rho_sq)
-    lambda_sq = np.atleast_2d(lambda_sq)
-    return _BeliefCache(
-        xi=xi_matrix(belief.validation, belief.stddevs),
-        sqrt_var_sum=np.sqrt(belief.variance_sums()),
-        rho_sq=rho_sq,
-        lambda_sq=lambda_sq,
-        max_rho_sq=rho_sq.max(axis=1),
-        max_lambda_sq=lambda_sq.max(axis=1),
-        variance_weights=(belief.stddevs**2).max(axis=1),
-        stddev_weights=belief.stddevs.max(axis=1),
-    )
+def _belief_constants(belief: Instance):
+    """What the stage pipeline derives once per belief: the allocation
+    weights, xi and the zhat scale sqrt(sigma_a^2 + sigma_0^2) (rows a-1)."""
+    return (arm_weights(belief.stddevs),
+            xi_matrix(belief.validation, belief.stddevs),
+            np.sqrt(belief.variance_sums()))
 
 
-def _stats_from_rows(cache: _BeliefCache, means: dict[int, np.ndarray],
-                     rows: np.ndarray, pulls: StageAllocation,
-                     active: list[int]) -> StageStats:
-    """Build StageStats from stacked per-arm mean rows [control, *active]."""
-    idx = np.asarray(active) - 1
-    counts = np.array([pulls.treatment_pulls[a] for a in active], dtype=float)
-    zmat = (rows[1:] - rows[0]) / cache.sqrt_var_sum[idx] + cache.xi[idx]
-    vmat = cache.rho_sq[idx] / counts[:, None] \
-        + cache.lambda_sq[idx] / pulls.control_pulls
-    return StageStats(
-        empirical_means=means, pulls=pulls,
-        empirical_z={a: zmat[k] for k, a in enumerate(active)},
-        z_variances={a: vmat[k] for k, a in enumerate(active)},
-        active=tuple(active),
-    )
-
-
-def _stats_from_means(belief: Instance, means: dict[int, np.ndarray],
-                      pulls: StageAllocation, active: list[int]) -> StageStats:
-    rows = np.stack([means[0]] + [means[a] for a in active])
-    return _stats_from_rows(_belief_cache(belief), means, rows, pulls, active)
+def _stage_stats(constants, active: np.ndarray, means: np.ndarray,
+                 counts: np.ndarray) -> StageStats:
+    """StageStats from stacked mean rows and counts [control, *active]."""
+    weights, xi, scale = constants
+    rows = active - 1
+    z = (means[1:] - means[0]) / scale[rows] + xi[rows]
+    z_var = weights.rho_sq[active] / counts[1:, None] \
+        + weights.lambda_sq[active] / counts[0]
+    return StageStats(active=active, means=means, counts=counts, z=z, z_var=z_var)
 
 
 def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> StageStats:
@@ -254,11 +226,10 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
 
     A 1-D array is accepted for single-metric instances and read as n samples.
     """
-    arms = [0] + sorted(active)
+    arms = active_index(active, instance.num_treatments)
     m = instance.num_metrics
-    counts: dict[int, int] = {}
-    means: dict[int, np.ndarray] = {}
-    for arm in arms:
+    means, counts = [], []
+    for arm in [0, *arms.tolist()]:
         if arm not in samples:
             raise ValueError(f"arm {arm} has no samples")
         arr = np.asarray(samples[arm], dtype=float)
@@ -268,24 +239,25 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
             raise ValueError(
                 f"arm {arm}: expected an (n, {m}) sample matrix, got shape {arr.shape}"
             )
-        counts[arm] = arr.shape[0]
-        means[arm] = arr.mean(axis=0)
-    pulls = StageAllocation(
-        control_pulls=counts[0],
-        treatment_pulls={a: counts[a] for a in arms[1:]},
-        stage_budget=sum(counts.values()),
-    )
-    return _stats_from_means(instance, means, pulls, sorted(active))
+        counts.append(arr.shape[0])
+        means.append(arr.mean(axis=0))
+    return _stage_stats(_belief_constants(instance), arms, np.stack(means),
+                        np.array(counts))
 
 
 # --- elimination ------------------------------------------------------------
 
+def _keep_largest(stats: StageStats, key: np.ndarray, keep: int) -> list[int]:
+    """The `keep` treatments with the largest key, ascending; ties -> lowest index."""
+    if not 1 <= keep <= stats.active.size:
+        raise ValueError(f"keep must be in [1, {stats.active.size}]")
+    ranked = np.lexsort((stats.active, -key))
+    return stats.active[np.sort(ranked[:keep])].tolist()
+
+
 def minz_eliminate(stats: StageStats, keep: int) -> list[int]:
     """Keep the `keep` treatments with largest min_i zhat; ties -> lowest index."""
-    if not 1 <= keep <= len(stats.active):
-        raise ValueError(f"keep must be in [1, {len(stats.active)}]")
-    ranked = sorted(stats.active, key=lambda a: (-stats.min_z(a), a))
-    return sorted(ranked[:keep])
+    return _keep_largest(stats, stats.z.min(axis=1), keep)
 
 
 def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
@@ -295,12 +267,7 @@ def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
     means, no z normalization (single-metric problems reduce min_i to the
     plain empirical mean).
     """
-    if not 1 <= keep <= len(stats.active):
-        raise ValueError(f"keep must be in [1, {len(stats.active)}]")
-    ranked = sorted(
-        stats.active, key=lambda a: (-float(stats.empirical_means[a].min()), a)
-    )
-    return sorted(ranked[:keep])
+    return _keep_largest(stats, stats.means[1:].min(axis=1), keep)
 
 
 def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
@@ -314,7 +281,7 @@ def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
     return 2.0 * math.sqrt((rho_sq / n_a + lambda_sq / n_0) * math.log(cap / delta))
 
 
-def _confidence_levels(stats: StageStats) -> dict[int, float]:
+def _confidence_levels(stats: StageStats) -> np.ndarray:
     """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment.
 
     With c = sqrt(log(|A_s|M/delta)) and s = 2 sqrt(v), arm a's UCB
@@ -331,16 +298,14 @@ def _confidence_levels(stats: StageStats) -> dict[int, float]:
     with no clip, and the empirical-best arm (and any arm tied with it)
     gets c* = 0, hence the cap.
     """
-    arms = list(stats.active)
-    z = np.array([stats.empirical_z[a] for a in arms])
-    s = 2.0 * np.sqrt(np.array([stats.z_variances[a] for a in arms]))
+    z = stats.z
+    s = 2.0 * np.sqrt(stats.z_var)
     # crossing[a, b, i, j]: the c at which a's metric-i UCB term meets
     # rival b's metric-j LCB term
     crossing = (z[None, :, None, :] - z[:, None, :, None]) \
         / (s[:, None, :, None] + s[None, :, None, :])
     c_star = crossing.min(axis=3).max(axis=(1, 2))
-    levels = z.size * np.exp(-c_star**2)  # z.size = |A_s| * M, the cap
-    return dict(zip(arms, levels.tolist()))
+    return z.size * np.exp(-c_star**2)  # z.size = |A_s| * M, the cap
 
 
 def confidence_level(stats: StageStats, treatment: int) -> float:
@@ -349,7 +314,7 @@ def confidence_level(stats: StageStats, treatment: int) -> float:
     crossing point c*_a (see _confidence_levels)."""
     if treatment not in stats.active:
         raise ValueError(f"treatment {treatment} is not active")
-    return _confidence_levels(stats)[treatment]
+    return float(_confidence_levels(stats)[stats.active == treatment][0])
 
 
 def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:
@@ -358,11 +323,7 @@ def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:
     The key is delta, not c*: where exp(-c*^2) underflows to 0, arms with
     different c* tie at 0 and the lowest index wins.
     """
-    if not 1 <= keep <= len(stats.active):
-        raise ValueError(f"keep must be in [1, {len(stats.active)}]")
-    levels = _confidence_levels(stats)
-    ranked = sorted(stats.active, key=lambda a: (-levels[a], a))
-    return sorted(ranked[:keep])
+    return _keep_largest(stats, _confidence_levels(stats), keep)
 
 
 # --- engines ----------------------------------------------------------------
@@ -372,23 +333,6 @@ class ExplorationResult:
     recommended: int
     trail: list[StageStats]
     total_pulls_used: int
-
-
-def _allocate(spec: AlgorithmSpec, cache: _BeliefCache, active: list[int],
-              stage_budget: int) -> StageAllocation:
-    if spec.sampling == "uniform":
-        return uniform_allocation(active, stage_budget)
-    arms = [0] + list(active)
-    if spec.sampling == "relative_variance":
-        idx = np.asarray(active) - 1
-        lambda_sigma = math.sqrt(float(cache.max_lambda_sq[idx].max()))
-        counts = _shrvar_counts(cache.max_rho_sq[idx], lambda_sigma,
-                                stage_budget, FLOOR)
-        return _to_allocation(arms, counts, stage_budget)
-    weights = (cache.variance_weights if spec.sampling == "variance"
-               else cache.stddev_weights)[arms]
-    counts = np.floor(weights / weights.sum() * stage_budget).astype(int)
-    return _to_allocation(arms, counts, stage_budget)
 
 
 def num_stages(num_treatments: int) -> int:
@@ -426,34 +370,23 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
         raise InsufficientBudgetError(
             f"budget {budget} cannot fund {stages} stages", arm=0
         )
-    cache = _belief_cache(belief)
-    batch_draw = getattr(source, "stage_means_batch", None)
+    constants = _belief_constants(belief)
     eliminate = {"min_z": minz_eliminate, "confidence": confidence_eliminate,
                  "mean": mean_eliminate}[spec.elimination]
     active = list(instance.treatments)
     trail: list[StageStats] = []
-    total = 0
     for _ in range(stages):
-        pulls = _allocate(spec, cache, active, stage_budget)
-        arm_rows = [0] + active
-        counts = np.array([pulls.control_pulls]
-                          + [pulls.treatment_pulls[a] for a in active])
-        if batch_draw is not None:
-            rows = batch_draw(instance.means[arm_rows],
-                              instance.stddevs[arm_rows], counts, rng)
-        else:
-            rows = np.stack([
-                source.stage_mean(instance.means[arm], instance.stddevs[arm],
-                                  n, rng)
-                for arm, n in zip(arm_rows, counts)
-            ])
-        means = {arm: rows[k] for k, arm in enumerate(arm_rows)}
-        stats = _stats_from_rows(cache, means, rows, pulls, active)
+        arms = active_index(active, instance.num_treatments)
+        counts = stage_counts(spec.sampling, constants[0], arms, stage_budget)
+        rows = np.concatenate(([0], arms))
+        means = source.stage_means_batch(instance.means[rows],
+                                         instance.stddevs[rows], counts, rng)
+        stats = _stage_stats(constants, arms, means, counts)
         trail.append(stats)
-        total += pulls.total_pulls
-        active = eliminate(stats, math.ceil(len(active) / 2))
+        active = eliminate(stats, math.ceil(arms.size / 2))
     assert len(active) == 1, "halving must end with a single survivor"
-    return ExplorationResult(recommended=active[0], trail=trail, total_pulls_used=total)
+    return ExplorationResult(recommended=active[0], trail=trail,
+                             total_pulls_used=sum(int(s.counts.sum()) for s in trail))
 
 
 def run_exploration_adaptive(instance: Instance, budget: int,

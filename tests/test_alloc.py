@@ -21,6 +21,8 @@ from m3ab.alloc import (
 )
 from m3ab.core import Instance, ValidationConfig
 from m3ab.errors import InsufficientBudgetError
+from m3ab.halving import empirical_z
+from m3ab.instances import preset
 
 
 def instance_from_stddevs(stddevs) -> Instance:
@@ -252,3 +254,27 @@ def test_all_rules_respect_budget(seed, budget):
         assert got.control_pulls >= 0
         assert set(got.treatment_pulls) == set(arms)
         assert all(n >= 0 for n in got.treatment_pulls.values())
+
+
+_ENTRY_POINTS = {
+    "shrvar": lambda inst, act: shrvar_allocation(inst, act, 100),
+    "uniform": lambda inst, act: uniform_allocation(act, 100),
+    "variance": lambda inst, act: variance_allocation(inst, act, 100),
+    "neyman": lambda inst, act: neyman_allocation(inst, act, 100),
+    "empirical_z": lambda inst, act: empirical_z(
+        {arm: np.zeros((2, inst.num_metrics)) for arm in {0, *act}}, inst, act),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_bad_active_sets(entry):
+    # The control, a negative index, a repeated treatment, a non-integer and
+    # (where the instance fixes A = 16) a treatment past A; all used to be
+    # served silently or to fail with a bare IndexError.
+    inst = preset("exp1")
+    bad = [[], [0, 1], [-1, 2], [1, 1, 2], [1.5]]
+    if entry != "uniform":
+        bad += [[17], [99]]
+    for active in bad:
+        with pytest.raises(ValueError):
+            _ENTRY_POINTS[entry](inst, active)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from _gen import random_instance
 from _oracles import confidence_level_bisection
 from m3ab.alloc import (
-    StageAllocation,
     neyman_allocation,
     shrvar_allocation,
     uniform_allocation,
@@ -27,12 +27,11 @@ from m3ab.halving import (
     FixedMeanSource,
     GaussianPullSource,
     StageStats,
-    _allocate,
-    _belief_cache,
     confidence_bonus,
     confidence_eliminate,
     confidence_level,
     empirical_z,
+    get_reward_source,
     mean_eliminate,
     minz_eliminate,
     num_stages,
@@ -56,14 +55,11 @@ def stats_from_zv(z: dict[int, np.ndarray], v: dict[int, np.ndarray]) -> StageSt
     """Hand-built StageStats with the given zhat rows and their variances."""
     arms = sorted(z)
     m = len(z[arms[0]])
-    pulls = StageAllocation(control_pulls=10,
-                            treatment_pulls={a: 10 for a in arms},
-                            stage_budget=10 * (len(arms) + 1))
     return StageStats(
-        empirical_means={arm: np.zeros(m) for arm in [0] + arms},
-        pulls=pulls, empirical_z={a: np.asarray(z[a], dtype=float) for a in arms},
-        z_variances={a: np.asarray(v[a], dtype=float) for a in arms},
-        active=tuple(arms),
+        active=np.array(arms), means=np.zeros((len(arms) + 1, m)),
+        counts=np.full(len(arms) + 1, 10),
+        z=np.array([z[a] for a in arms], dtype=float),
+        z_var=np.array([v[a] for a in arms], dtype=float),
     )
 
 
@@ -144,14 +140,9 @@ def test_minz_eliminate_tie_lowest_index():
 
 
 def test_minz_uses_bottleneck_metric():
-    pulls = StageAllocation(control_pulls=5, treatment_pulls={1: 5, 2: 5},
-                            stage_budget=15)
     stats = StageStats(
-        empirical_means={0: np.zeros(2), 1: np.zeros(2), 2: np.zeros(2)},
-        pulls=pulls,
-        empirical_z={1: np.array([5.0, -1.0]), 2: np.array([0.5, 0.5])},
-        z_variances={1: np.full(2, 0.01), 2: np.full(2, 0.01)},
-        active=(1, 2),
+        active=np.array([1, 2]), means=np.zeros((3, 2)), counts=np.full(3, 5),
+        z=np.array([[5.0, -1.0], [0.5, 0.5]]), z_var=np.full((2, 2), 0.01),
     )
     assert minz_eliminate(stats, 1) == [2]  # treatment 1's bottleneck is -1
 
@@ -159,14 +150,11 @@ def test_minz_uses_bottleneck_metric():
 def stats_with_means(means: dict[int, list[float]]) -> StageStats:
     arms = sorted(a for a in means if a != 0)
     m = len(next(iter(means.values())))
-    pulls = StageAllocation(control_pulls=10, treatment_pulls={a: 10 for a in arms},
-                            stage_budget=10 * (len(arms) + 1))
     return StageStats(
-        empirical_means={a: np.asarray(v, dtype=float) for a, v in means.items()},
-        pulls=pulls,
-        empirical_z={a: np.zeros(m) for a in arms},
-        z_variances={a: np.full(m, 0.01) for a in arms},
-        active=tuple(arms),
+        active=np.array(arms),
+        means=np.array([means[a] for a in [0, *arms]], dtype=float),
+        counts=np.full(len(arms) + 1, 10),
+        z=np.zeros((len(arms), m)), z_var=np.full((len(arms), m), 0.01),
     )
 
 
@@ -178,11 +166,7 @@ def test_mean_eliminate_keeps_largest_mean():
 def test_mean_eliminate_ignores_z():
     # z ranks 2 above 1, raw means rank 1 above 2: the rules must disagree.
     stats = stats_with_means({0: [0.0], 1: [9.0], 2: [1.0]})
-    stats = StageStats(
-        empirical_means=stats.empirical_means, pulls=stats.pulls,
-        empirical_z={1: np.array([-1.0]), 2: np.array([2.0])},
-        z_variances=stats.z_variances, active=stats.active,
-    )
+    stats = dataclasses.replace(stats, z=np.array([[-1.0], [2.0]]))
     assert mean_eliminate(stats, 1) == [1]
     assert minz_eliminate(stats, 1) == [2]
 
@@ -373,26 +357,25 @@ def test_zero_noise_recovers_best_treatment():
     ("exp3", {"seed": 7}, 120000),
 ])
 def test_engine_allocation_equals_public_allocators(name, knobs, budget):
-    # The engine reaches the allocation rules through its own cached copy;
-    # it must hand out exactly the counts of the public allocators.
+    # Every stage the engine draws must be funded with exactly the counts the
+    # public allocators give that stage's active set.
     inst = preset(name, **knobs)
-    cache = _belief_cache(inst)
     stage_budget = budget // num_stages(inst.num_treatments)
     public = {
-        "relative_variance": lambda act: shrvar_allocation(inst, act, stage_budget),
-        "uniform": lambda act: uniform_allocation(act, stage_budget),
-        "variance": lambda act: variance_allocation(inst, act, stage_budget),
-        "neyman": lambda act: neyman_allocation(inst, act, stage_budget),
+        "shrvar": lambda act: shrvar_allocation(inst, act, stage_budget),
+        "sh-z": lambda act: uniform_allocation(act, stage_budget),
+        "shvar-z": lambda act: variance_allocation(inst, act, stage_budget),
+        "neyman-z": lambda act: neyman_allocation(inst, act, stage_budget),
     }
-    active = list(inst.treatments)
-    while True:
-        for sampling, allocate in public.items():
-            spec = AlgorithmSpec(sampling, "min_z")
-            assert _allocate(spec, cache, active, stage_budget) == allocate(active), \
-                (sampling, len(active))
-        if len(active) == 1:
-            break
-        active = active[:math.ceil(len(active) / 2)]
+    for algo, allocate in public.items():
+        for seed in range(3):
+            res = run_exploration(inst, algo, budget, reward_source="means",
+                                  rng=np.random.default_rng(seed))
+            for s, stats in enumerate(res.trail):
+                want = allocate(stats.active)
+                assert stats.counts.tolist() == [
+                    want.control_pulls, *want.treatment_pulls.values()
+                ], (algo, seed, s)
 
 
 def test_stage_structure_and_budget_accounting():
@@ -412,7 +395,7 @@ def test_stage_structure_and_budget_accounting():
         for prev, nxt in zip(sizes, sizes[1:]):
             assert nxt == math.ceil(prev / 2)
         assert math.ceil(sizes[-1] / 2) == 1
-        assert res.total_pulls_used == sum(s.pulls.total_pulls for s in res.trail)
+        assert res.total_pulls_used == sum(sum(s.pulls.values()) for s in res.trail)
         assert res.total_pulls_used <= budget
         assert [res.recommended] == sorted(
             minz_eliminate(res.trail[-1], 1)
@@ -425,7 +408,7 @@ def test_run_exploration_deterministic():
     b = run_exploration(inst, "shrvar-c", 3000, rng=np.random.default_rng(9))
     assert a.recommended == b.recommended
     for sa, sb in zip(a.trail, b.trail):
-        assert sa.active == sb.active
+        assert np.array_equal(sa.active, sb.active)
         for arm in sa.empirical_means:
             assert np.array_equal(sa.empirical_means[arm], sb.empirical_means[arm])
 
@@ -564,13 +547,41 @@ def test_pull_and_stat_sources_statistically_agree():
     )
     reps = 4000
     rates = {}
-    for source in ("pulls", "means"):
+    for seed, source in enumerate(("pulls", "means")):
         hits = 0
         for r in range(reps):
             res = run_exploration(inst, "shrvar", 120, reward_source=source,
-                                  rng=np.random.default_rng((hash(source) & 0xFFFF, r)))
+                                  rng=np.random.default_rng((seed, r)))
             hits += res.recommended == 1
         rates[source] = hits / reps
     p = 0.5 * (rates["pulls"] + rates["means"])
     se = math.sqrt(2.0 * p * (1.0 - p) / reps)
     assert abs(rates["pulls"] - rates["means"]) < 4 * se, rates
+
+
+# The draw contract: each source draws arm by arm in row order, exactly as
+# one reference call per arm on the same generator would.
+_REFERENCE_DRAWS = {
+    "pulls": lambda mu, sigma, n, rng:
+        rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0),
+    "means": lambda mu, sigma, n, rng: rng.normal(mu, sigma / math.sqrt(n)),
+    "fixed": lambda mu, sigma, n, rng: mu.copy(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_REFERENCE_DRAWS)), st.integers(1, 3),
+       st.lists(st.integers(1, 30), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_stage_means_batch_equals_per_arm_reference_draws(source, m, counts, seed):
+    counts = np.array(counts)
+    params = np.random.default_rng(seed)
+    mu = params.normal(size=(counts.size, m))
+    sigma = params.uniform(0.1, 3.0, size=(counts.size, m))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = get_reward_source(source).stage_means_batch(mu, sigma, counts, got_rng)
+    want = np.stack([_REFERENCE_DRAWS[source](mu[r], sigma[r], n, want_rng)
+                     for r, n in enumerate(counts)])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state

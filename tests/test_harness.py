@@ -227,6 +227,36 @@ def test_seed_derivation_contract():
         assert cell.joint_passes == passes == vs + t1
 
 
+# (exploration, validation, type1) counts of exp1 at B=8000, 40 reps, master
+# seed 0, recorded before the allocation rules, reward draws and stage
+# statistics became one array pipeline; any change to a draw, a count or an
+# elimination moves at least one of them.
+FROZEN_EXP1_COUNTS = {
+    "means": {"shrvar": (33, 40, 0), "shrvar-c": (29, 40, 0),
+              "shrvar-ada": (20, 40, 0), "sh-z": (24, 40, 0),
+              "sh-c": (24, 40, 0), "shvar-z": (13, 40, 0),
+              "shvar-c": (15, 40, 0), "neyman-z": (18, 40, 0),
+              "sh": (0, 40, 0), "shvar": (0, 40, 0)},
+    "pulls": {"shrvar": (34, 40, 0), "shrvar-c": (31, 40, 0),
+              "shrvar-ada": (17, 40, 0), "sh-z": (27, 40, 0),
+              "sh-c": (27, 40, 0), "shvar-z": (13, 40, 0),
+              "shvar-c": (15, 40, 0), "neyman-z": (25, 40, 0),
+              "sh": (0, 40, 0), "shvar": (0, 40, 0)},
+}
+
+
+@pytest.mark.parametrize("source", sorted(FROZEN_EXP1_COUNTS))
+def test_frozen_seed_counts_exp1(source):
+    want = FROZEN_EXP1_COUNTS[source]
+    cfg = ExperimentConfig(instance=preset("exp1"), algorithms=list(want),
+                           budgets=[8000], repetitions=40, master_seed=0,
+                           reward_source=source)
+    got = {c.algorithm: (c.exploration_successes, c.validation_successes,
+                         c.type1_errors)
+           for c in run_experiment(cfg).cells}
+    assert got == want
+
+
 def test_rewards_paired_across_algorithms():
     # The seed derivation excludes the algorithm, so adding an algorithm to
     # the menu never perturbs the other cells; uniform-sampling variants that
