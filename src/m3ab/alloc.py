@@ -25,7 +25,6 @@ reported as insufficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,52 +105,63 @@ def active_index(active, num_treatments: int | None = None) -> np.ndarray:
     return arms.astype(np.intp, copy=False)
 
 
-def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[float, float]:
-    """(rho_sigma, lambda_sigma) of an active set."""
-    return (math.sqrt(float(w.max_rho_sq[active].sum())),
-            math.sqrt(float(w.max_lambda_sq[active].max())))
+def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_sigma, lambda_sigma) of every row of an (R, k) active array."""
+    return (np.sqrt(w.max_rho_sq[active].sum(axis=1)),
+            np.sqrt(w.max_lambda_sq[active].max(axis=1)))
 
 
 def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.ndarray:
-    """Unrounded relative-variance shares [control, *active]; they sum to B."""
+    """Unrounded relative-variance shares [control, *active] per row; each
+    row sums to B."""
     rho_sigma, lambda_sigma = _set_scales(w, active)
     denom = rho_sigma + lambda_sigma
     return np.concatenate(
-        ([lambda_sigma / denom * stage_budget],
-         w.max_rho_sq[active] / (rho_sigma * denom) * stage_budget)
+        ((lambda_sigma / denom * stage_budget)[:, None],
+         w.max_rho_sq[active] / (rho_sigma * denom)[:, None] * stage_budget),
+        axis=1,
     )
 
 
 def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
                  stage_budget: int, rounding: str = FLOOR) -> np.ndarray:
-    """Pull counts [control, *active] of one stage under a sampling rule.
+    """Pull counts [control, *active] of one stage under a sampling rule, for
+    every row of an (R, k) active array; returns (R, k+1).
 
     Every rule is written here once, over the weights ``w`` (unread by the
-    uniform rule) and an index array from ``active_index``; ``rounding``
-    applies to the relative-variance rule only.
+    uniform rule) and rows from ``active_index``; ``rounding`` applies to
+    the relative-variance rule only.  Shares are floored row by row, and a
+    row with a zero count goes through ``_fund_starved``.
     """
     if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
         raise ValueError("stage_budget must be a positive integer")
+    rows, k = active.shape
     if sampling == "uniform":
-        counts = np.full(active.size + 1, stage_budget // (active.size + 1))
+        counts = np.full((rows, k + 1), stage_budget // (k + 1))
     elif sampling == "relative_variance":
         exact = _shrvar_shares(w, active, stage_budget)
         counts = np.floor(exact).astype(int)
         if rounding == LARGEST_REMAINDER:
             # Hand the discarded remainder back, largest fractional part
             # first (ties -> lower position); each arm gains at most one pull.
-            leftover = stage_budget - int(counts.sum())
-            order = np.lexsort((np.arange(exact.size), -(exact - counts)))
-            counts[order[:leftover]] += 1
+            leftover = stage_budget - counts.sum(axis=1, keepdims=True)
+            order = np.argsort(counts - exact, axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(k + 1)[None], axis=1)
+            counts += rank < leftover
         elif rounding != FLOOR:
             raise ValueError(f"unknown rounding mode {rounding!r}")
     elif sampling in ("variance", "neyman"):
         weights = w.max_var if sampling == "variance" else w.max_sd
-        weights = np.concatenate((weights[:1], weights[active]))
-        counts = np.floor(weights / weights.sum() * stage_budget).astype(int)
+        weights = np.concatenate(
+            (np.broadcast_to(weights[0], (rows, 1)), weights[active]), axis=1)
+        counts = np.floor(weights / weights.sum(axis=1, keepdims=True)
+                          * stage_budget).astype(int)
     else:
         raise ValueError(f"unknown sampling rule {sampling!r}")
-    return _fund_starved(counts, active, stage_budget)
+    for row in np.flatnonzero((counts == 0).any(axis=1)):
+        counts[row] = _fund_starved(counts[row], active[row], stage_budget)
+    return counts
 
 
 def _allocation(sampling: str, instance: Instance | None, active,
@@ -162,8 +172,8 @@ def _allocation(sampling: str, instance: Instance | None, active,
     else:
         w = arm_weights(instance.stddevs)
         arms = active_index(active, instance.num_treatments)
-    control, *treated = stage_counts(sampling, w, arms, stage_budget,
-                                     rounding).tolist()
+    control, *treated = stage_counts(sampling, w, arms[None], stage_budget,
+                                     rounding)[0].tolist()
     return StageAllocation(control_pulls=control,
                            treatment_pulls=dict(zip(arms.tolist(), treated)),
                            stage_budget=stage_budget)
@@ -172,7 +182,8 @@ def _allocation(sampling: str, instance: Instance | None, active,
 def set_variances(instance: Instance, active) -> SetVariances:
     """rho_sigma = sqrt(sum of per-treatment max rho2); lambda_sigma = max lambda."""
     arms = active_index(active, instance.num_treatments)
-    return SetVariances(*_set_scales(arm_weights(instance.stddevs), arms))
+    rho_sigma, lambda_sigma = _set_scales(arm_weights(instance.stddevs), arms[None])
+    return SetVariances(float(rho_sigma[0]), float(lambda_sigma[0]))
 
 
 def shrvar_allocation_unrounded(
@@ -180,8 +191,8 @@ def shrvar_allocation_unrounded(
 ) -> tuple[float, dict[int, float]]:
     """The exact (real-valued) relative-variance allocation before rounding."""
     arms = active_index(active, instance.num_treatments)
-    control, *treated = _shrvar_shares(arm_weights(instance.stddevs), arms,
-                                       stage_budget).tolist()
+    control, *treated = _shrvar_shares(arm_weights(instance.stddevs), arms[None],
+                                       stage_budget)[0].tolist()
     return control, dict(zip(arms.tolist(), treated))
 
 
@@ -216,11 +227,9 @@ def neyman_allocation(instance: Instance, active, stage_budget: int) -> StageAll
 
 def _fund_starved(counts: np.ndarray, active: np.ndarray,
                   stage_budget: int) -> np.ndarray:
-    """Give every zero-count arm one pull without exceeding the budget;
-    beyond the discarded remainder, pulls come back from the largest counts
-    (first position on ties)."""
-    if not np.any(counts == 0):
-        return counts
+    """Give every zero-count arm of one row one pull without exceeding the
+    budget; beyond the discarded remainder, pulls come back from the largest
+    counts (first position on ties)."""
     if stage_budget < counts.size:
         starved = int(np.argmin(counts))
         raise InsufficientBudgetError(

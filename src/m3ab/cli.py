@@ -108,9 +108,9 @@ def _harness_flags() -> argparse.ArgumentParser:
                         help="report real wall time in the seconds column "
                              "(breaks byte-identical reruns)")
     parent.add_argument("--threads", type=int, default=None,
-                        help="worker processes per cell (default: "
-                             "M3AB_THREADS or 1); results are identical "
-                             "for any value")
+                        help="worker processes per experiment, at most "
+                             "one per repetition (default: M3AB_THREADS or "
+                             "1); results are identical for any value")
     return parent
 
 

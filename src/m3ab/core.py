@@ -220,25 +220,46 @@ def relative_variance(sigma_a, sigma_0):
     return rho_sq, lambda_sq
 
 
+def validation_terms(config: ValidationConfig, var_sum) -> tuple[np.ndarray, np.ndarray]:
+    """The per-metric terms of the validation test at reward variance sums
+    var_sum = sigma_a^2 + sigma_0^2, an (..., M) array; both terms broadcast
+    against var_sum (the non-Bayesian ones are (M,) vectors, independent of
+    the stddevs).  Every formula of the test is written here once.
+
+    critical: the value that the standardized effect estimate
+    ate / sqrt(2 var_sum / t_v) must reach for the metric to pass:
+    Phi^-1(1-delta_i) (non-Bayesian), or Phi^-1(q_i) times the inflation
+    sqrt(1 + 2 var_sum / (tau_i^2 t_v)) (Bayesian: the N(0, tau_i^2) prior
+    shrinks the posterior toward zero effect, so larger reward noise makes
+    the test harder to pass).  Hence P(pass) = 1 - Phi(critical - snr *
+    sqrt(t_v/2)).
+
+    xi: the additive shift the test contributes to z, -critical / sqrt(t_v/2),
+    taken from the lower quantile: Phi^-1(delta_i) / sqrt(t_v/2), or
+    Phi^-1(1-q_i) / sqrt(t_v/2) times the inflation.
+    """
+    half = math.sqrt(config.horizon / 2.0)
+    if config.variant == NON_BAYESIAN:
+        lower, upper = norm_ppf(config.delta), norm_ppf(1.0 - config.delta)
+        inflation = 1.0
+    else:
+        lower, upper = norm_ppf(1.0 - config.q), norm_ppf(config.q)
+        inflation = np.sqrt(1.0 + 2.0 * var_sum / (config.tau**2 * config.horizon))
+    return lower / half * inflation, upper * inflation
+
+
 def validation_constant(
     config: ValidationConfig, sigma_a: float, sigma_0: float, metric: int
 ) -> float:
-    """The additive shift xi[a,i] that the validation test contributes to z.
-
-    Non-Bayesian: Phi^-1(delta_i) / sqrt(t_v/2), independent of the stddevs.
-    Bayesian: Phi^-1(1-q_i) / sqrt(t_v/2) * sqrt(1 + 2(sigma_a^2+sigma_0^2)
-    / (tau_i^2 t_v)) — the prior shrinks the posterior toward zero effect, so
-    larger reward noise makes the test harder to pass.
+    """The additive shift xi[a,i] that the validation test contributes to z
+    (see validation_terms).  Non-Bayesian: Phi^-1(delta_i) / sqrt(t_v/2),
+    independent of the stddevs; Bayesian: Phi^-1(1-q_i) / sqrt(t_v/2) *
+    sqrt(1 + 2(sigma_a^2+sigma_0^2) / (tau_i^2 t_v)).
     """
     if not 0 <= metric < config.num_metrics:
         raise ValueError(f"metric {metric} out of range")
-    half = math.sqrt(config.horizon / 2.0)
-    if config.variant == NON_BAYESIAN:
-        return float(norm_ppf(config.delta[metric])) / half
-    inflation = math.sqrt(
-        1.0 + 2.0 * (sigma_a**2 + sigma_0**2) / (config.tau[metric] ** 2 * config.horizon)
-    )
-    return float(norm_ppf(1.0 - config.q[metric])) / half * inflation
+    xi, _ = validation_terms(config, sigma_a**2 + sigma_0**2)
+    return float(xi[metric])
 
 
 def xi_matrix(config: ValidationConfig, stddevs: np.ndarray) -> np.ndarray:
@@ -248,14 +269,9 @@ def xi_matrix(config: ValidationConfig, stddevs: np.ndarray) -> np.ndarray:
     lives here (rather than on Instance) so that engines running with
     *estimated* stddevs can reuse it.
     """
-    a = stddevs.shape[0] - 1
-    half = math.sqrt(config.horizon / 2.0)
-    if config.variant == NON_BAYESIAN:
-        row = norm_ppf(config.delta) / half
-        return np.tile(row, (a, 1))
     var_sum = stddevs[1:] ** 2 + stddevs[0] ** 2
-    inflation = np.sqrt(1.0 + 2.0 * var_sum / (config.tau**2 * config.horizon))
-    return norm_ppf(1.0 - config.q) / half * inflation
+    return np.broadcast_to(validation_terms(config, var_sum)[0],
+                           var_sum.shape).copy()
 
 
 def z_profile(instance: Instance) -> ZProfile:
@@ -286,13 +302,10 @@ def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
     """(M,) vector of per-metric pass probabilities for one treatment."""
     cfg = instance.validation
     snr = instance.snr()[treatment - 1]
-    scale = math.sqrt(cfg.horizon / 2.0)
-    if cfg.variant == NON_BAYESIAN:
-        # Pass iff the validation z-statistic exceeds Phi^-1(1-delta).
-        return 1.0 - norm_cdf(norm_ppf(1.0 - cfg.delta) - snr * scale)
-    var_sum = instance.variance_sums()[treatment - 1]
-    inflation = np.sqrt(1.0 + 2.0 * var_sum / (cfg.tau**2 * cfg.horizon))
-    return 1.0 - norm_cdf(norm_ppf(cfg.q) * inflation - snr * scale)
+    _, critical = validation_terms(cfg, instance.variance_sums()[treatment - 1])
+    # Pass iff the standardized effect estimate, ~ N(snr sqrt(t_v/2), 1),
+    # reaches the critical value.
+    return 1.0 - norm_cdf(critical - snr * math.sqrt(cfg.horizon / 2.0))
 
 
 def joint_pass_probability(instance: Instance, treatment: int) -> float:

@@ -15,22 +15,25 @@ noisy treatment is to validate).  The adaptive-variance engine first spends
 a uniform round estimating every stddev, then runs the relative-variance
 engine on the estimates.
 
-Each stage is one array pipeline: ``alloc.stage_counts`` gives the pull
-counts [control, *active], the reward source draws the stage means, and a
-StageStats holds the stage as arrays: ``active`` (k,), the treatments
-ascending; ``means`` (k+1, M) and ``counts`` (k+1,), rows [control,
-*active]; ``z`` and ``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) +
-lambda2[a,i]/N(0) is the exact variance of zhat[a,i].  Its
-``empirical_means``, ``empirical_z``, ``z_variances`` and ``pulls`` key the
-same rows by arm.
+Each stage is one array pipeline over a leading repetition axis: halving
+sizes do not depend on the data, so R repetitions of one algorithm run as
+arrays, and ``run_exploration`` is the one-row call of the same loop.
+``alloc.stage_counts`` gives the pull counts [control, *active] of every
+row, the reward source draws the stage means, and a StageStats holds one
+row's stage as arrays: ``active`` (k,), the treatments ascending; ``means``
+(k+1, M) and ``counts`` (k+1,), rows [control, *active]; ``z`` and
+``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) + lambda2[a,i]/N(0) is
+the exact variance of zhat[a,i].  Its ``empirical_means``,
+``empirical_z``, ``z_variances`` and ``pulls`` key the same rows by arm.
 
 Reward sources decouple "what the algorithm sees" from "how it is sampled".
-A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rng)`` returns
-the stage means of the given arms, drawn arm by arm in row order (control
-first, then the active treatments ascending), and its
-``mean_and_variance(mu, sigma, n, rng)`` draws one arm's mean and unbiased
-sample variance for the adaptive engine's phase 0.  The engines consume
-nothing else, so drawing each pull
+A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
+(R, k+1, M) parameter rows, (R, k+1) counts and one generator per
+repetition, and returns the (R, k+1, M) stage means; repetition r draws
+from rngs[r] only, arm by arm in row order (control first, then the active
+treatments ascending).  Its ``mean_and_variance(mu, sigma, n, rng)`` draws
+one arm's mean and unbiased sample variance for the adaptive engine's
+phase 0.  The engines consume nothing else, so drawing each pull
 ("pulls") and drawing the sufficient statistics from their exact laws
 ("means": mean ~ N(mu, sigma^2/n), sample variance ~ sigma^2 *
 chi2_{n-1}/(n-1)) induce identical distributions over trajectories.
@@ -114,9 +117,11 @@ ALGORITHMS = {
 class GaussianPullSource:
     """Draws every individual reward; the canonical simulator."""
 
-    def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
-        return np.stack([rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0)
-                         for mu, sigma, n in zip(mu_rows, sigma_rows, counts)])
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
+        return np.stack([
+            np.stack([rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0)
+                      for mu, sigma, n in zip(mus, sigmas, ns)])
+            for mus, sigmas, ns, rng in zip(mu_rows, sigma_rows, counts, rngs)])
 
     def mean_and_variance(self, mu, sigma, n, rng):
         x = rng.normal(mu, sigma, size=(n, mu.size))
@@ -126,10 +131,14 @@ class GaussianPullSource:
 class GaussianStatSource:
     """Draws per-stage means (and phase-0 variances) from their exact laws."""
 
-    def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
-        # One draw call; C-order filling consumes the generator's normal
-        # stream row by row, identically to one call per arm.
-        return rng.normal(mu_rows, sigma_rows / np.sqrt(counts)[:, None])
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
+        # Each row's generator fills its slice in C order, consuming its
+        # normal stream arm by arm exactly as rng.normal(mu, sd) would;
+        # rng.normal(mu, sd) is mu + sd * standard_normal, bit for bit.
+        noise = np.empty(mu_rows.shape)
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        return mu_rows + sigma_rows / np.sqrt(counts)[..., None] * noise
 
     def mean_and_variance(self, mu, sigma, n, rng):
         mean = rng.normal(mu, sigma / math.sqrt(n))
@@ -149,7 +158,7 @@ class FixedMeanSource:
             raise ValueError("variances must be 'true' or 'zero'")
         self.variances = variances
 
-    def stage_means_batch(self, mu_rows, sigma_rows, counts, rng):
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
         return mu_rows.copy()
 
     def mean_and_variance(self, mu, sigma, n, rng):
@@ -210,15 +219,16 @@ def _belief_constants(belief: Instance):
             np.sqrt(belief.variance_sums()))
 
 
-def _stage_stats(constants, active: np.ndarray, means: np.ndarray,
-                 counts: np.ndarray) -> StageStats:
-    """StageStats from stacked mean rows and counts [control, *active]."""
+def _z_stats(constants, active: np.ndarray, means: np.ndarray,
+             counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zhat and its variance (..., k, M) from mean rows and counts
+    [control, *active], over any leading repetition axes."""
     weights, xi, scale = constants
     rows = active - 1
-    z = (means[1:] - means[0]) / scale[rows] + xi[rows]
-    z_var = weights.rho_sq[active] / counts[1:, None] \
-        + weights.lambda_sq[active] / counts[0]
-    return StageStats(active=active, means=means, counts=counts, z=z, z_var=z_var)
+    z = (means[..., 1:, :] - means[..., :1, :]) / scale[rows] + xi[rows]
+    z_var = weights.rho_sq[active] / counts[..., 1:, None] \
+        + weights.lambda_sq[active] / counts[..., :1, None]
+    return z, z_var
 
 
 def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> StageStats:
@@ -241,23 +251,41 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
             )
         counts.append(arr.shape[0])
         means.append(arr.mean(axis=0))
-    return _stage_stats(_belief_constants(instance), arms, np.stack(means),
-                        np.array(counts))
+    means, counts = np.stack(means), np.array(counts)
+    z, z_var = _z_stats(_belief_constants(instance), arms, means, counts)
+    return StageStats(active=arms, means=means, counts=counts, z=z, z_var=z_var)
 
 
 # --- elimination ------------------------------------------------------------
 
-def _keep_largest(stats: StageStats, key: np.ndarray, keep: int) -> list[int]:
-    """The `keep` treatments with the largest key, ascending; ties -> lowest index."""
-    if not 1 <= keep <= stats.active.size:
-        raise ValueError(f"keep must be in [1, {stats.active.size}]")
-    ranked = np.lexsort((stats.active, -key))
-    return stats.active[np.sort(ranked[:keep])].tolist()
+def _keep_largest(active: np.ndarray, key: np.ndarray, keep: int) -> np.ndarray:
+    """Row-wise, the `keep` treatments with the largest key, ascending; ties
+    -> lowest index.  Rows of ``active`` ascend, so a stable sort of -key
+    breaks ties by position, which is by index."""
+    if not 1 <= keep <= active.shape[-1]:
+        raise ValueError(f"keep must be in [1, {active.shape[-1]}]")
+    ranked = np.argsort(-key, axis=-1, kind="stable")[..., :keep]
+    return np.take_along_axis(active, np.sort(ranked, axis=-1), axis=-1)
+
+
+def _elimination_key(rule: str, z: np.ndarray, z_var: np.ndarray,
+                     means: np.ndarray) -> np.ndarray:
+    """The ranking key (..., k) of every active treatment under a rule."""
+    if rule == "min_z":
+        return z.min(axis=-1)
+    if rule == "mean":
+        return means[..., 1:, :].min(axis=-1)
+    return _confidence_levels(z, z_var)
+
+
+def _eliminate(rule: str, stats: StageStats, keep: int) -> list[int]:
+    key = _elimination_key(rule, stats.z, stats.z_var, stats.means)
+    return _keep_largest(stats.active, key, keep).tolist()
 
 
 def minz_eliminate(stats: StageStats, keep: int) -> list[int]:
     """Keep the `keep` treatments with largest min_i zhat; ties -> lowest index."""
-    return _keep_largest(stats, stats.z.min(axis=1), keep)
+    return _eliminate("min_z", stats, keep)
 
 
 def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
@@ -267,7 +295,7 @@ def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
     means, no z normalization (single-metric problems reduce min_i to the
     plain empirical mean).
     """
-    return _keep_largest(stats, stats.means[1:].min(axis=1), keep)
+    return _eliminate("mean", stats, keep)
 
 
 def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
@@ -281,8 +309,14 @@ def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
     return 2.0 * math.sqrt((rho_sq / n_a + lambda_sq / n_0) * math.log(cap / delta))
 
 
-def _confidence_levels(stats: StageStats) -> np.ndarray:
-    """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment.
+# Elements of one (rows, k, k, M, M) crossing array; larger blocks of
+# repetitions are split into row chunks of at most this size (8 MB).
+_CROSSING_CELLS = 2**20
+
+
+def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
+    """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment, over
+    any leading repetition axes of z and z_var (..., k, M).
 
     With c = sqrt(log(|A_s|M/delta)) and s = 2 sqrt(v), arm a's UCB
     min_i(zhat[a,i] + c s[a,i]) and a rival's LCB min_j(zhat[a',j] - c s[a',j])
@@ -298,14 +332,19 @@ def _confidence_levels(stats: StageStats) -> np.ndarray:
     with no clip, and the empirical-best arm (and any arm tied with it)
     gets c* = 0, hence the cap.
     """
-    z = stats.z
-    s = 2.0 * np.sqrt(stats.z_var)
-    # crossing[a, b, i, j]: the c at which a's metric-i UCB term meets
+    k, m = z.shape[-2:]
+    if z.ndim == 3 and z.size * k * m > _CROSSING_CELLS:
+        step = max(1, _CROSSING_CELLS // (k * m) ** 2)
+        return np.concatenate([
+            _confidence_levels(z[lo:lo + step], z_var[lo:lo + step])
+            for lo in range(0, len(z), step)])
+    s = 2.0 * np.sqrt(z_var)
+    # crossing[..., a, b, i, j]: the c at which a's metric-i UCB term meets
     # rival b's metric-j LCB term
-    crossing = (z[None, :, None, :] - z[:, None, :, None]) \
-        / (s[:, None, :, None] + s[None, :, None, :])
-    c_star = crossing.min(axis=3).max(axis=(1, 2))
-    return z.size * np.exp(-c_star**2)  # z.size = |A_s| * M, the cap
+    crossing = (z[..., None, :, None, :] - z[..., :, None, :, None]) \
+        / (s[..., :, None, :, None] + s[..., None, :, None, :])
+    c_star = crossing.min(axis=-1).max(axis=(-2, -1))
+    return k * m * np.exp(-c_star**2)  # k * m = |A_s| * M, the cap
 
 
 def confidence_level(stats: StageStats, treatment: int) -> float:
@@ -314,7 +353,8 @@ def confidence_level(stats: StageStats, treatment: int) -> float:
     crossing point c*_a (see _confidence_levels)."""
     if treatment not in stats.active:
         raise ValueError(f"treatment {treatment} is not active")
-    return float(_confidence_levels(stats)[stats.active == treatment][0])
+    levels = _confidence_levels(stats.z, stats.z_var)
+    return float(levels[stats.active == treatment][0])
 
 
 def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:
@@ -323,7 +363,7 @@ def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:
     The key is delta, not c*: where exp(-c*^2) underflows to 0, arms with
     different c* tie at 0 and the lowest index wins.
     """
-    return _keep_largest(stats, _confidence_levels(stats), keep)
+    return _eliminate("confidence", stats, keep)
 
 
 # --- engines ----------------------------------------------------------------
@@ -339,6 +379,36 @@ def num_stages(num_treatments: int) -> int:
     return max(1, math.ceil(math.log2(num_treatments)))
 
 
+def _halve(instance: Instance, belief: Instance, spec: AlgorithmSpec,
+           budget: int, source, rngs, trail: list | None = None) -> np.ndarray:
+    """The stage loop: one halving run per generator in ``rngs``, with
+    (R, k_s) active index arrays, every row ascending.  Returns the R
+    recommended treatments; with ``trail``, appends row 0's StageStats of
+    every stage to it."""
+    stages = num_stages(instance.num_treatments)
+    stage_budget = budget // stages
+    if stage_budget < 1:
+        raise InsufficientBudgetError(
+            f"budget {budget} cannot fund {stages} stages", arm=0
+        )
+    constants = _belief_constants(belief)
+    treatments = np.arange(1, instance.num_treatments + 1)
+    active = np.tile(treatments, (len(rngs), 1))
+    for _ in range(stages):
+        counts = stage_counts(spec.sampling, constants[0], active, stage_budget)
+        rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
+        means = source.stage_means_batch(instance.means[rows],
+                                         instance.stddevs[rows], counts, rngs)
+        z, z_var = _z_stats(constants, active, means, counts)
+        if trail is not None:
+            trail.append(StageStats(active=active[0], means=means[0],
+                                    counts=counts[0], z=z[0], z_var=z_var[0]))
+        key = _elimination_key(spec.elimination, z, z_var, means)
+        active = _keep_largest(active, key, math.ceil(active.shape[1] / 2))
+    assert active.shape[1] == 1, "halving must end with a single survivor"
+    return active[:, 0]
+
+
 def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
                     reward_source="pulls", rng: np.random.Generator | None = None,
                     believed_stddevs: np.ndarray | None = None) -> ExplorationResult:
@@ -348,7 +418,8 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
     (allocation, zhat denominator, validation constants, bonuses) while
     rewards are still drawn from the true instance — the adaptive engine uses
     this hook.  Draw order per stage: control first, then active treatments
-    ascending.
+    ascending.  This is the one-row call of the stage loop that
+    ``run_exploration_batch`` runs over many repetitions.
     """
     if isinstance(spec, str):
         spec = AlgorithmSpec.from_name(spec)
@@ -363,30 +434,30 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
     else:
         belief = Instance(means=instance.means, stddevs=believed_stddevs,
                           validation=instance.validation)
-
-    stages = num_stages(instance.num_treatments)
-    stage_budget = budget // stages
-    if stage_budget < 1:
-        raise InsufficientBudgetError(
-            f"budget {budget} cannot fund {stages} stages", arm=0
-        )
-    constants = _belief_constants(belief)
-    eliminate = {"min_z": minz_eliminate, "confidence": confidence_eliminate,
-                 "mean": mean_eliminate}[spec.elimination]
-    active = list(instance.treatments)
     trail: list[StageStats] = []
-    for _ in range(stages):
-        arms = active_index(active, instance.num_treatments)
-        counts = stage_counts(spec.sampling, constants[0], arms, stage_budget)
-        rows = np.concatenate(([0], arms))
-        means = source.stage_means_batch(instance.means[rows],
-                                         instance.stddevs[rows], counts, rng)
-        stats = _stage_stats(constants, arms, means, counts)
-        trail.append(stats)
-        active = eliminate(stats, math.ceil(arms.size / 2))
-    assert len(active) == 1, "halving must end with a single survivor"
-    return ExplorationResult(recommended=active[0], trail=trail,
+    recommended = _halve(instance, belief, spec, budget, source, [rng], trail)
+    return ExplorationResult(recommended=int(recommended[0]), trail=trail,
                              total_pulls_used=sum(int(s.counts.sum()) for s in trail))
+
+
+def run_exploration_batch(instance: Instance, spec: AlgorithmSpec | str,
+                          budget: int, rngs, reward_source="pulls") -> np.ndarray:
+    """The recommended treatment of one exploration per generator in `rngs`.
+
+    Row r equals ``run_exploration(..., rng=rngs[r]).recommended`` and
+    leaves rngs[r] in the same state.  The known-variance engines run all
+    rows through one stage loop; the adaptive engine runs its phase 0 and
+    then the one-row loop per generator, because its interleaved
+    normal/chi-square draws cannot be batched without reordering a stream.
+    """
+    if isinstance(spec, str):
+        spec = AlgorithmSpec.from_name(spec)
+    source = get_reward_source(reward_source)
+    if spec.variance_knowledge == "adaptive":
+        return np.array([run_exploration_adaptive(instance, budget, rng,
+                                                  reward_source=source).recommended
+                         for rng in rngs], dtype=np.intp)
+    return _halve(instance, instance, spec, budget, source, rngs)
 
 
 def run_exploration_adaptive(instance: Instance, budget: int,

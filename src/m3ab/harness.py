@@ -28,11 +28,14 @@ always consumes the random streams spawned from
 validation stream.  The derivation does not involve the algorithm identity,
 so all algorithms in one experiment see identical reward randomness per
 repetition (paired comparisons), and results are independent of the thread
-count.
+count.  Repetitions run in blocks of BLOCK as arrays: each block derives its
+streams once and every algorithm restarts from them (see ``_count_range``
+and the README's "How repetitions run").
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -45,8 +48,17 @@ from scipy.stats import norm
 
 from m3ab.core import Instance, best_treatment, z_profile
 from m3ab.errors import InsufficientBudgetError
-from m3ab.halving import ALGORITHMS, AlgorithmSpec, run_exploration
-from m3ab.validate import run_validation
+from m3ab.halving import (
+    ALGORITHMS,
+    AlgorithmSpec,
+    run_exploration,
+    run_exploration_batch,
+)
+from m3ab.validate import run_validation, run_validation_batch
+
+# run_exploration and run_validation are the one-repetition forms of what
+# _count_range runs in blocks; they stay importable from here, where
+# bench/tracer.py looks them up.
 
 __all__ = [
     "METRICS",
@@ -159,8 +171,10 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CellReport:
     """Counts for one (algorithm, budget) cell; rates and Wilson intervals
-    derive from them.  ``seconds`` is wall time and is excluded from
-    equality so deterministic replays compare equal."""
+    derive from them.  ``seconds`` is the time spent on the cell, summed
+    over worker processes, with each block's seed derivation split evenly
+    over the algorithms; it is excluded from equality so deterministic
+    replays compare equal."""
 
     algorithm: str
     budget: int
@@ -238,30 +252,59 @@ def _validation_source(reward_source) -> str:
     return "pulls" if reward_source == "pulls" else "means"
 
 
-def _count_range(instance: Instance, spec: AlgorithmSpec, budget: int,
-                 reward_source, master_seed: int, value_idx: int,
-                 budget_idx: int, start: int, stop: int, star: int,
-                 positive_min_z: np.ndarray) -> tuple[int, int, int]:
-    """Accumulate event counts over repetitions [start, stop)."""
+# Repetitions per batched engine call: the arrays of one block at A=128
+# stay a few MB, so memory is bounded at any repetition count.
+BLOCK = 512
+
+
+def _streams(key: tuple, reps: range):
+    """Every repetition's exploration and validation generators with their
+    start states.  SeedSequence([*key, rep], spawn_key=(i,)) is the state
+    SeedSequence([*key, rep]).spawn(2)[i] gives, built directly."""
+    gens = [[np.random.default_rng(np.random.SeedSequence([*key, rep],
+                                                          spawn_key=(child,)))
+             for rep in reps] for child in (0, 1)]
+    return gens, [g.bit_generator.state for g in gens[0] + gens[1]]
+
+
+def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
+                 budget: int, reward_source, key: tuple, start: int,
+                 stop: int, star: int,
+                 positive_min_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exploration, validation, type1) counts (len(specs), 3) and seconds
+    (len(specs),) of every algorithm over repetitions [start, stop), in
+    blocks of BLOCK repetitions.
+
+    Each block derives its generators once; every algorithm restarts them
+    from the same states, so the menu sees paired draws.  The derivation
+    time is split evenly over the menu.
+    """
     validation_source = _validation_source(reward_source)
-    explore = vs = t1 = 0
-    for rep in range(start, stop):
-        root = np.random.SeedSequence([master_seed, value_idx, budget_idx, rep])
-        explore_ss, validate_ss = root.spawn(2)
-        result = run_exploration(instance, spec, budget,
-                                 reward_source=reward_source,
-                                 rng=np.random.default_rng(explore_ss))
-        outcome = run_validation(instance, result.recommended,
-                                 np.random.default_rng(validate_ss),
-                                 reward_source=validation_source)
-        if result.recommended == star:
-            explore += 1
-        if outcome.pass_all:
-            if positive_min_z[result.recommended - 1]:
-                vs += 1
-            else:
-                t1 += 1
-    return explore, vs, t1
+    counts = np.zeros((len(specs), 3), dtype=np.int64)
+    seconds = np.zeros(len(specs))
+    for lo in range(start, stop, BLOCK):
+        started = time.perf_counter()
+        gens, states = _streams(key, range(lo, min(lo + BLOCK, stop)))
+        seconds += (time.perf_counter() - started) / len(specs)
+        for idx, spec in enumerate(specs):
+            started = time.perf_counter()
+            for gen, state in zip(gens[0] + gens[1], states):
+                gen.bit_generator.state = state
+            try:
+                recommended = run_exploration_batch(instance, spec, budget,
+                                                    gens[0], reward_source)
+            except InsufficientBudgetError as exc:
+                raise InsufficientBudgetError(
+                    f"cell (algorithm={spec.name}, budget={budget}): {exc}",
+                    arm=exc.arm, cell=(spec.name, budget)) from exc
+            passed = run_validation_batch(instance, recommended, gens[1],
+                                          validation_source).all(axis=1)
+            positive = positive_min_z[recommended - 1]
+            counts[idx] += (np.count_nonzero(recommended == star),
+                            np.count_nonzero(passed & positive),
+                            np.count_nonzero(passed & ~positive))
+            seconds[idx] += time.perf_counter() - started
+    return counts, seconds
 
 
 def _chunks(repetitions: int, parts: int) -> list[tuple[int, int]]:
@@ -270,44 +313,46 @@ def _chunks(repetitions: int, parts: int) -> list[tuple[int, int]]:
             for lo in range(0, repetitions, size)]
 
 
+def _worker_count(threads: int, repetitions: int) -> int:
+    """Worker processes for one experiment: one per chunk of repetitions,
+    so a thread count above the repetition count starts no idle worker."""
+    return len(_chunks(repetitions, max(1, threads)))
+
+
+def _pool(threads: int, repetitions: int):
+    """One process pool for a whole experiment or sweep, or none when the
+    work fits one process."""
+    workers = _worker_count(threads, repetitions)
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
-               threads: int) -> tuple[CellReport, ...]:
+               threads: int, pool) -> tuple[CellReport, ...]:
     star = best_treatment(instance)
     positive_min_z = z_profile(instance).min_z > 0.0
+    chunks = _chunks(config.repetitions, max(1, threads))
+    tasks = [(instance, config.algorithms, budget, config.reward_source,
+              (config.master_seed, value_idx, budget_idx), lo, hi, star,
+              positive_min_z)
+             for budget_idx, budget in enumerate(config.budgets)
+             for lo, hi in chunks]
+    columns = zip(*tasks)
+    parts = list(map(_count_range, *columns) if pool is None
+                 else pool.map(_count_range, *columns))
     cells = []
     for budget_idx, budget in enumerate(config.budgets):
-        for spec in config.algorithms:
-            started = time.perf_counter()
-            base = (instance, spec, budget, config.reward_source,
-                    config.master_seed, value_idx, budget_idx)
-            try:
-                if threads <= 1:
-                    counts = _count_range(*base, 0, config.repetitions,
-                                          star, positive_min_z)
-                else:
-                    with ProcessPoolExecutor(max_workers=threads) as pool:
-                        parts = pool.map(
-                            _count_star,
-                            [base + (lo, hi, star, positive_min_z)
-                             for lo, hi in _chunks(config.repetitions, threads)])
-                        counts = tuple(map(sum, zip(*parts)))
-            except InsufficientBudgetError as exc:
-                raise InsufficientBudgetError(
-                    f"cell (algorithm={spec.name}, budget={budget}): {exc}",
-                    arm=exc.arm, cell=(spec.name, budget)) from exc
+        own = parts[budget_idx * len(chunks):(budget_idx + 1) * len(chunks)]
+        counts, seconds = (sum(part) for part in zip(*own))
+        for spec, (explore, vs, t1), secs in zip(config.algorithms,
+                                                 counts.tolist(),
+                                                 seconds.tolist()):
             cells.append(CellReport(
                 algorithm=spec.name, budget=budget,
-                repetitions=config.repetitions,
-                exploration_successes=counts[0],
-                validation_successes=counts[1],
-                type1_errors=counts[2],
-                seconds=time.perf_counter() - started))
+                repetitions=config.repetitions, exploration_successes=explore,
+                validation_successes=vs, type1_errors=t1, seconds=secs))
     return tuple(cells)
-
-
-def _count_star(args: tuple) -> tuple[int, int, int]:
-    """ProcessPoolExecutor.map helper: unpack one chunk's argument tuple."""
-    return _count_range(*args)
 
 
 def _resolve_instance(obj) -> Instance:
@@ -326,8 +371,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloRepo
     with the offending cell attached.
     """
     instance = _resolve_instance(config.instance)
-    return MonteCarloReport(cells=_run_cells(instance, config, 0, threads),
-                            metrics=config.metrics_to_report)
+    with _pool(threads, config.repetitions) as pool:
+        cells = _run_cells(instance, config, 0, threads, pool)
+    return MonteCarloReport(cells=cells, metrics=config.metrics_to_report)
 
 
 def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
@@ -351,28 +397,29 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     if not values:
         raise ValueError("values must be non-empty")
     reports = []
-    for value_idx, value in enumerate(values):
-        if parameter == "budget":
-            cfg = dataclasses.replace(config, budgets=(int(value),))
-            instance = _resolve_instance(cfg.instance)
-            cells = _run_cells(instance, cfg, value_idx, threads)
-        elif parameter == "heterogeneity_l":
-            if not callable(config.instance):
-                raise TypeError("a heterogeneity_l sweep needs a callable "
-                                "instance generator, e.g. "
-                                "lambda l: preset('exp2', l=l)")
-            instance = config.instance(value)
-            if not isinstance(instance, Instance):
-                raise TypeError("instance generator must return an Instance")
-            cells = _run_cells(instance, config, value_idx, threads)
-        else:  # t_v
-            base = _resolve_instance(config.instance)
-            validation = dataclasses.replace(base.validation,
-                                             horizon=int(value))
-            instance = Instance(means=base.means, stddevs=base.stddevs,
-                                validation=validation)
-            cells = _run_cells(instance, config, value_idx, threads)
-        reports.append(MonteCarloReport(
-            cells=cells, metrics=config.metrics_to_report,
-            parameter=parameter, value=value))
+    with _pool(threads, config.repetitions) as pool:
+        for value_idx, value in enumerate(values):
+            if parameter == "budget":
+                cfg = dataclasses.replace(config, budgets=(int(value),))
+                instance = _resolve_instance(cfg.instance)
+                cells = _run_cells(instance, cfg, value_idx, threads, pool)
+            elif parameter == "heterogeneity_l":
+                if not callable(config.instance):
+                    raise TypeError("a heterogeneity_l sweep needs a callable "
+                                    "instance generator, e.g. "
+                                    "lambda l: preset('exp2', l=l)")
+                instance = config.instance(value)
+                if not isinstance(instance, Instance):
+                    raise TypeError("instance generator must return an Instance")
+                cells = _run_cells(instance, config, value_idx, threads, pool)
+            else:  # t_v
+                base = _resolve_instance(config.instance)
+                validation = dataclasses.replace(base.validation,
+                                                 horizon=int(value))
+                instance = Instance(means=base.means, stddevs=base.stddevs,
+                                    validation=validation)
+                cells = _run_cells(instance, config, value_idx, threads, pool)
+            reports.append(MonteCarloReport(
+                cells=cells, metrics=config.metrics_to_report,
+                parameter=parameter, value=value))
     return reports

@@ -11,6 +11,11 @@ run is reproducible).  Per metric, one-sided "treatment beats control" tests:
   delta_hat = t_v * sigma_hat^2 / (2(sigma_a^2+sigma_0^2)) * mean_diff; pass
   iff the posterior probability of a positive effect p_i = Phi(delta_hat /
   sigma_hat) reaches q_i.
+
+Both are one rule: pass iff mean_diff / sqrt(2(sigma_a^2 + sigma_0^2) / t_v)
+reaches the critical value of ``core.validation_terms`` (for the Bayesian
+test, delta_hat / sigma_hat >= Phi^-1(q_i) rearranged).  ``run_validation``
+and ``run_validation_batch`` both apply it through ``_passes``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.core import BAYESIAN, Instance, norm_cdf, norm_ppf
+from m3ab.core import BAYESIAN, Instance, norm_cdf, validation_terms
 
 
 @dataclass(frozen=True)
@@ -36,13 +41,52 @@ class ValidationOutcome:
         return bool(np.all(self.per_metric_pass))
 
 
-def posterior(sample_mean_diff: float, sigma_a: float, sigma_0: float,
-              tau: float, t_v: int) -> tuple[float, float]:
-    """Posterior (mean, variance) of the treatment effect for one metric."""
+def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
+    """Posterior (mean, variance) of the treatment effect; scalars or
+    arrays of one entry per metric."""
     var_sum = sigma_a**2 + sigma_0**2
     sigma_hat_sq = 1.0 / (t_v / (2.0 * var_sum) + 1.0 / tau**2)
     delta_hat = t_v * sigma_hat_sq / (2.0 * var_sum) * sample_mean_diff
     return delta_hat, sigma_hat_sq
+
+
+def _check_source(reward_source: str) -> None:
+    if reward_source not in ("pulls", "means"):
+        raise ValueError(
+            f"unknown reward source {reward_source!r}; expected 'pulls' or 'means'"
+        )
+
+
+def _effect_estimates(instance: Instance, treatments: np.ndarray, rngs,
+                      reward_source: str) -> np.ndarray:
+    """(R, M) estimated effects mean_t - mean_c, run r drawing from rngs[r]:
+    its treatment side first, then its control side.  Each draw is
+    mu + sd * standard_normal, bit for bit what rng.normal(mu, sd) gives."""
+    half = instance.validation.horizon // 2
+    mu, sd = instance.means, instance.stddevs
+    m = instance.num_metrics
+    if reward_source == "means":
+        noise = np.empty((len(rngs), 2, m))
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        scale = sd / np.sqrt(half)
+        return mu[treatments] + scale[treatments] * noise[:, 0] \
+            - (mu[0] + scale[0] * noise[:, 1])
+    ate = np.empty((len(rngs), m))
+    for row, (t, rng) in enumerate(zip(treatments, rngs)):
+        noise = rng.standard_normal((2, half, m))
+        ate[row] = (mu[t] + sd[t] * noise[0]).mean(axis=0) \
+            - (mu[0] + sd[0] * noise[1]).mean(axis=0)
+    return ate
+
+
+def _passes(instance: Instance, treatments, ate: np.ndarray) -> np.ndarray:
+    """Per-metric decisions (..., M): pass iff the standardized effect
+    estimate reaches the test's critical value."""
+    cfg = instance.validation
+    var_sum = instance.variance_sums()[np.asarray(treatments) - 1]
+    _, critical = validation_terms(cfg, var_sum)
+    return ate >= critical * np.sqrt(2.0 * var_sum / cfg.horizon)
 
 
 def run_validation(instance: Instance, treatment: int,
@@ -57,34 +101,34 @@ def run_validation(instance: Instance, treatment: int,
     """
     if not 1 <= treatment <= instance.num_treatments:
         raise ValueError(f"treatment {treatment} out of range")
-    if reward_source not in ("pulls", "means"):
-        raise ValueError(
-            f"unknown reward source {reward_source!r}; expected 'pulls' or 'means'"
-        )
+    _check_source(reward_source)
+    ate = _effect_estimates(instance, np.array([treatment]), [rng],
+                            reward_source)[0]
+    per_metric_pass = _passes(instance, treatment, ate)
     cfg = instance.validation
-    half = cfg.horizon // 2
-    m = instance.num_metrics
-    if reward_source == "means":
-        mean_t = rng.normal(instance.means[treatment],
-                            instance.stddevs[treatment] / np.sqrt(half))
-        mean_c = rng.normal(instance.means[0], instance.stddevs[0] / np.sqrt(half))
-        ate = mean_t - mean_c
-    else:
-        draws_t = rng.normal(instance.means[treatment], instance.stddevs[treatment],
-                             size=(half, m))
-        draws_c = rng.normal(instance.means[0], instance.stddevs[0], size=(half, m))
-        ate = draws_t.mean(axis=0) - draws_c.mean(axis=0)
-    var_sum = instance.variance_sums()[treatment - 1]
+    if cfg.variant != BAYESIAN:
+        return ValidationOutcome(per_metric_pass=per_metric_pass,
+                                 ate_estimates=ate)
+    delta_hat, sigma_hat_sq = posterior(ate, instance.stddevs[treatment],
+                                        instance.stddevs[0], cfg.tau,
+                                        cfg.horizon)
+    return ValidationOutcome(
+        per_metric_pass=per_metric_pass,
+        ate_estimates=ate,
+        posterior=list(zip(delta_hat.tolist(), sigma_hat_sq.tolist())),
+        p=norm_cdf(delta_hat / np.sqrt(sigma_hat_sq)),
+    )
 
-    if cfg.variant == BAYESIAN:
-        sigma_hat_sq = 1.0 / (cfg.horizon / (2.0 * var_sum) + 1.0 / cfg.tau**2)
-        delta_hat = cfg.horizon * sigma_hat_sq / (2.0 * var_sum) * ate
-        ratio = delta_hat / np.sqrt(sigma_hat_sq)
-        return ValidationOutcome(
-            per_metric_pass=ratio >= norm_ppf(cfg.q),
-            ate_estimates=ate,
-            posterior=list(zip(delta_hat.tolist(), sigma_hat_sq.tolist())),
-            p=norm_cdf(ratio),
-        )
-    thresholds = norm_ppf(1.0 - cfg.delta) * np.sqrt(2.0 * var_sum / cfg.horizon)
-    return ValidationOutcome(per_metric_pass=ate >= thresholds, ate_estimates=ate)
+
+def run_validation_batch(instance: Instance, treatments, rngs,
+                         reward_source: str = "pulls") -> np.ndarray:
+    """Per-metric pass decisions (R, M) of one validation run per generator:
+    row r equals ``run_validation(instance, treatments[r], rngs[r],
+    reward_source).per_metric_pass`` and leaves rngs[r] in the same state."""
+    treatments = np.asarray(treatments, dtype=np.intp)
+    bad = treatments[(treatments < 1) | (treatments > instance.num_treatments)]
+    if bad.size:
+        raise ValueError(f"treatment {bad[0]} out of range")
+    _check_source(reward_source)
+    return _passes(instance, treatments,
+                   _effect_estimates(instance, treatments, rngs, reward_source))

@@ -6,7 +6,9 @@ than the package: the normal CDF/quantile come from the stdlib
 oracle solves the min-max program numerically instead of using the closed
 form, the confidence level is bisected instead of taken from the closed-form
 crossing point, and the halving reference is a scalar loop over plain floats
-driven by the stdlib generator (random.Random) instead of numpy's.  Keep
+driven by the stdlib generator (random.Random) instead of numpy's.  The
+harness reference runs one repetition at a time where the harness runs
+blocks of repetitions as arrays.  Keep
 these free of imports from m3ab so a bug cannot leak into its own check.
 """
 
@@ -335,3 +337,35 @@ def h3_reference(z, rho2, budget=None):
             if value < best:
                 best, best_subset = value, subset
     return (1.0 / best if best > 0 else math.inf), best_subset
+
+
+# --- per-repetition harness loop --------------------------------------------
+# The harness loop written one repetition at a time: each repetition seeded
+# from SeedSequence([*key, rep]).spawn(2) (exploration stream first, then
+# validation) and run through the one-repetition engine and validation test.
+# Those two are passed in, so this module still imports nothing from m3ab.
+
+def count_range_reference(explore, validate, instance, algorithm, budget: int,
+                          reward_source, key, start: int, stop: int,
+                          star: int, positive_min_z) -> tuple[int, int, int]:
+    """(exploration, validation, type1) counts over repetitions [start, stop);
+    `explore` is run_exploration and `validate` run_validation."""
+    import numpy as np  # local import: only this oracle draws with numpy
+
+    validation_source = "pulls" if reward_source == "pulls" else "means"
+    hits = successes = type1 = 0
+    for rep in range(start, stop):
+        explore_ss, validate_ss = np.random.SeedSequence([*key, rep]).spawn(2)
+        result = explore(instance, algorithm, budget,
+                         reward_source=reward_source,
+                         rng=np.random.default_rng(explore_ss))
+        outcome = validate(instance, result.recommended,
+                           np.random.default_rng(validate_ss),
+                           reward_source=validation_source)
+        hits += result.recommended == star
+        if outcome.pass_all:
+            if positive_min_z[result.recommended - 1]:
+                successes += 1
+            else:
+                type1 += 1
+    return hits, successes, type1

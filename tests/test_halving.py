@@ -559,8 +559,9 @@ def test_pull_and_stat_sources_statistically_agree():
     assert abs(rates["pulls"] - rates["means"]) < 4 * se, rates
 
 
-# The draw contract: each source draws arm by arm in row order, exactly as
-# one reference call per arm on the same generator would.
+# The draw contract: each source draws each repetition's row arm by arm in
+# row order from that repetition's own generator, exactly as one reference
+# call per arm on the same generator would.
 _REFERENCE_DRAWS = {
     "pulls": lambda mu, sigma, n, rng:
         rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0),
@@ -572,16 +573,22 @@ _REFERENCE_DRAWS = {
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_REFERENCE_DRAWS)), st.integers(1, 3),
        st.lists(st.integers(1, 30), min_size=1, max_size=8),
-       st.integers(0, 2**32 - 1))
-def test_stage_means_batch_equals_per_arm_reference_draws(source, m, counts, seed):
-    counts = np.array(counts)
+       st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_stage_means_batch_equals_per_arm_reference_draws(source, m, counts,
+                                                          seed, reps):
+    # Rows get different counts (rotations) and parameters.
+    counts = np.array([np.roll(counts, r) for r in range(reps)])
     params = np.random.default_rng(seed)
-    mu = params.normal(size=(counts.size, m))
-    sigma = params.uniform(0.1, 3.0, size=(counts.size, m))
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = get_reward_source(source).stage_means_batch(mu, sigma, counts, got_rng)
-    want = np.stack([_REFERENCE_DRAWS[source](mu[r], sigma[r], n, want_rng)
-                     for r, n in enumerate(counts)])
+    mu = params.normal(size=(*counts.shape, m))
+    sigma = params.uniform(0.1, 3.0, size=(*counts.shape, m))
+    got_rngs = [np.random.default_rng([seed, r]) for r in range(reps)]
+    want_rngs = [np.random.default_rng([seed, r]) for r in range(reps)]
+    got = get_reward_source(source).stage_means_batch(mu, sigma, counts, got_rngs)
+    want = np.stack([
+        np.stack([_REFERENCE_DRAWS[source](mu[r, a], sigma[r, a], n, rng)
+                  for a, n in enumerate(counts[r])])
+        for r, rng in enumerate(want_rngs)])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert [g.bit_generator.state for g in got_rngs] == \
+        [g.bit_generator.state for g in want_rngs]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import count_range_reference
 from m3ab import (
     AlgorithmSpec,
     Instance,
@@ -16,8 +17,11 @@ from m3ab import (
     preset,
     run_exploration,
     run_validation,
+    table1,
     z_profile,
 )
+from m3ab import harness
+from m3ab.halving import ALGORITHMS
 from m3ab.harness import (
     METRICS,
     SWEEP_PARAMETERS,
@@ -278,6 +282,129 @@ def test_budget_cells_stable_under_grid_extension():
 def test_thread_count_does_not_change_results():
     cfg = small_config(algorithms=["shrvar", "sh"], repetitions=30)
     assert run_experiment(cfg, threads=2) == run_experiment(cfg, threads=1)
+
+
+# --- blocks of repetitions against the per-repetition loop ------------------
+
+
+def _reference_cells(cfg, instance, value_idx=0):
+    star = best_treatment(instance)
+    positive = z_profile(instance).min_z > 0.0
+    return {
+        (spec.name, budget): count_range_reference(
+            run_exploration, run_validation, instance, spec, budget,
+            cfg.reward_source, (cfg.master_seed, value_idx, budget_idx),
+            0, cfg.repetitions, star, positive)
+        for budget_idx, budget in enumerate(cfg.budgets)
+        for spec in cfg.algorithms}
+
+
+def _cell_counts(report):
+    return {(c.algorithm, c.budget): (c.exploration_successes,
+                                      c.validation_successes, c.type1_errors)
+            for c in report.cells}
+
+
+@pytest.mark.parametrize("source", ["means", "pulls", "fixed"])
+@pytest.mark.parametrize("name,knobs,budget", [
+    ("exp1", {}, 8000),
+    ("exp2", {"l": 5}, 500),  # starved-arm funding
+    ("exp3", {"seed": 7}, 120000),
+    ("table1", None, 400),  # Bayesian validation
+])
+def test_blocks_equal_per_repetition_reference(monkeypatch, name, knobs,
+                                               budget, source):
+    # Blocks of 4 over 10 repetitions (4, 4, 2): every block boundary and a
+    # short last block.  The adaptive engine cannot run on two treatments
+    # (its variance round leaves the single stage under one pull per arm).
+    monkeypatch.setattr(harness, "BLOCK", 4)
+    instance = table1() if name == "table1" else preset(name, **knobs)
+    algorithms = [a for a in sorted(ALGORITHMS)
+                  if instance.num_treatments > 2 or a != "shrvar-ada"]
+    cfg = ExperimentConfig(instance=instance, algorithms=algorithms,
+                           budgets=[budget], repetitions=10, master_seed=13,
+                           reward_source=source)
+    assert _cell_counts(run_experiment(cfg)) == _reference_cells(cfg, instance)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_full_blocks_equal_per_repetition_reference(threads):
+    # The real block size plus five: one full block and a partial one.
+    instance = preset("exp1")
+    cfg = ExperimentConfig(instance=instance, algorithms=["shrvar", "sh"],
+                           budgets=[2000], repetitions=harness.BLOCK + 5,
+                           master_seed=3)
+    assert _cell_counts(run_experiment(cfg, threads=threads)) \
+        == _reference_cells(cfg, instance)
+
+
+# The two identities the batched engine rests on, on the installed numpy.
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       st.integers(1, 4), st.integers(-40, 40), st.integers(0, 2**63 - 1))
+def test_normal_equals_loc_plus_scale_times_standard_normal(shape, n, scale_exp,
+                                                             seed):
+    params = np.random.default_rng(seed)
+    mu = params.normal(size=shape) * 10.0 ** params.integers(-6, 7)
+    sd = params.uniform(0.0, 2.0, size=shape) * 2.0**scale_exp
+    noise = np.empty(shape)
+    np.random.default_rng(seed).standard_normal(out=noise)
+    assert (mu + sd * noise).tobytes() \
+        == np.random.default_rng(seed).normal(mu, sd).tobytes()
+    # the broadcast form with a leading size, as in per-pull draws
+    noise = np.random.default_rng(seed).standard_normal((n, *shape))
+    want = np.random.default_rng(seed).normal(mu, sd, size=(n, *shape))
+    assert (mu + sd * noise).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_spawn_key_builds_the_spawned_child_state(key):
+    children = np.random.SeedSequence(key).spawn(2)
+    for i, child in enumerate(children):
+        direct = np.random.SeedSequence(key, spawn_key=(i,))
+        assert np.random.PCG64(direct).state == np.random.PCG64(child).state
+
+
+# --- process pools ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads,repetitions,workers", [
+    (1, 100, 1), (2, 500, 2), (4, 1, 1), (3, 7, 3), (4, 6, 3), (0, 10, 1),
+])
+def test_worker_count_never_exceeds_chunks(threads, repetitions, workers):
+    assert harness._worker_count(threads, repetitions) == workers
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+def test_one_pool_per_call_sized_by_the_work(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cfg = small_config(instance=lambda l: preset("exp2", l=l), repetitions=3)
+    sweep(cfg, "heterogeneity_l", [0, 1, 2], threads=8)
+    assert _SerialPool.sizes == [3]  # one pool for three values, 3 chunks
+    run_experiment(small_config(repetitions=1), threads=4)
+    assert _SerialPool.sizes == [3]  # one repetition: no pool at all
+    run_experiment(small_config(budgets=[500, 600], repetitions=4), threads=2)
+    assert _SerialPool.sizes == [3, 2]
 
 
 def test_insufficient_budget_identifies_cell():
