@@ -144,11 +144,10 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
         if rounding == LARGEST_REMAINDER:
             # Hand the discarded remainder back, largest fractional part
             # first (ties -> lower position); each arm gains at most one pull.
-            leftover = stage_budget - counts.sum(axis=1, keepdims=True)
-            order = np.argsort(counts - exact, axis=1, kind="stable")
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.arange(k + 1)[None], axis=1)
-            counts += rank < leftover
+            for row, share in zip(counts, exact):
+                leftover = stage_budget - int(row.sum())
+                order = np.lexsort((np.arange(k + 1), -(share - row)))
+                row[order[:leftover]] += 1
         elif rounding != FLOOR:
             raise ValueError(f"unknown rounding mode {rounding!r}")
     elif sampling in ("variance", "neyman"):

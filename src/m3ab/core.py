@@ -220,23 +220,28 @@ def relative_variance(sigma_a, sigma_0):
     return rho_sq, lambda_sq
 
 
-def validation_terms(config: ValidationConfig, var_sum) -> tuple[np.ndarray, np.ndarray]:
-    """The per-metric terms of the validation test at reward variance sums
-    var_sum = sigma_a^2 + sigma_0^2, an (..., M) array; both terms broadcast
-    against var_sum (the non-Bayesian ones are (M,) vectors, independent of
-    the stddevs).  Every formula of the test is written here once.
+def validation_terms(config: ValidationConfig,
+                     var_sum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-metric terms (xi, critical, inflation) of the validation test
+    at reward variance sums var_sum = sigma_a^2 + sigma_0^2, an (..., M)
+    array; each term broadcasts against var_sum (the non-Bayesian ones are
+    (M,) vectors or 1.0, independent of the stddevs).  Every formula of the
+    test is written here once.
+
+    inflation: 1 (non-Bayesian), or sqrt(1 + 2 var_sum / (tau_i^2 t_v))
+    (Bayesian: the N(0, tau_i^2) prior shrinks the posterior toward zero
+    effect, so larger reward noise makes the test harder to pass).
 
     critical: the value that the standardized effect estimate
-    ate / sqrt(2 var_sum / t_v) must reach for the metric to pass:
-    Phi^-1(1-delta_i) (non-Bayesian), or Phi^-1(q_i) times the inflation
-    sqrt(1 + 2 var_sum / (tau_i^2 t_v)) (Bayesian: the N(0, tau_i^2) prior
-    shrinks the posterior toward zero effect, so larger reward noise makes
-    the test harder to pass).  Hence P(pass) = 1 - Phi(critical - snr *
-    sqrt(t_v/2)).
+    ate / (inflation * sqrt(2 var_sum / t_v)) must reach for the metric to
+    pass: Phi^-1(1-delta_i), or Phi^-1(q_i) (Bayesian; the standardized
+    estimate is then the posterior ratio delta_hat / sigma_hat, whose Phi is
+    the posterior probability p_i).  Hence P(pass) = 1 - Phi(critical *
+    inflation - snr * sqrt(t_v/2)).
 
-    xi: the additive shift the test contributes to z, -critical / sqrt(t_v/2),
-    taken from the lower quantile: Phi^-1(delta_i) / sqrt(t_v/2), or
-    Phi^-1(1-q_i) / sqrt(t_v/2) times the inflation.
+    xi: the additive shift the test contributes to z, -critical * inflation
+    / sqrt(t_v/2), taken from the lower quantile: Phi^-1(delta_i) /
+    sqrt(t_v/2), or Phi^-1(1-q_i) / sqrt(t_v/2) times the inflation.
     """
     half = math.sqrt(config.horizon / 2.0)
     if config.variant == NON_BAYESIAN:
@@ -245,7 +250,7 @@ def validation_terms(config: ValidationConfig, var_sum) -> tuple[np.ndarray, np.
     else:
         lower, upper = norm_ppf(1.0 - config.q), norm_ppf(config.q)
         inflation = np.sqrt(1.0 + 2.0 * var_sum / (config.tau**2 * config.horizon))
-    return lower / half * inflation, upper * inflation
+    return lower / half * inflation, upper, inflation
 
 
 def validation_constant(
@@ -258,7 +263,7 @@ def validation_constant(
     """
     if not 0 <= metric < config.num_metrics:
         raise ValueError(f"metric {metric} out of range")
-    xi, _ = validation_terms(config, sigma_a**2 + sigma_0**2)
+    xi, _, _ = validation_terms(config, sigma_a**2 + sigma_0**2)
     return float(xi[metric])
 
 
@@ -302,10 +307,11 @@ def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
     """(M,) vector of per-metric pass probabilities for one treatment."""
     cfg = instance.validation
     snr = instance.snr()[treatment - 1]
-    _, critical = validation_terms(cfg, instance.variance_sums()[treatment - 1])
-    # Pass iff the standardized effect estimate, ~ N(snr sqrt(t_v/2), 1),
-    # reaches the critical value.
-    return 1.0 - norm_cdf(critical - snr * math.sqrt(cfg.horizon / 2.0))
+    _, critical, inflation = validation_terms(
+        cfg, instance.variance_sums()[treatment - 1])
+    # Pass iff ate / sqrt(2 var_sum / t_v), ~ N(snr sqrt(t_v/2), 1), reaches
+    # critical * inflation.
+    return 1.0 - norm_cdf(critical * inflation - snr * math.sqrt(cfg.horizon / 2.0))
 
 
 def joint_pass_probability(instance: Instance, treatment: int) -> float:

@@ -310,7 +310,8 @@ def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
 
 
 # Elements of one (rows, k, k, M, M) crossing array; larger blocks of
-# repetitions are split into row chunks of at most this size (8 MB).
+# repetitions are split into row chunks of at most this size (8 MB), down to
+# single rows, which are computed whole whatever their size.
 _CROSSING_CELLS = 2**20
 
 
@@ -333,7 +334,7 @@ def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
     gets c* = 0, hence the cap.
     """
     k, m = z.shape[-2:]
-    if z.ndim == 3 and z.size * k * m > _CROSSING_CELLS:
+    if z.ndim == 3 and len(z) > 1 and z.size * k * m > _CROSSING_CELLS:
         step = max(1, _CROSSING_CELLS // (k * m) ** 2)
         return np.concatenate([
             _confidence_levels(z[lo:lo + step], z_var[lo:lo + step])

@@ -12,10 +12,11 @@ run is reproducible).  Per metric, one-sided "treatment beats control" tests:
   iff the posterior probability of a positive effect p_i = Phi(delta_hat /
   sigma_hat) reaches q_i.
 
-Both are one rule: pass iff mean_diff / sqrt(2(sigma_a^2 + sigma_0^2) / t_v)
-reaches the critical value of ``core.validation_terms`` (for the Bayesian
-test, delta_hat / sigma_hat >= Phi^-1(q_i) rearranged).  ``run_validation``
-and ``run_validation_batch`` both apply it through ``_passes``.
+Both are one rule: pass iff the standardized effect estimate mean_diff /
+(inflation * sqrt(2(sigma_a^2 + sigma_0^2) / t_v)) reaches the critical value,
+both from ``core.validation_terms`` (for the Bayesian test that ratio is
+delta_hat / sigma_hat, so p_i is its Phi).  ``run_validation`` and
+``run_validation_batch`` both take it from ``_standardized``.
 """
 
 from __future__ import annotations
@@ -80,13 +81,15 @@ def _effect_estimates(instance: Instance, treatments: np.ndarray, rngs,
     return ate
 
 
-def _passes(instance: Instance, treatments, ate: np.ndarray) -> np.ndarray:
-    """Per-metric decisions (..., M): pass iff the standardized effect
-    estimate reaches the test's critical value."""
+def _standardized(instance: Instance, treatments,
+                  ate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, critical), (..., M): each effect estimate in units of the
+    test's scale inflation * sqrt(2 var_sum / t_v), and the value it must
+    reach for the metric to pass."""
     cfg = instance.validation
     var_sum = instance.variance_sums()[np.asarray(treatments) - 1]
-    _, critical = validation_terms(cfg, var_sum)
-    return ate >= critical * np.sqrt(2.0 * var_sum / cfg.horizon)
+    _, critical, inflation = validation_terms(cfg, var_sum)
+    return ate / (inflation * np.sqrt(2.0 * var_sum / cfg.horizon)), critical
 
 
 def run_validation(instance: Instance, treatment: int,
@@ -104,19 +107,19 @@ def run_validation(instance: Instance, treatment: int,
     _check_source(reward_source)
     ate = _effect_estimates(instance, np.array([treatment]), [rng],
                             reward_source)[0]
-    per_metric_pass = _passes(instance, treatment, ate)
+    ratio, critical = _standardized(instance, treatment, ate)
     cfg = instance.validation
     if cfg.variant != BAYESIAN:
-        return ValidationOutcome(per_metric_pass=per_metric_pass,
+        return ValidationOutcome(per_metric_pass=ratio >= critical,
                                  ate_estimates=ate)
     delta_hat, sigma_hat_sq = posterior(ate, instance.stddevs[treatment],
                                         instance.stddevs[0], cfg.tau,
                                         cfg.horizon)
     return ValidationOutcome(
-        per_metric_pass=per_metric_pass,
+        per_metric_pass=ratio >= critical,
         ate_estimates=ate,
         posterior=list(zip(delta_hat.tolist(), sigma_hat_sq.tolist())),
-        p=norm_cdf(delta_hat / np.sqrt(sigma_hat_sq)),
+        p=norm_cdf(ratio),
     )
 
 
@@ -130,5 +133,7 @@ def run_validation_batch(instance: Instance, treatments, rngs,
     if bad.size:
         raise ValueError(f"treatment {bad[0]} out of range")
     _check_source(reward_source)
-    return _passes(instance, treatments,
-                   _effect_estimates(instance, treatments, rngs, reward_source))
+    ratio, critical = _standardized(
+        instance, treatments,
+        _effect_estimates(instance, treatments, rngs, reward_source))
+    return ratio >= critical

@@ -37,6 +37,7 @@ from m3ab.halving import (
     num_stages,
     run_exploration,
     run_exploration_adaptive,
+    run_exploration_batch,
 )
 from m3ab.instances import preset
 
@@ -411,6 +412,20 @@ def test_run_exploration_deterministic():
         assert np.array_equal(sa.active, sb.active)
         for arm in sa.empirical_means:
             assert np.array_equal(sa.empirical_means[arm], sb.empirical_means[arm])
+
+
+def test_confidence_elimination_with_more_than_1024_arm_metric_pairs():
+    # 342 arms x 3 metrics: one row's crossing array alone exceeds the chunk
+    # size, so it is computed whole instead of split further.
+    inst = preset("exp3", seed=7, num_treatments=342)
+    seeds = (3, 4)
+    rows = [run_exploration(inst, "shrvar-c", 120000, reward_source="means",
+                            rng=np.random.default_rng(s)).recommended
+            for s in seeds]
+    batch = run_exploration_batch(inst, "shrvar-c", 120000,
+                                  [np.random.default_rng(s) for s in seeds],
+                                  reward_source="means")
+    assert batch.tolist() == rows
 
 
 def test_all_algorithm_names_run():
