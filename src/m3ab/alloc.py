@@ -68,11 +68,9 @@ class SetVariances:
 
 @dataclass(frozen=True)
 class ArmWeights:
-    """Per-arm weights of the sampling rules, indexed by arm (0 = control).
-
-    rho_sq/lambda_sq split every arm's z noise against the control, (A+1, M)
-    with a row 0 no rule reads; the vectors are row maxima over the metrics.
-    """
+    """Per-arm weights of the sampling rules: (B, A+1) tables of metric
+    maxima and the (B, A+1, M) rho_sq/lambda_sq split of z noise against
+    the control (no rule reads arm 0); B = 1 or one belief per repetition."""
 
     rho_sq: np.ndarray
     lambda_sq: np.ndarray
@@ -83,13 +81,20 @@ class ArmWeights:
 
 
 def arm_weights(stddevs: np.ndarray) -> ArmWeights:
-    """The weights of an (A+1) x M stddev matrix."""
-    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[0])
+    """The weights of (B, A+1, M) stddevs."""
+    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[:, :1])
     return ArmWeights(
         rho_sq=rho_sq, lambda_sq=lambda_sq,
-        max_rho_sq=rho_sq.max(axis=1), max_lambda_sq=lambda_sq.max(axis=1),
-        max_var=(stddevs**2).max(axis=1), max_sd=stddevs.max(axis=1),
+        max_rho_sq=rho_sq.max(axis=-1), max_lambda_sq=lambda_sq.max(axis=-1),
+        max_var=(stddevs**2).max(axis=-1), max_sd=stddevs.max(axis=-1),
     )
+
+
+def gather(table: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """table[r, active[r]] for every row r of an (R, k) index array; a table
+    with one belief row serves every row."""
+    rows = np.arange(len(active))[:, None] if len(table) > 1 else 0
+    return table[rows, active]
 
 
 def active_index(active, num_treatments: int | None = None) -> np.ndarray:
@@ -107,8 +112,8 @@ def active_index(active, num_treatments: int | None = None) -> np.ndarray:
 
 def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho_sigma, lambda_sigma) of every row of an (R, k) active array."""
-    return (np.sqrt(w.max_rho_sq[active].sum(axis=1)),
-            np.sqrt(w.max_lambda_sq[active].max(axis=1)))
+    return (np.sqrt(gather(w.max_rho_sq, active).sum(axis=1)),
+            np.sqrt(gather(w.max_lambda_sq, active).max(axis=1)))
 
 
 def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.ndarray:
@@ -118,7 +123,7 @@ def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.n
     denom = rho_sigma + lambda_sigma
     return np.concatenate(
         ((lambda_sigma / denom * stage_budget)[:, None],
-         w.max_rho_sq[active] / (rho_sigma * denom)[:, None] * stage_budget),
+         gather(w.max_rho_sq, active) / (rho_sigma * denom)[:, None] * stage_budget),
         axis=1,
     )
 
@@ -128,10 +133,11 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
     """Pull counts [control, *active] of one stage under a sampling rule, for
     every row of an (R, k) active array; returns (R, k+1).
 
-    Every rule is written here once, over the weights ``w`` (unread by the
-    uniform rule) and rows from ``active_index``; ``rounding`` applies to
-    the relative-variance rule only.  Shares are floored row by row, and a
-    row with a zero count goes through ``_fund_starved``.
+    Every rule is written here once, over the weights ``w`` (one belief row
+    or one per row; unread by the uniform rule) and rows from
+    ``active_index``; ``rounding`` applies to the relative-variance rule
+    only.  Shares are floored row by row, and a row with a zero count goes
+    through ``_fund_starved``.
     """
     if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
         raise ValueError("stage_budget must be a positive integer")
@@ -151,9 +157,8 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
         elif rounding != FLOOR:
             raise ValueError(f"unknown rounding mode {rounding!r}")
     elif sampling in ("variance", "neyman"):
-        weights = w.max_var if sampling == "variance" else w.max_sd
-        weights = np.concatenate(
-            (np.broadcast_to(weights[0], (rows, 1)), weights[active]), axis=1)
+        arms = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
+        weights = gather(w.max_var if sampling == "variance" else w.max_sd, arms)
         counts = np.floor(weights / weights.sum(axis=1, keepdims=True)
                           * stage_budget).astype(int)
     else:
@@ -169,7 +174,7 @@ def _allocation(sampling: str, instance: Instance | None, active,
     if instance is None:
         w, arms = None, active_index(active)
     else:
-        w = arm_weights(instance.stddevs)
+        w = arm_weights(instance.stddevs[None])
         arms = active_index(active, instance.num_treatments)
     control, *treated = stage_counts(sampling, w, arms[None], stage_budget,
                                      rounding)[0].tolist()
@@ -181,7 +186,8 @@ def _allocation(sampling: str, instance: Instance | None, active,
 def set_variances(instance: Instance, active) -> SetVariances:
     """rho_sigma = sqrt(sum of per-treatment max rho2); lambda_sigma = max lambda."""
     arms = active_index(active, instance.num_treatments)
-    rho_sigma, lambda_sigma = _set_scales(arm_weights(instance.stddevs), arms[None])
+    rho_sigma, lambda_sigma = _set_scales(arm_weights(instance.stddevs[None]),
+                                          arms[None])
     return SetVariances(float(rho_sigma[0]), float(lambda_sigma[0]))
 
 
@@ -190,7 +196,7 @@ def shrvar_allocation_unrounded(
 ) -> tuple[float, dict[int, float]]:
     """The exact (real-valued) relative-variance allocation before rounding."""
     arms = active_index(active, instance.num_treatments)
-    control, *treated = _shrvar_shares(arm_weights(instance.stddevs), arms[None],
+    control, *treated = _shrvar_shares(arm_weights(instance.stddevs[None]), arms[None],
                                        stage_budget)[0].tolist()
     return control, dict(zip(arms.tolist(), treated))
 

@@ -26,7 +26,8 @@ class TooLargeError(M3ABError):
 
 
 class DegenerateVarianceError(M3ABError):
-    """An estimated stddev of zero makes the z denominator vanish."""
+    """A phase-0 variance estimate that is zero or not finite leaves the z
+    statistics undefined."""
 
 
 class SchemaError(M3ABError):

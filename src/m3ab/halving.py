@@ -31,13 +31,16 @@ A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
 (R, k+1, M) parameter rows, (R, k+1) counts and one generator per
 repetition, and returns the (R, k+1, M) stage means; repetition r draws
 from rngs[r] only, arm by arm in row order (control first, then the active
-treatments ascending).  Its ``mean_and_variance(mu, sigma, n, rng)`` draws
-one arm's mean and unbiased sample variance for the adaptive engine's
-phase 0.  The engines consume nothing else, so drawing each pull
-("pulls") and drawing the sufficient statistics from their exact laws
-("means": mean ~ N(mu, sigma^2/n), sample variance ~ sigma^2 *
-chi2_{n-1}/(n-1)) induce identical distributions over trajectories.
-"means" makes very large budgets cheap to simulate.
+treatments ascending).  Its ``mean_and_variance(mu, sigma, n, rngs)``, the
+same protocol for the adaptive engine's phase 0, takes the (A+1, M) arm
+rows and returns the (R, A+1, M) means and unbiased sample variances of n
+pulls per arm, row r drawn from rngs[r] arm by arm.  The engines consume
+nothing else, so drawing each pull ("pulls") and drawing the sufficient
+statistics from their exact laws ("means": mean ~ N(mu, sigma^2/n), sample
+variance ~ sigma^2 * chi2_{n-1}/(n-1)) induce identical distributions over
+trajectories.  "means" makes very large budgets cheap to simulate.  The
+believed sigma comes as tables with a leading belief axis: one row for the
+known-variance engines, one per repetition for the adaptive engine.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import active_index, arm_weights, stage_counts
-from m3ab.core import Instance, xi_matrix
+from m3ab.alloc import active_index, arm_weights, gather, stage_counts
+from m3ab.core import Instance, validation_terms
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
 SAMPLING_RULES = ("relative_variance", "uniform", "variance", "neyman")
@@ -123,9 +126,13 @@ class GaussianPullSource:
                       for mu, sigma, n in zip(mus, sigmas, ns)])
             for mus, sigmas, ns, rng in zip(mu_rows, sigma_rows, counts, rngs)])
 
-    def mean_and_variance(self, mu, sigma, n, rng):
-        x = rng.normal(mu, sigma, size=(n, mu.size))
-        return x.mean(axis=0), x.var(axis=0, ddof=1)
+    def mean_and_variance(self, mu, sigma, n, rngs):
+        out = np.empty((2, len(rngs), *mu.shape))
+        for rng, means, variances in zip(rngs, *out):
+            for arm, (m, sd) in enumerate(zip(mu, sigma)):
+                x = rng.normal(m, sd, size=(n, m.size))
+                means[arm], variances[arm] = x.mean(axis=0), x.var(axis=0, ddof=1)
+        return out[0], out[1]
 
 
 class GaussianStatSource:
@@ -140,10 +147,19 @@ class GaussianStatSource:
             rng.standard_normal(out=out)
         return mu_rows + sigma_rows / np.sqrt(counts)[..., None] * noise
 
-    def mean_and_variance(self, mu, sigma, n, rng):
-        mean = rng.normal(mu, sigma / math.sqrt(n))
-        var = sigma**2 * rng.chisquare(n - 1, size=mu.size) / (n - 1)
-        return mean, var
+    def mean_and_variance(self, mu, sigma, n, rngs):
+        # Row r draws arm by arm from rngs[r] as rng.normal(mu, sd / sqrt(n))
+        # and then rng.chisquare(n - 1, M) would: those are mu + sd / sqrt(n)
+        # * standard_normal and 2 * standard_gamma((n - 1) / 2), bit for bit.
+        noise = np.empty((len(rngs), *mu.shape))
+        gamma, shape = np.empty_like(noise), (n - 1) / 2
+        for rng, noise_row, gamma_row in zip(rngs, noise, gamma):
+            normal, standard_gamma = rng.standard_normal, rng.standard_gamma
+            for arm_noise, arm_gamma in zip(noise_row, gamma_row):
+                normal(out=arm_noise)
+                standard_gamma(shape, out=arm_gamma)
+        mean = mu + sigma / math.sqrt(n) * noise
+        return mean, sigma**2 * (2.0 * gamma) / (n - 1)
 
 
 class FixedMeanSource:
@@ -161,9 +177,9 @@ class FixedMeanSource:
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
         return mu_rows.copy()
 
-    def mean_and_variance(self, mu, sigma, n, rng):
+    def mean_and_variance(self, mu, sigma, n, rngs):
         var = sigma**2 if self.variances == "true" else np.zeros_like(mu)
-        return mu.copy(), var
+        return np.tile(mu, (len(rngs), 1, 1)), np.tile(var, (len(rngs), 1, 1))
 
 
 _SOURCES = {"pulls": GaussianPullSource, "means": GaussianStatSource,
@@ -211,23 +227,27 @@ class StageStats:
         return dict(zip([0, *self.active.tolist()], self.counts.tolist()))
 
 
-def _belief_constants(belief: Instance):
-    """What the stage pipeline derives once per belief: the allocation
-    weights, xi and the zhat scale sqrt(sigma_a^2 + sigma_0^2) (rows a-1)."""
-    return (arm_weights(belief.stddevs),
-            xi_matrix(belief.validation, belief.stddevs),
-            np.sqrt(belief.variance_sums()))
+def _belief_constants(stddevs: np.ndarray, validation):
+    """What the stage pipeline derives once from believed stddevs
+    (B, A+1, M), B = 1 or one belief per repetition: the allocation weights,
+    xi and the zhat scale sqrt(sigma_a^2 + sigma_0^2), as (B, A+1, ...)
+    tables indexed by arm (row 0 unread).  A non-Bayesian xi does not
+    depend on sigma and stays an (M,) vector."""
+    var_sum = stddevs**2 + stddevs[:, :1] ** 2
+    return (arm_weights(stddevs), validation_terms(validation, var_sum)[0],
+            np.sqrt(var_sum))
 
 
 def _z_stats(constants, active: np.ndarray, means: np.ndarray,
              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zhat and its variance (..., k, M) from mean rows and counts
-    [control, *active], over any leading repetition axes."""
+    """zhat and its variance (R, k, M) from an (R, k) active array and the
+    mean rows and counts [control, *active] of every repetition."""
     weights, xi, scale = constants
-    rows = active - 1
-    z = (means[..., 1:, :] - means[..., :1, :]) / scale[rows] + xi[rows]
-    z_var = weights.rho_sq[active] / counts[..., 1:, None] \
-        + weights.lambda_sq[active] / counts[..., :1, None]
+    if xi.ndim > 1:  # a Bayesian xi depends on the believed sigma
+        xi = gather(xi, active)
+    z = (means[:, 1:] - means[:, :1]) / gather(scale, active) + xi
+    z_var = gather(weights.rho_sq, active) / counts[:, 1:, None] \
+        + gather(weights.lambda_sq, active) / counts[:, :1, None]
     return z, z_var
 
 
@@ -252,8 +272,9 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
         counts.append(arr.shape[0])
         means.append(arr.mean(axis=0))
     means, counts = np.stack(means), np.array(counts)
-    z, z_var = _z_stats(_belief_constants(instance), arms, means, counts)
-    return StageStats(active=arms, means=means, counts=counts, z=z, z_var=z_var)
+    constants = _belief_constants(instance.stddevs[None], instance.validation)
+    z, z_var = _z_stats(constants, arms[None], means[None], counts[None])
+    return StageStats(active=arms, means=means, counts=counts, z=z[0], z_var=z_var[0])
 
 
 # --- elimination ------------------------------------------------------------
@@ -296,17 +317,6 @@ def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
     plain empirical mean).
     """
     return _eliminate("mean", stats, keep)
-
-
-def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
-                     n_0: int, active_count: int, num_metrics: int) -> float:
-    """b = 2 sqrt((rho2/n_a + lambda2/n_0) * log(|A_s| M / delta))."""
-    cap = active_count * num_metrics
-    if not 0.0 < delta <= cap:
-        raise ValueError(f"delta must lie in (0, {cap}]")
-    if n_a < 1 or n_0 < 1:
-        raise ValueError("pull counts must be >= 1")
-    return 2.0 * math.sqrt((rho_sq / n_a + lambda_sq / n_0) * math.log(cap / delta))
 
 
 # Elements of one (rows, k, k, M, M) crossing array; larger blocks of
@@ -380,19 +390,18 @@ def num_stages(num_treatments: int) -> int:
     return max(1, math.ceil(math.log2(num_treatments)))
 
 
-def _halve(instance: Instance, belief: Instance, spec: AlgorithmSpec,
-           budget: int, source, rngs, trail: list | None = None) -> np.ndarray:
+def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
+           source, rngs, trail: list | None = None) -> np.ndarray:
     """The stage loop: one halving run per generator in ``rngs``, with
-    (R, k_s) active index arrays, every row ascending.  Returns the R
-    recommended treatments; with ``trail``, appends row 0's StageStats of
-    every stage to it."""
+    (R, k_s) active index arrays, every row ascending, on the belief tables
+    ``constants``.  Returns the R recommended treatments; with ``trail``,
+    appends row 0's StageStats of every stage to it."""
     stages = num_stages(instance.num_treatments)
     stage_budget = budget // stages
     if stage_budget < 1:
         raise InsufficientBudgetError(
             f"budget {budget} cannot fund {stages} stages", arm=0
         )
-    constants = _belief_constants(belief)
     treatments = np.arange(1, instance.num_treatments + 1)
     active = np.tile(treatments, (len(rngs), 1))
     for _ in range(stages):
@@ -410,35 +419,50 @@ def _halve(instance: Instance, belief: Instance, spec: AlgorithmSpec,
     return active[:, 0]
 
 
-def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
-                    reward_source="pulls", rng: np.random.Generator | None = None,
-                    believed_stddevs: np.ndarray | None = None) -> ExplorationResult:
-    """Run one exploration phase and return the recommended treatment.
+def _beliefs(instance: Instance, spec: AlgorithmSpec, budget: int, source,
+             rngs) -> tuple[tuple, int]:
+    """The stage loop's belief tables and budget for one run per generator:
+    the instance's stddevs and the whole budget, or (adaptive, phase 0) the
+    unbiased estimates from N0 = floor(T / ((A+1) * ceil(log2 A))) >= 2
+    pulls per arm and repetition, and what is left of the budget."""
+    if spec.variance_knowledge == "known":
+        return _belief_constants(instance.stddevs[None], instance.validation), budget
+    a_count = instance.num_treatments
+    n0 = budget // ((a_count + 1) * num_stages(a_count))
+    if n0 < 2:
+        raise InsufficientBudgetError(
+            f"budget {budget} gives the variance-estimation round only {n0} "
+            f"pulls per arm (need >= 2)", arm=0,
+        )
+    _, var = source.mean_and_variance(instance.means, instance.stddevs, n0, rngs)
+    bad = ~(np.isfinite(var) & (var > 0.0)).all(axis=-1)
+    if bad.any():
+        row, arm = np.argwhere(bad)[0]
+        kind = "non-finite" if not np.isfinite(var[row, arm]).all() else "zero"
+        raise DegenerateVarianceError(
+            f"arm {arm} has a {kind} sample variance; z-values are undefined"
+        )
+    return (_belief_constants(np.sqrt(var), instance.validation),
+            budget - (a_count + 1) * n0)
 
-    `believed_stddevs` substitutes estimated stddevs everywhere sigma appears
-    (allocation, zhat denominator, validation constants, bonuses) while
-    rewards are still drawn from the true instance — the adaptive engine uses
-    this hook.  Draw order per stage: control first, then active treatments
-    ascending.  This is the one-row call of the stage loop that
-    ``run_exploration_batch`` runs over many repetitions.
-    """
+
+def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
+                    reward_source="pulls",
+                    rng: np.random.Generator | None = None) -> ExplorationResult:
+    """Run one exploration phase and return the recommended treatment: the
+    one-row call of the stage loop that ``run_exploration_batch`` runs over
+    many repetitions.  Draw order per stage: control first, then active
+    treatments ascending; ``total_pulls_used`` includes phase 0."""
     if isinstance(spec, str):
         spec = AlgorithmSpec.from_name(spec)
-    if spec.variance_knowledge == "adaptive":
-        return run_exploration_adaptive(instance, budget, rng,
-                                        reward_source=reward_source)
     source = get_reward_source(reward_source)
     if rng is None:
         rng = np.random.default_rng()
-    if believed_stddevs is None:
-        belief = instance
-    else:
-        belief = Instance(means=instance.means, stddevs=believed_stddevs,
-                          validation=instance.validation)
+    constants, loop_budget = _beliefs(instance, spec, budget, source, [rng])
     trail: list[StageStats] = []
-    recommended = _halve(instance, belief, spec, budget, source, [rng], trail)
-    return ExplorationResult(recommended=int(recommended[0]), trail=trail,
-                             total_pulls_used=sum(int(s.counts.sum()) for s in trail))
+    recommended = _halve(instance, constants, spec, loop_budget, source, [rng], trail)
+    pulls = budget - loop_budget + sum(int(s.counts.sum()) for s in trail)
+    return ExplorationResult(int(recommended[0]), trail, pulls)
 
 
 def run_exploration_batch(instance: Instance, spec: AlgorithmSpec | str,
@@ -446,56 +470,22 @@ def run_exploration_batch(instance: Instance, spec: AlgorithmSpec | str,
     """The recommended treatment of one exploration per generator in `rngs`.
 
     Row r equals ``run_exploration(..., rng=rngs[r]).recommended`` and
-    leaves rngs[r] in the same state.  The known-variance engines run all
-    rows through one stage loop; the adaptive engine runs its phase 0 and
-    then the one-row loop per generator, because its interleaved
-    normal/chi-square draws cannot be batched without reordering a stream.
+    leaves rngs[r] in the same state.  Every engine runs all rows through
+    one stage loop; the adaptive engine first runs phase 0 for every row
+    (one ``mean_and_variance`` call, each row's draws in its own arm-by-arm
+    order) and then loops on per-row beliefs.
     """
     if isinstance(spec, str):
         spec = AlgorithmSpec.from_name(spec)
     source = get_reward_source(reward_source)
-    if spec.variance_knowledge == "adaptive":
-        return np.array([run_exploration_adaptive(instance, budget, rng,
-                                                  reward_source=source).recommended
-                         for rng in rngs], dtype=np.intp)
-    return _halve(instance, instance, spec, budget, source, rngs)
+    constants, loop_budget = _beliefs(instance, spec, budget, source, rngs)
+    return _halve(instance, constants, spec, loop_budget, source, rngs)
 
 
 def run_exploration_adaptive(instance: Instance, budget: int,
                              rng: np.random.Generator | None = None,
                              reward_source="pulls") -> ExplorationResult:
-    """Unknown-variance variant: estimate stddevs first, then run the
-    relative-variance engine on the estimates with the remaining budget.
-
-    Phase 0 pulls every arm N0 = floor(T / ((A+1) * ceil(log2 A))) times
-    (N0 >= 2 required for a sample variance) and uses the unbiased estimator.
-    """
-    source = get_reward_source(reward_source)
-    if rng is None:
-        rng = np.random.default_rng()
-    a_count = instance.num_treatments
-    stages = num_stages(a_count)
-    n0 = budget // ((a_count + 1) * stages)
-    if n0 < 2:
-        raise InsufficientBudgetError(
-            f"budget {budget} gives the variance-estimation round only {n0} "
-            f"pulls per arm (need >= 2)", arm=0,
-        )
-    estimated = np.empty_like(instance.stddevs)
-    for arm in range(a_count + 1):
-        _, var = source.mean_and_variance(instance.means[arm],
-                                          instance.stddevs[arm], n0, rng)
-        if np.any(var <= 0.0):
-            raise DegenerateVarianceError(
-                f"arm {arm} has a zero sample variance; z-values are undefined"
-            )
-        estimated[arm] = np.sqrt(var)
-    spent = (a_count + 1) * n0
-    result = run_exploration(
-        instance, AlgorithmSpec("relative_variance", "min_z"), budget - spent,
-        reward_source=source, rng=rng, believed_stddevs=estimated,
-    )
-    return ExplorationResult(
-        recommended=result.recommended, trail=result.trail,
-        total_pulls_used=result.total_pulls_used + spent,
-    )
+    """Unknown-variance variant: estimate stddevs first (phase 0, see
+    ``_beliefs``), then run the relative-variance engine on the estimates
+    with the remaining budget."""
+    return run_exploration(instance, ALGORITHMS["shrvar-ada"], budget, reward_source, rng)

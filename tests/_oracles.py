@@ -241,6 +241,19 @@ def confidence_level_bisection(z, v, arm) -> float:
     return cap * math.exp(-(0.5 * (lo + hi)) ** 2)
 
 
+def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,
+                     n_0: int, active_count: int, num_metrics: int) -> float:
+    """The confidence bonus b = 2 sqrt((rho2/n_a + lambda2/n_0) *
+    log(|A_s| M / delta)) whose UCB/LCB crossing point the package's
+    confidence elimination computes in closed form."""
+    cap = active_count * num_metrics
+    if not 0.0 < delta <= cap:
+        raise ValueError(f"delta must lie in (0, {cap}]")
+    if n_a < 1 or n_0 < 1:
+        raise ValueError("pull counts must be >= 1")
+    return 2.0 * math.sqrt((rho_sq / n_a + lambda_sq / n_0) * math.log(cap / delta))
+
+
 # --- Table-of-two-treatments reference point -------------------------------
 # Control (0, 10) on both metrics; treatment 1 = (0.6, 10) twice; treatment 2
 # = (-0.2, 30) on metric 1 and (6, 10) on metric 2.  Bayesian validation with
@@ -369,3 +382,27 @@ def count_range_reference(explore, validate, instance, algorithm, budget: int,
             else:
                 type1 += 1
     return hits, successes, type1
+
+
+# --- adaptive engine phase 0, one arm at a time ------------------------------
+# The variance-estimation round as first written: one source call per arm,
+# control first, on one repetition's generator.  The package draws every
+# repetition's round in one call per block.
+
+def phase0_reference(source: str, mu, sigma, n: int, rng):
+    """Per-arm (means, unbiased variances) of n pulls for the sources
+    "pulls", "means" (the sufficient statistics from their exact laws) and
+    "fixed" (the true values, no draws), as lists of (M,) arrays."""
+    means, variances = [], []
+    for m, s in zip(mu, sigma):
+        if source == "pulls":
+            x = rng.normal(m, s, size=(n, m.size))
+            mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        elif source == "means":
+            mean = rng.normal(m, s / math.sqrt(n))
+            var = s**2 * rng.chisquare(n - 1, size=m.size) / (n - 1)
+        else:
+            mean, var = m.copy(), s**2
+        means.append(mean)
+        variances.append(var)
+    return means, variances

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import random_instance
-from _oracles import confidence_level_bisection
+from _oracles import confidence_bonus, confidence_level_bisection, phase0_reference
 from m3ab.alloc import (
     neyman_allocation,
     shrvar_allocation,
@@ -26,8 +26,8 @@ from m3ab.halving import (
     AlgorithmSpec,
     FixedMeanSource,
     GaussianPullSource,
+    GaussianStatSource,
     StageStats,
-    confidence_bonus,
     confidence_eliminate,
     confidence_level,
     empirical_z,
@@ -489,8 +489,8 @@ def test_vanilla_baselines_chase_raw_means():
 class _OracleVariancePullSource(GaussianPullSource):
     """Phase 0 reports the exact stddevs without consuming randomness."""
 
-    def mean_and_variance(self, mu, sigma, n, rng):
-        return mu.copy(), sigma**2
+    def mean_and_variance(self, mu, sigma, n, rngs):
+        return np.tile(mu, (len(rngs), 1, 1)), np.tile(sigma**2, (len(rngs), 1, 1))
 
 
 def test_adaptive_with_oracle_variances_equals_known_variance_run():
@@ -521,6 +521,73 @@ def test_adaptive_constant_rewards_degenerate_variance():
             inst, 1000, rng=np.random.default_rng(0),
             reward_source=FixedMeanSource(variances="zero"),
         )
+
+
+class _PoisonedVarianceSource(GaussianStatSource):
+    """Phase 0 as drawn, with one variance overwritten in rows 1 and 2."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def mean_and_variance(self, mu, sigma, n, rngs):
+        mean, var = super().mean_and_variance(mu, sigma, n, rngs)
+        var[1, 3, -1] = self.value
+        var[2, 1, 0] = 0.0
+        return mean, var
+
+
+@pytest.mark.parametrize("value, kind", [(math.nan, "non-finite"),
+                                         (math.inf, "non-finite"),
+                                         (0.0, "zero")])
+def test_adaptive_rejects_bad_phase0_variances(value, kind):
+    # The first bad row in repetition order names its arm (row 1, arm 3),
+    # although row 2 has a bad arm with a lower index.
+    rngs = [np.random.default_rng(r) for r in range(3)]
+    with pytest.raises(DegenerateVarianceError,
+                       match=f"^arm 3 has a {kind} sample variance; "
+                             "z-values are undefined$"):
+        run_exploration_batch(unit_instance(4), "shrvar-ada", 1000, rngs,
+                              _PoisonedVarianceSource(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("fixed", "means", "pulls")), st.integers(1, 4),
+       st.integers(1, 8), st.integers(1, 3), st.integers(2, 30),
+       st.integers(0, 2**32 - 1))
+def test_mean_and_variance_equals_per_arm_phase0_reference(source, reps,
+                                                           a_count, m, n, seed):
+    params = np.random.default_rng(seed)
+    mu = params.normal(size=(a_count + 1, m))
+    sigma = params.uniform(0.1, 3.0, size=(a_count + 1, m))
+    got_rngs = [np.random.default_rng([seed, r]) for r in range(reps)]
+    want_rngs = [np.random.default_rng([seed, r]) for r in range(reps)]
+    got = get_reward_source(source).mean_and_variance(mu, sigma, n, got_rngs)
+    want = [np.array(part) for part in zip(*(
+        phase0_reference(source, mu, sigma, n, rng) for rng in want_rngs))]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (reps, a_count + 1, m)
+        assert g.tobytes() == w.tobytes()
+    assert [g.bit_generator.state for g in got_rngs] == \
+        [g.bit_generator.state for g in want_rngs]
+
+
+# shrvar-ada's recommendations on exp3 (seed 7) under "means", repetitions
+# 0-19 of budget index b at master seed 0, recorded while phase 0 still ran
+# one arm and one repetition at a time.
+FROZEN_ADA_EXP3 = {
+    30000: [71, 1, 1, 1, 1, 84, 127, 13, 1, 48, 1, 1, 36, 1, 1, 1, 87, 109,
+            122, 1],
+    120000: [1, 7, 1, 1, 1, 122, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("b, budget", enumerate(FROZEN_ADA_EXP3))
+def test_adaptive_frozen_recommendations_exp3(b, budget):
+    rngs = [np.random.default_rng(np.random.SeedSequence([0, 0, b, r]).spawn(2)[0])
+            for r in range(20)]
+    got = run_exploration_batch(preset("exp3", seed=7), "shrvar-ada", budget,
+                                rngs, "means")
+    assert got.tolist() == FROZEN_ADA_EXP3[budget]
 
 
 def test_adaptive_budget_floor():
