@@ -32,10 +32,6 @@ import numpy as np
 from m3ab.core import Instance, relative_variance
 from m3ab.errors import InsufficientBudgetError
 
-FLOOR = "floor"
-LARGEST_REMAINDER = "largest_remainder"
-
-
 @dataclass(frozen=True)
 class StageAllocation:
     """Pull counts for one stage; treatment_pulls is keyed by treatment index."""
@@ -129,15 +125,14 @@ def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.n
 
 
 def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
-                 stage_budget: int, rounding: str = FLOOR) -> np.ndarray:
+                 stage_budget: int) -> np.ndarray:
     """Pull counts [control, *active] of one stage under a sampling rule, for
     every row of an (R, k) active array; returns (R, k+1).
 
     Every rule is written here once, over the weights ``w`` (one belief row
     or one per row; unread by the uniform rule) and rows from
-    ``active_index``; ``rounding`` applies to the relative-variance rule
-    only.  Shares are floored row by row, and a row with a zero count goes
-    through ``_fund_starved``.
+    ``active_index``.  Shares are floored row by row, and a row with a zero
+    count goes through ``_fund_starved``.
     """
     if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
         raise ValueError("stage_budget must be a positive integer")
@@ -145,17 +140,7 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
     if sampling == "uniform":
         counts = np.full((rows, k + 1), stage_budget // (k + 1))
     elif sampling == "relative_variance":
-        exact = _shrvar_shares(w, active, stage_budget)
-        counts = np.floor(exact).astype(int)
-        if rounding == LARGEST_REMAINDER:
-            # Hand the discarded remainder back, largest fractional part
-            # first (ties -> lower position); each arm gains at most one pull.
-            for row, share in zip(counts, exact):
-                leftover = stage_budget - int(row.sum())
-                order = np.lexsort((np.arange(k + 1), -(share - row)))
-                row[order[:leftover]] += 1
-        elif rounding != FLOOR:
-            raise ValueError(f"unknown rounding mode {rounding!r}")
+        counts = np.floor(_shrvar_shares(w, active, stage_budget)).astype(int)
     elif sampling in ("variance", "neyman"):
         arms = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
         weights = gather(w.max_var if sampling == "variance" else w.max_sd, arms)
@@ -169,15 +154,15 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
 
 
 def _allocation(sampling: str, instance: Instance | None, active,
-                stage_budget: int, rounding: str = FLOOR) -> StageAllocation:
+                stage_budget: int) -> StageAllocation:
     """The kernel's counts for a public call, keyed by arm."""
     if instance is None:
         w, arms = None, active_index(active)
     else:
         w = arm_weights(instance.stddevs[None])
         arms = active_index(active, instance.num_treatments)
-    control, *treated = stage_counts(sampling, w, arms[None], stage_budget,
-                                     rounding)[0].tolist()
+    control, *treated = stage_counts(sampling, w, arms[None],
+                                     stage_budget)[0].tolist()
     return StageAllocation(control_pulls=control,
                            treatment_pulls=dict(zip(arms.tolist(), treated)),
                            stage_budget=stage_budget)
@@ -202,7 +187,7 @@ def shrvar_allocation_unrounded(
 
 
 def shrvar_allocation(
-    instance: Instance, active, stage_budget: int, rounding: str = FLOOR
+    instance: Instance, active, stage_budget: int
 ) -> StageAllocation:
     """Relative-variance allocation with the algorithm's floor rounding.
 
@@ -211,8 +196,7 @@ def shrvar_allocation(
     all other counts keep their exact floors.  Raises
     InsufficientBudgetError when the budget cannot cover one pull per arm.
     """
-    return _allocation("relative_variance", instance, active, stage_budget,
-                       rounding)
+    return _allocation("relative_variance", instance, active, stage_budget)
 
 
 def uniform_allocation(active, stage_budget: int) -> StageAllocation:

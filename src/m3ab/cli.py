@@ -149,8 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     gen_p.add_argument("--l", type=float, default=None,
                        help="variance-heterogeneity exponent (exp2 only)")
-    gen_p.add_argument("--seed", type=int, default=None,
-                       help="seed for presets with random components")
+    gen_p.add_argument("--seed", type=int, default=0,
+                       help="seed for presets with random components "
+                            "(default 0, keeping runs reproducible)")
     gen_p.add_argument("--out", required=True, metavar="PATH")
 
     sub.add_parser("table1",

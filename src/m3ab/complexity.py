@@ -101,18 +101,51 @@ class ErrorBound(NamedTuple):
     vacuous: bool
 
 
-def _treatment_relvars(instance: Instance) -> np.ndarray:
-    """(A, M) relative variances rho2 of each treatment against control."""
-    rho_sq, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
-    return rho_sq
-
-
-def _set_scales(rho2: np.ndarray, members: np.ndarray) -> tuple[float, float]:
-    mr = rho2.max(axis=1)
+def _subset_kernel(instance: Instance, correction: float | None):
+    """The subset kernel of one instance: returns (star, gaps), where
+    gaps(member) maps (c, A) member masks to each mask's squared gaps
+    D(S, a)^2 (c, A) against the best treatment star (the corrected gap when
+    a correction is given), its kappa values (c, A, M), rho_sigma and
+    lambda_sigma (c,).  Gaps and kappas are filled in for every arm, member
+    or not; only members' values are meaningful.  The per-instance constants
+    are derived once, here."""
+    star = best_treatment(instance)
+    z = z_profile(instance).z
+    g = np.maximum(z[star - 1][None, :, None] - z[:, None, :], 0.0) ** 2
+    rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
     lam2 = 1.0 - rho2
-    rho_sigma = math.sqrt(float(mr[members].sum()))
-    lambda_sigma = math.sqrt(float(lam2[members].max()))
-    return rho_sigma, lambda_sigma
+    mr = rho2.max(axis=1)
+    ml2 = lam2.max(axis=1)
+    p = np.where(mr[:, None] > 0, rho2 / np.where(mr[:, None] > 0, mr[:, None], 1.0), 1.0)
+    dm2 = _delta_min(z, star) ** 2 if correction is not None else None
+
+    def gaps(member: np.ndarray):
+        rho_sigma = np.sqrt(member @ mr)
+        lambda_sigma = np.sqrt(np.where(member, ml2[None, :], -np.inf).max(axis=1))
+        denom = rho_sigma + lambda_sigma
+        kap = (p[None] * rho_sigma[:, None, None]
+               + lam2[None] / lambda_sigma[:, None, None]) / denom[:, None, None]
+        k_star = kap[:, star - 1, :]
+        # The (c, A, M, M) terms are built in place: one fresh chunk-sized
+        # array per call (two when corrected) instead of one per operation
+        # keeps the allocator from handing the pages back to the system
+        # between chunks.
+        cell = kap[:, :, None, :] + k_star[:, None, :, None]  # [c, a, i, j]
+        np.divide(g, np.square(cell, out=cell), out=cell)
+        if correction is not None:
+            alt = kap[:, :, None, :] - k_star[:, None, :, None]
+            positive = alt > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(g, np.square(alt, out=alt), out=alt)
+            alt += dm2
+            alt -= correction
+            np.copyto(cell, np.minimum(cell, alt, out=alt), where=positive)
+        gap_sq = cell.max(axis=3).min(axis=2)  # [c, a]
+        if correction is not None:
+            gap_sq = np.maximum(gap_sq, 0.0)
+        return gap_sq, kap, rho_sigma, lambda_sigma
+
+    return star, gaps
 
 
 def _validate_subset(instance: Instance, subset) -> np.ndarray:
@@ -132,22 +165,9 @@ def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
         raise ValueError(f"treatment {treatment} is not in the subset")
     if not 0 <= metric < instance.num_metrics:
         raise ValueError(f"metric {metric} out of range")
-    rho2 = _treatment_relvars(instance)
-    idx = members - 1
-    rho_sigma, lambda_sigma = _set_scales(rho2, idx)
-    row = rho2[treatment - 1]
-    mr = float(row.max())
-    p = float(row[metric]) / mr if mr > 0 else 1.0
-    lam2 = 1.0 - float(row[metric])
-    return (p * rho_sigma + lam2 / lambda_sigma) / (rho_sigma + lambda_sigma)
-
-
-def _gap_grid(instance: Instance) -> tuple[np.ndarray, int, np.ndarray]:
-    """Clipped squared z-gaps G[a, i, j] = relu(z[star,i] - z[a,j])^2."""
-    star = best_treatment(instance)
-    z = z_profile(instance).z
-    g = np.maximum(z[star - 1][None, :, None] - z[:, None, :], 0.0) ** 2
-    return g, star, z
+    _, gaps = _subset_kernel(instance, None)
+    _, kap, _, _ = gaps(np.isin(instance.treatments, members)[None])
+    return float(kap[0, treatment - 1, metric])
 
 
 def _delta_min(z: np.ndarray, star: int) -> float:
@@ -168,7 +188,7 @@ def _pair_gap_sq(instance: Instance, subset, treatment: int,
                  correction: float | None) -> float:
     """D(S, a)^2, optionally with the budget-corrected alternative term."""
     members = _validate_subset(instance, subset)
-    g, star, z = _gap_grid(instance)
+    star = best_treatment(instance)
     if treatment == star:
         raise ValueError("the best treatment has no gap against itself")
     if treatment not in members or star not in members:
@@ -176,21 +196,9 @@ def _pair_gap_sq(instance: Instance, subset, treatment: int,
             f"subset must contain both treatment {treatment} and the best "
             f"treatment {star}"
         )
-    k_a = np.array([kappa(instance, members, treatment, j)
-                    for j in range(instance.num_metrics)])
-    k_star = np.array([kappa(instance, members, star, i)
-                       for i in range(instance.num_metrics)])
-    grid = g[treatment - 1]  # [i, j]
-    base = grid / (k_a[None, :] + k_star[:, None]) ** 2
-    if correction is not None:
-        diff = k_a[None, :] - k_star[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alt = grid / diff**2 + _delta_min(z, star) ** 2 - correction
-        cell = np.where(diff > 0, np.minimum(base, alt), base)
-    else:
-        cell = base
-    out = float(cell.max(axis=1).min())
-    return max(out, 0.0) if correction is not None else out
+    _, gaps = _subset_kernel(instance, correction)
+    gap_sq, _, _, _ = gaps(np.isin(instance.treatments, members)[None])
+    return float(gap_sq[0, treatment - 1])
 
 
 def effective_gap(instance: Instance, subset, treatment: int) -> float:
@@ -212,17 +220,11 @@ def _best_over_subsets(instance: Instance, correction: float | None):
     """Minimize min_{a in S'_c} gap^2 / (rho_sigma + lambda_sigma)^2 over all
     subsets containing the best treatment.  Returns (value, members, scales).
 
-    Subsets are swept as bitmasks over the sub-optimal treatments, in chunks,
-    with the whole per-chunk computation vectorized.
+    Subsets are swept as bitmasks over the sub-optimal treatments, in chunks
+    of _CHUNK masks, each chunk one call of the subset kernel.
     """
-    g, star, z = _gap_grid(instance)
-    a_count, m_count = instance.num_treatments, instance.num_metrics
-    rho2 = _treatment_relvars(instance)
-    lam2 = 1.0 - rho2
-    mr = rho2.max(axis=1)
-    ml2 = lam2.max(axis=1)
-    p = np.where(mr[:, None] > 0, rho2 / np.where(mr[:, None] > 0, mr[:, None], 1.0), 1.0)
-    dm2 = _delta_min(z, star) ** 2
+    star, gaps = _subset_kernel(instance, correction)
+    a_count = instance.num_treatments
     star_idx = star - 1
     others = np.array([a for a in range(a_count) if a != star_idx])
     k = len(others)
@@ -237,25 +239,7 @@ def _best_over_subsets(instance: Instance, correction: float | None):
         member[:, others] = (masks[:, None] >> np.arange(k)[None, :]) & 1
         member[:, star_idx] = True
         sizes = member.sum(axis=1)
-
-        rho_sigma = np.sqrt(member @ mr)
-        lambda_sigma = np.sqrt(np.where(member, ml2[None, :], -np.inf).max(axis=1))
-        denom = rho_sigma + lambda_sigma
-        kap = (p[None] * rho_sigma[:, None, None]
-               + lam2[None] / lambda_sigma[:, None, None]) / denom[:, None, None]
-        k_star = kap[:, star_idx, :]
-        ksum = kap[:, :, None, :] + k_star[:, None, :, None]  # [c, a, i, j]
-        base = g[None] / ksum**2
-        if correction is not None:
-            diff = kap[:, :, None, :] - k_star[:, None, :, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alt = g[None] / diff**2 + dm2 - correction
-            cell = np.where(diff > 0, np.minimum(base, alt), base)
-        else:
-            cell = base
-        gap_sq = cell.max(axis=3).min(axis=2)  # [c, a]
-        if correction is not None:
-            gap_sq = np.maximum(gap_sq, 0.0)
+        gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
 
         rank_key = gap_sq.copy()
         rank_key[:, star_idx] = -np.inf  # pinned first; never a drop slot
@@ -268,7 +252,7 @@ def _best_over_subsets(instance: Instance, correction: float | None):
         suffix_min = np.minimum.accumulate(ranked_values[:, ::-1], axis=1)[:, ::-1]
         drops = np.where(sizes >= 4, sizes // 4, 0)
         numerator = suffix_min[np.arange(c), drops + 1]
-        candidate = numerator / denom**2
+        candidate = numerator / (rho_sigma + lambda_sigma)**2
 
         j = int(np.argmin(candidate))
         if candidate[j] < best:
@@ -293,7 +277,7 @@ def h3_prime(instance: Instance) -> float:
     instance checked (exp1; exp3 at A = 12, 14, 16, 20) it lies 2.0 to 2.5
     times below h3, so an error bound computed from it understates h3's."""
     dm = delta_min(instance)
-    rho2 = _treatment_relvars(instance)
+    rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
     total = float(rho2.max(axis=1).sum() + (1.0 - rho2).max())
     if dm == 0.0:
         return math.inf

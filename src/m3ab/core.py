@@ -37,16 +37,6 @@ NON_BAYESIAN = "non_bayesian"
 BAYESIAN = "bayesian"
 
 
-def norm_cdf(x):
-    """Standard normal CDF (vectorized, abs error well below 1e-9)."""
-    return ndtr(x)
-
-
-def norm_ppf(p):
-    """Standard normal quantile (vectorized, abs error well below 1e-9)."""
-    return ndtri(p)
-
-
 def _as_prob_vector(x, m: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (m,):
@@ -245,10 +235,10 @@ def validation_terms(config: ValidationConfig,
     """
     half = math.sqrt(config.horizon / 2.0)
     if config.variant == NON_BAYESIAN:
-        lower, upper = norm_ppf(config.delta), norm_ppf(1.0 - config.delta)
+        lower, upper = ndtri(config.delta), ndtri(1.0 - config.delta)
         inflation = 1.0
     else:
-        lower, upper = norm_ppf(1.0 - config.q), norm_ppf(config.q)
+        lower, upper = ndtri(1.0 - config.q), ndtri(config.q)
         inflation = np.sqrt(1.0 + 2.0 * var_sum / (config.tau**2 * config.horizon))
     return lower / half * inflation, upper, inflation
 
@@ -267,21 +257,11 @@ def validation_constant(
     return float(xi[metric])
 
 
-def xi_matrix(config: ValidationConfig, stddevs: np.ndarray) -> np.ndarray:
-    """(A, M) matrix of validation constants for the given reward stddevs.
-
-    ``stddevs`` is the full (A+1) x M matrix including the control row; this
-    lives here (rather than on Instance) so that engines running with
-    *estimated* stddevs can reuse it.
-    """
-    var_sum = stddevs[1:] ** 2 + stddevs[0] ** 2
-    return np.broadcast_to(validation_terms(config, var_sum)[0],
-                           var_sum.shape).copy()
-
-
 def z_profile(instance: Instance) -> ZProfile:
     """All z-values of an instance: z = snr + xi, rows are treatments 1..A."""
-    xi = xi_matrix(instance.validation, instance.stddevs)
+    var_sum = instance.variance_sums()
+    xi = np.broadcast_to(validation_terms(instance.validation, var_sum)[0],
+                         var_sum.shape).copy()
     return ZProfile(z=instance.snr() + xi, xi=xi)
 
 
@@ -311,7 +291,7 @@ def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
         cfg, instance.variance_sums()[treatment - 1])
     # Pass iff ate / sqrt(2 var_sum / t_v), ~ N(snr sqrt(t_v/2), 1), reaches
     # critical * inflation.
-    return 1.0 - norm_cdf(critical * inflation - snr * math.sqrt(cfg.horizon / 2.0))
+    return 1.0 - ndtr(critical * inflation - snr * math.sqrt(cfg.horizon / 2.0))
 
 
 def joint_pass_probability(instance: Instance, treatment: int) -> float:

@@ -21,8 +21,9 @@ class InsufficientBudgetError(M3ABError):
 
 
 class TooLargeError(M3ABError):
-    """Exhaustive subset enumeration was refused; use the closed-form
-    diagnostic (h3_prime) instead."""
+    """Exhaustive subset enumeration was refused.  The closed-form h3_prime
+    is no stand-in for h3: it is a lower estimate, measured 2.0 to 2.5 times
+    below h3, so error bounds computed from it are too small."""
 
 
 class DegenerateVarianceError(M3ABError):

@@ -124,7 +124,6 @@ class ExperimentConfig:
     budgets: Sequence[int]
     repetitions: int = 10_000
     master_seed: int = 0
-    metrics_to_report: Sequence[str] = METRICS
     reward_source: object = "means"
 
     def __post_init__(self):
@@ -155,14 +154,6 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be a non-negative integer, "
                              f"got {self.master_seed}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        metrics = tuple(m for m in METRICS if m in set(self.metrics_to_report))
-        unknown = set(self.metrics_to_report) - set(METRICS)
-        if unknown:
-            raise ValueError(f"unknown metrics {sorted(unknown)}; "
-                             f"expected a subset of {METRICS}")
-        if not metrics:
-            raise ValueError("metrics_to_report must be non-empty")
-        object.__setattr__(self, "metrics_to_report", metrics)
         if isinstance(self.reward_source, str) and self.reward_source not in (
                 "pulls", "means", "fixed"):
             raise ValueError(f"unknown reward source {self.reward_source!r}")
@@ -235,7 +226,6 @@ class MonteCarloReport:
     reports to identify the swept point."""
 
     cells: tuple[CellReport, ...]
-    metrics: tuple[str, ...] = METRICS
     parameter: str | None = None
     value: float | int | None = None
 
@@ -373,7 +363,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloRepo
     instance = _resolve_instance(config.instance)
     with _pool(threads, config.repetitions) as pool:
         cells = _run_cells(instance, config, 0, threads, pool)
-    return MonteCarloReport(cells=cells, metrics=config.metrics_to_report)
+    return MonteCarloReport(cells=cells)
 
 
 def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
@@ -399,10 +389,10 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     reports = []
     with _pool(threads, config.repetitions) as pool:
         for value_idx, value in enumerate(values):
+            cfg = config
             if parameter == "budget":
                 cfg = dataclasses.replace(config, budgets=(int(value),))
                 instance = _resolve_instance(cfg.instance)
-                cells = _run_cells(instance, cfg, value_idx, threads, pool)
             elif parameter == "heterogeneity_l":
                 if not callable(config.instance):
                     raise TypeError("a heterogeneity_l sweep needs a callable "
@@ -411,15 +401,11 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
                 instance = config.instance(value)
                 if not isinstance(instance, Instance):
                     raise TypeError("instance generator must return an Instance")
-                cells = _run_cells(instance, config, value_idx, threads, pool)
             else:  # t_v
                 base = _resolve_instance(config.instance)
-                validation = dataclasses.replace(base.validation,
-                                                 horizon=int(value))
-                instance = Instance(means=base.means, stddevs=base.stddevs,
-                                    validation=validation)
-                cells = _run_cells(instance, config, value_idx, threads, pool)
-            reports.append(MonteCarloReport(
-                cells=cells, metrics=config.metrics_to_report,
-                parameter=parameter, value=value))
+                instance = dataclasses.replace(base, validation=dataclasses.replace(
+                    base.validation, horizon=int(value)))
+            cells = _run_cells(instance, cfg, value_idx, threads, pool)
+            reports.append(MonteCarloReport(cells=cells, parameter=parameter,
+                                            value=value))
     return reports

@@ -40,6 +40,7 @@ violations raise ``SchemaError`` carrying the offending field path.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from m3ab.core import (
     NON_BAYESIAN,
     Instance,
     ValidationConfig,
-    xi_matrix,
+    validation_terms,
 )
 from m3ab.errors import SchemaError
 
@@ -66,10 +67,10 @@ def _means_from_z(z: np.ndarray, stddevs: np.ndarray,
                   control_means: np.ndarray,
                   validation: ValidationConfig) -> np.ndarray:
     """Full means matrix whose z-profile equals ``z`` given the stddevs."""
-    xi = xi_matrix(validation, stddevs)
-    scale = np.sqrt(stddevs[1:] ** 2 + stddevs[0] ** 2)
+    var_sum = stddevs[1:] ** 2 + stddevs[0] ** 2
+    xi, _, _ = validation_terms(validation, var_sum)
     return np.vstack([control_means[None, :],
-                      control_means + (z - xi) * scale])
+                      control_means + (z - xi) * np.sqrt(var_sum)])
 
 
 def from_z_parameterization(z, rho_sq, control_means, control_stddevs,
@@ -155,8 +156,8 @@ _EXP3_NULL_Z_OTHER = (-0.15, 0.15, 0.15)
 _EXP3_RHO_SQ_BASE = (0.8, 0.5, 0.2)
 
 
-def _exp3_family(z_best, z_other, *, seed, num_treatments: int, delta,
-                 t_v: int) -> Instance:
+def _exp3_family(z_best, z_other, *, seed, num_treatments: int = 128,
+                 delta=0.05, t_v: int = 2000) -> Instance:
     if num_treatments < 2:
         raise ValueError("need at least 2 treatments")
     rng = np.random.default_rng(seed)
@@ -168,16 +169,9 @@ def _exp3_family(z_best, z_other, *, seed, num_treatments: int, delta,
     return from_z_parameterization(z, rho_sq, np.zeros(3), np.ones(3), cfg)
 
 
-def _exp3(*, seed=None, num_treatments: int = 128, delta=0.05,
-          t_v: int = 2000) -> Instance:
-    return _exp3_family(_EXP3_Z_BEST, _EXP3_Z_OTHER, seed=seed,
-                        num_treatments=num_treatments, delta=delta, t_v=t_v)
-
-
-def _exp3_null(*, seed=None, num_treatments: int = 128, delta=0.05,
-               t_v: int = 2000) -> Instance:
-    return _exp3_family(_EXP3_NULL_Z_BEST, _EXP3_NULL_Z_OTHER, seed=seed,
-                        num_treatments=num_treatments, delta=delta, t_v=t_v)
+_exp3 = functools.partial(_exp3_family, _EXP3_Z_BEST, _EXP3_Z_OTHER)
+_exp3_null = functools.partial(_exp3_family, _EXP3_NULL_Z_BEST,
+                               _EXP3_NULL_Z_OTHER)
 
 
 def _neyman_gap(*, seed=None, num_small: int = 20, sigma_big: float = 5.0,
@@ -207,11 +201,13 @@ _PRESET_FACTORIES = {
 PRESET_NAMES = tuple(_PRESET_FACTORIES)
 
 
-def preset(name: str, *, seed=None, **knobs) -> Instance:
+def preset(name: str, *, seed=0, **knobs) -> Instance:
     """Construct a named built-in instance (see the module docstring).
 
-    ``seed`` feeds the random components (only exp3/exp3_null have any);
-    ``knobs`` are preset-specific keyword parameters such as ``l`` for exp2.
+    ``seed`` feeds the random components (only exp3/exp3_null have any); the
+    default 0 makes every call with the same arguments build the same
+    instance.  ``knobs`` are preset-specific keyword parameters such as
+    ``l`` for exp2.
     """
     try:
         factory = _PRESET_FACTORIES[name]
@@ -282,16 +278,8 @@ def _as_int(value, field: str) -> int:
 def _as_matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"expected a list of {rows} rows", field)
-    out = np.empty((rows, cols), dtype=float)
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"expected a list of {cols} numbers",
-                              f"{field}[{r}]")
-        for c, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise SchemaError("expected a number", f"{field}[{r}][{c}]")
-            out[r, c] = float(entry)
-    return out
+    return np.array([_as_vector(row, cols, f"{field}[{r}]")
+                     for r, row in enumerate(value)])
 
 
 def _as_vector(value, n: int, field: str) -> np.ndarray:

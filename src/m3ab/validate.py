@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from m3ab.core import BAYESIAN, Instance, norm_cdf, validation_terms
+from m3ab.core import BAYESIAN, Instance, validation_terms
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def run_validation(instance: Instance, treatment: int,
         per_metric_pass=ratio >= critical,
         ate_estimates=ate,
         posterior=list(zip(delta_hat.tolist(), sigma_hat_sq.tolist())),
-        p=norm_cdf(ratio),
+        p=ndtr(ratio),
     )
 
 

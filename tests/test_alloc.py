@@ -1,4 +1,4 @@
-"""Stage allocation rules: closed form vs oracle, rounding, and baselines."""
+"""Stage allocation rules: closed form vs oracle, floor rounding, and baselines."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from _gen import random_instance
 from m3ab.alloc import (
-    LARGEST_REMAINDER,
     StageAllocation,
     neyman_allocation,
     set_variances,
@@ -154,14 +153,6 @@ def test_shrvar_matches_minmax_oracle():
             assert per_arm[a] == pytest.approx(want, rel=1e-3)
 
 
-def test_shrvar_largest_remainder_spends_budget():
-    inst = instance_from_stddevs([[1.0], [1.0], [1.0]])
-    got = shrvar_allocation(inst, {1, 2}, 100, rounding=LARGEST_REMAINDER)
-    assert got.total_pulls == 100
-    assert got.control_pulls == 42  # remainder goes to the largest fraction first
-    assert got.treatment_pulls == {1: 29, 2: 29}
-
-
 # --- baselines --------------------------------------------------------------
 
 def test_uniform_examples():
@@ -240,7 +231,6 @@ def test_all_rules_respect_budget(seed, budget):
     arms = list(inst.treatments)
     rules = [
         lambda: shrvar_allocation(inst, arms, budget),
-        lambda: shrvar_allocation(inst, arms, budget, rounding=LARGEST_REMAINDER),
         lambda: uniform_allocation(arms, budget),
         lambda: variance_allocation(inst, arms, budget),
         lambda: neyman_allocation(inst, arms, budget),

@@ -315,6 +315,15 @@ def test_gen_seeded_preset_reproducible(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_unseeded_preset_is_seed_zero(capsys, tmp_path):
+    paths = [tmp_path / f"{name}.json" for name in ("a", "b", "zero")]
+    for path, extra in zip(paths, ([], [], ["--seed", "0"])):
+        code, _, _ = run_cli(capsys, "gen", "--preset", "exp3", *extra,
+                             "--out", str(path))
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 def test_gen_null_instance_z_row(capsys, tmp_path):
     path = tmp_path / "null.json"
     run_cli(capsys, "gen", "--preset", "exp3_null", "--seed", "3",

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import homogeneous_single_metric, random_instance
 from _oracles import effective_gap_sq_reference, h3_reference, kappa_reference
@@ -321,25 +323,50 @@ def test_tilde_equals_plain_when_best_has_largest_weights():
         assert h3_tilde(inst, budget) == report.h3
 
 
-def test_tilde_oracle_found_gap_reference_agreement():
-    rng = np.random.default_rng(53)
-    inst = random_instance(rng, max_treatments=5, max_metrics=3)
-    while inst.num_treatments < 3:
-        inst = random_instance(rng, max_treatments=5, max_metrics=3)
-    star = best_treatment(inst)
-    subset = list(inst.treatments)
-    a_count = inst.num_treatments
-    budget = 80.0
-    corr = 8.0 * a_count * math.log2(a_count) ** 2 / budget
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.05, max_value=0.95),
+)
+def test_tilde_oracle_found_gap_reference_agreement(seed, frac):
+    """One-mask calls of the subset kernel against the scalar oracles: both
+    gaps on a random subset that holds the best arm, and kappa on a random
+    subset that omits it."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, max_treatments=6, max_metrics=3)
+    a_count, star = inst.num_treatments, best_treatment(inst)
     z, rho2 = _z_rows(inst), _rho2_rows(inst)
+    others = [a for a in inst.treatments if a != star]
+    without_best = [a for a in others if rng.random() < 0.5] or others[:1]
+    for a in without_best:
+        for i in range(inst.num_metrics):
+            want = kappa_reference(rho2, [s - 1 for s in without_best], a - 1, i)
+            assert kappa(inst, without_best, a, i) == pytest.approx(want, rel=1e-12)
+    picked = [a for a in others if rng.random() < 0.5] or others[:1]
+    if not picked:
+        return
+    members = sorted(s - 1 for s in [star, *picked])
     minz = [min(r) for r in z]
     dm2 = (minz[star - 1] - max(m for i, m in enumerate(minz)
                                 if i != star - 1)) ** 2
-    for a in subset:
-        if a == star:
-            continue
+    # Place the correction where the corrected term of one (i, j) cell of the
+    # first picked arm is the smaller one and still positive: frac of the
+    # plain term.  With M = 1 that cell is the gap.
+    i, j = rng.integers(inst.num_metrics, size=2)
+    k_a = kappa_reference(rho2, members, picked[0] - 1, j)
+    k_star = kappa_reference(rho2, members, star - 1, i)
+    g = max(z[star - 1][i] - z[picked[0] - 1][j], 0.0) ** 2
+    target = dm2 + g / (k_a - k_star) ** 2 - frac * g / (k_a + k_star) ** 2 \
+        if k_a > k_star else dm2
+    budget = 8.0 * a_count * math.log2(a_count) ** 2 / target
+    corr = 8.0 * a_count * math.log2(a_count) ** 2 / budget
+    subset = [m + 1 for m in members]
+    for a in picked:
+        want = effective_gap_sq_reference(z, rho2, members, star - 1, a - 1)
+        assert effective_gap(inst, subset, a) ** 2 == pytest.approx(
+            want, rel=1e-9, abs=1e-12)
         want = effective_gap_sq_reference(
-            z, rho2, [s - 1 for s in subset], star - 1, a - 1,
+            z, rho2, members, star - 1, a - 1,
             delta_min_sq=dm2, correction=corr,
         )
         got = effective_gap_tilde(inst, subset, a, budget)

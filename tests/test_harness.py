@@ -127,18 +127,9 @@ def test_config_rejects_bad_arguments():
     with pytest.raises(ValueError):
         small_config(master_seed=-1)
     with pytest.raises(ValueError):
-        small_config(metrics_to_report=["exploration_accuracy", "nope"])
-    with pytest.raises(ValueError):
-        small_config(metrics_to_report=[])
-    with pytest.raises(ValueError):
         small_config(reward_source="bogus")
     with pytest.raises(TypeError):
         small_config(instance="exp2")
-
-
-def test_config_metrics_canonical_order():
-    cfg = small_config(metrics_to_report=["type1_error", "exploration_accuracy"])
-    assert cfg.metrics_to_report == ("exploration_accuracy", "type1_error")
 
 
 def test_cell_report_counts_and_rates():

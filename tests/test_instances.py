@@ -186,6 +186,13 @@ def test_exp3_structure_and_reproducibility():
     assert not np.array_equal(inst.stddevs, other.stddevs)
 
 
+@pytest.mark.parametrize("name", ["exp3", "exp3_null"])
+def test_random_presets_default_to_seed_zero(name):
+    default, zero = preset(name), preset(name, seed=0)
+    assert np.array_equal(default.means, zero.means)
+    assert np.array_equal(default.stddevs, zero.stddevs)
+
+
 def test_exp3_num_treatments_knob():
     inst = preset("exp3", seed=3, num_treatments=32)
     assert inst.num_treatments == 32
