@@ -132,10 +132,12 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
     Every rule is written here once, over the weights ``w`` (one belief row
     or one per row; unread by the uniform rule) and rows from
     ``active_index``.  Shares are floored row by row, and a row with a zero
-    count goes through ``_fund_starved``.
+    count goes through ``_fund_starved``.  Stage budgets above 2^40 are
+    refused: near 2^52 the float shares stop resolving single pulls.
     """
-    if not isinstance(stage_budget, (int, np.integer)) or stage_budget <= 0:
-        raise ValueError("stage_budget must be a positive integer")
+    if not isinstance(stage_budget, (int, np.integer)) or not 0 < stage_budget <= 2**40:
+        raise ValueError(f"stage_budget must be an integer in [1, 2^40], "
+                         f"got {stage_budget}")
     rows, k = active.shape
     if sampling == "uniform":
         counts = np.full((rows, k + 1), stage_budget // (k + 1))

@@ -259,6 +259,8 @@ def _parse_values(args) -> list:
         if not item:
             continue
         number = float(item)
+        if not math.isfinite(number):
+            raise ValueError(f"--values must be finite numbers, got {item!r}")
         if args.param != "l":
             if number != int(number):
                 raise ValueError(

@@ -82,18 +82,6 @@ class ComplexityReport:
     argmin_subset: tuple[int, ...]
     rho_sigma: float
     lambda_sigma: float
-    num_treatments: int
-    num_metrics: int
-    h3_tilde: float | None = None
-
-    def gamma_s(self, budget: float) -> float:
-        """Stage-scale (rho_sigma + lambda_sigma) * sqrt(log2(A) / T) of the
-        attaining subset."""
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        return (self.rho_sigma + self.lambda_sigma) * math.sqrt(
-            math.log2(self.num_treatments) / budget
-        )
 
 
 class ErrorBound(NamedTuple):
@@ -284,17 +272,14 @@ def h3_prime(instance: Instance) -> float:
     return total / dm**2
 
 
-def h3(instance: Instance, max_enumeration: int = DEFAULT_MAX_ENUMERATION,
-       budget: float | None = None) -> ComplexityReport:
-    """Exhaustive subset-minimum complexity; the corrected variant is filled
-    in when a budget is supplied."""
+def h3(instance: Instance,
+       max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> ComplexityReport:
+    """Exhaustive subset-minimum complexity; ``h3_tilde`` gives the
+    budget-corrected variant."""
     if instance.num_treatments < 2:
         raise ValueError("need at least two treatments for a gap")
     _check_enumerable(instance, max_enumeration)
     value, members, scales = _best_over_subsets(instance, None)
-    tilde = None
-    if budget is not None:
-        tilde = h3_tilde(instance, budget, max_enumeration)
     return ComplexityReport(
         h3=1.0 / value if value > 0 else math.inf,
         h3_prime=h3_prime(instance),
@@ -302,9 +287,6 @@ def h3(instance: Instance, max_enumeration: int = DEFAULT_MAX_ENUMERATION,
         argmin_subset=tuple(int(a) for a in members),
         rho_sigma=scales[0],
         lambda_sigma=scales[1],
-        num_treatments=instance.num_treatments,
-        num_metrics=instance.num_metrics,
-        h3_tilde=tilde,
     )
 
 

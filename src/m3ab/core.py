@@ -276,15 +276,16 @@ def pass_probability(instance: Instance, treatment: int, metric: int) -> float:
     Computed from the test's acceptance region directly (not via the z-value
     shortcut, which the test suite uses as an independent cross-check).
     """
-    if not 1 <= treatment <= instance.num_treatments:
-        raise ValueError(f"treatment {treatment} out of range")
+    probabilities = _pass_probabilities(instance, treatment)
     if not 0 <= metric < instance.num_metrics:
         raise ValueError(f"metric {metric} out of range")
-    return float(_pass_probabilities(instance, treatment)[metric])
+    return float(probabilities[metric])
 
 
 def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
     """(M,) vector of per-metric pass probabilities for one treatment."""
+    if not 1 <= treatment <= instance.num_treatments:
+        raise ValueError(f"treatment {treatment} out of range")
     cfg = instance.validation
     snr = instance.snr()[treatment - 1]
     _, critical, inflation = validation_terms(
@@ -296,6 +297,4 @@ def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
 
 def joint_pass_probability(instance: Instance, treatment: int) -> float:
     """Probability of passing every metric (product across independent metrics)."""
-    if not 1 <= treatment <= instance.num_treatments:
-        raise ValueError(f"treatment {treatment} out of range")
     return float(np.prod(_pass_probabilities(instance, treatment)))

@@ -38,7 +38,8 @@ pulls per arm, row r drawn from rngs[r] arm by arm.  The engines consume
 nothing else, so drawing each pull ("pulls") and drawing the sufficient
 statistics from their exact laws ("means": mean ~ N(mu, sigma^2/n), sample
 variance ~ sigma^2 * chi2_{n-1}/(n-1)) induce identical distributions over
-trajectories.  "means" makes very large budgets cheap to simulate.  The
+trajectories.  "means" makes very large budgets cheap to simulate; the
+validation A/B test (``validate``) draws through the same two sources.  The
 believed sigma comes as tables with a leading belief axis: one row for the
 known-variance engines, one per repetition for the adaptive engine.
 """
@@ -118,13 +119,14 @@ ALGORITHMS = {
 # --- reward sources ---------------------------------------------------------
 
 class GaussianPullSource:
-    """Draws every individual reward; the canonical simulator."""
+    """Draws every reward: bit for bit rng.normal(mu, sigma, (n, M)).mean(axis=0)."""
 
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
-        return np.stack([
-            np.stack([rng.normal(mu, sigma, size=(n, mu.size)).mean(axis=0)
-                      for mu, sigma, n in zip(mus, sigmas, ns)])
-            for mus, sigmas, ns, rng in zip(mu_rows, sigma_rows, counts, rngs)])
+        out = np.empty(mu_rows.shape)
+        for row, mus, sigmas, ns, rng in zip(out, mu_rows, sigma_rows, counts, rngs):
+            for arm, (mu, sigma, n) in enumerate(zip(mus, sigmas, ns)):
+                row[arm] = (mu + sigma * rng.standard_normal((n, mu.size))).sum(axis=0) / n
+        return out
 
     def mean_and_variance(self, mu, sigma, n, rngs):
         out = np.empty((2, len(rngs), *mu.shape))
@@ -163,23 +165,14 @@ class GaussianStatSource:
 
 
 class FixedMeanSource:
-    """Zero-noise source: stage means equal the true means exactly.
-
-    variances="true" reports the true variances in phase 0, "zero" reports
-    zeros (exercises the degenerate-variance error path).
-    """
-
-    def __init__(self, variances: str = "true"):
-        if variances not in ("true", "zero"):
-            raise ValueError("variances must be 'true' or 'zero'")
-        self.variances = variances
+    """Zero-noise source: stage means equal the true means exactly, and
+    phase 0 reports the true variances."""
 
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
         return mu_rows.copy()
 
     def mean_and_variance(self, mu, sigma, n, rngs):
-        var = sigma**2 if self.variances == "true" else np.zeros_like(mu)
-        return np.tile(mu, (len(rngs), 1, 1)), np.tile(var, (len(rngs), 1, 1))
+        return np.tile(mu, (len(rngs), 1, 1)), np.tile(sigma**2, (len(rngs), 1, 1))
 
 
 _SOURCES = {"pulls": GaussianPullSource, "means": GaussianStatSource,

@@ -51,6 +51,7 @@ from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,
     AlgorithmSpec,
+    get_reward_source,
     run_exploration,
     run_exploration_batch,
 )
@@ -154,9 +155,7 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be a non-negative integer, "
                              f"got {self.master_seed}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        if isinstance(self.reward_source, str) and self.reward_source not in (
-                "pulls", "means", "fixed"):
-            raise ValueError(f"unknown reward source {self.reward_source!r}")
+        get_reward_source(self.reward_source)  # rejects unknown names
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ violations raise ``SchemaError`` carrying the offending field path.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 from pathlib import Path
 
@@ -122,8 +123,7 @@ def _delta_vector(delta, m: int) -> np.ndarray:
     return arr
 
 
-def _exp1(*, seed=None, delta=0.05, t_v: int = 1000) -> Instance:
-    del seed  # deterministic preset
+def _exp1(*, delta=0.05, t_v: int = 1000) -> Instance:
     means = np.vstack([
         np.zeros(3),
         [2.4697, 1.5556, 1.1180],
@@ -134,8 +134,7 @@ def _exp1(*, seed=None, delta=0.05, t_v: int = 1000) -> Instance:
     return Instance(means=means, stddevs=stddevs, validation=cfg)
 
 
-def _exp2(*, seed=None, l=None, delta=0.05, t_v: int = 100) -> Instance:
-    del seed  # deterministic preset
+def _exp2(*, l=None, delta=0.05, t_v: int = 100) -> Instance:
     if l is None:
         raise ValueError("exp2 requires the variance-heterogeneity exponent l")
     l = float(l)
@@ -174,10 +173,9 @@ _exp3_null = functools.partial(_exp3_family, _EXP3_NULL_Z_BEST,
                                _EXP3_NULL_Z_OTHER)
 
 
-def _neyman_gap(*, seed=None, num_small: int = 20, sigma_big: float = 5.0,
+def _neyman_gap(*, num_small: int = 20, sigma_big: float = 5.0,
                 sigma_small: float = 1.0, mean_gap: float = 1.0, delta=0.05,
                 t_v: int = 100) -> Instance:
-    del seed  # deterministic preset
     if num_small < 1:
         raise ValueError("need at least one small-variance arm for the control")
     means = np.concatenate([[0.0, mean_gap, 0.0], np.zeros(num_small - 1)])
@@ -207,7 +205,7 @@ def preset(name: str, *, seed=0, **knobs) -> Instance:
     ``seed`` feeds the random components (only exp3/exp3_null have any); the
     default 0 makes every call with the same arguments build the same
     instance.  ``knobs`` are preset-specific keyword parameters such as
-    ``l`` for exp2.
+    ``l`` for exp2; a knob the preset does not take is a ValueError.
     """
     try:
         factory = _PRESET_FACTORIES[name]
@@ -215,7 +213,15 @@ def preset(name: str, *, seed=0, **knobs) -> Instance:
         raise ValueError(
             f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"
         ) from None
-    return factory(seed=seed, **knobs)
+    params = inspect.signature(factory).parameters
+    unknown = sorted(set(knobs) - set(params))
+    if unknown:
+        takes = ", ".join(p for p in params if p != "seed")
+        raise ValueError(f"preset {name!r} takes no knob {unknown[0]!r}; "
+                         f"its knobs are {takes}")
+    if "seed" in params:
+        knobs["seed"] = seed
+    return factory(**knobs)
 
 
 def table1() -> Instance:

@@ -1,8 +1,10 @@
 """Simulation of the validation A/B test.
 
-The recommended treatment and the control are each pulled t_v/2 times (the
-treatment side is drawn first, then the control side — fixed order so a seeded
-run is reproducible).  Per metric, one-sided "treatment beats control" tests:
+The recommended treatment and the control are each pulled t_v/2 times,
+drawn through the exploration's reward sources (``halving``'s "pulls" or
+"means") as one stage of rows [treatment, control]: the treatment side is
+drawn first, then the control side — fixed order so a seeded run is
+reproducible.  Per metric, one-sided "treatment beats control" tests:
 
 * non-Bayesian: pass iff  mean_diff >= Phi^-1(1-delta_i) * sqrt(2(sigma_a^2 +
   sigma_0^2) / t_v)  — the level-delta_i z-test;
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from m3ab.core import BAYESIAN, Instance, validation_terms
+from m3ab.halving import get_reward_source
 
 
 @dataclass(frozen=True)
@@ -52,45 +55,32 @@ def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
     return delta_hat, sigma_hat_sq
 
 
-def _check_source(reward_source: str) -> None:
-    if reward_source not in ("pulls", "means"):
-        raise ValueError(
-            f"unknown reward source {reward_source!r}; expected 'pulls' or 'means'"
-        )
-
-
-def _effect_estimates(instance: Instance, treatments: np.ndarray, rngs,
-                      reward_source: str) -> np.ndarray:
-    """(R, M) estimated effects mean_t - mean_c, run r drawing from rngs[r]:
-    its treatment side first, then its control side.  Each draw is
-    mu + sd * standard_normal, bit for bit what rng.normal(mu, sd) gives."""
-    half = instance.validation.horizon // 2
-    mu, sd = instance.means, instance.stddevs
-    m = instance.num_metrics
-    if reward_source == "means":
-        noise = np.empty((len(rngs), 2, m))
-        for rng, out in zip(rngs, noise):
-            rng.standard_normal(out=out)
-        scale = sd / np.sqrt(half)
-        return mu[treatments] + scale[treatments] * noise[:, 0] \
-            - (mu[0] + scale[0] * noise[:, 1])
-    ate = np.empty((len(rngs), m))
-    for row, (t, rng) in enumerate(zip(treatments, rngs)):
-        noise = rng.standard_normal((2, half, m))
-        ate[row] = (mu[t] + sd[t] * noise[0]).mean(axis=0) \
-            - (mu[0] + sd[0] * noise[1]).mean(axis=0)
-    return ate
-
-
-def _standardized(instance: Instance, treatments,
-                  ate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ratio, critical), (..., M): each effect estimate in units of the
-    test's scale inflation * sqrt(2 var_sum / t_v), and the value it must
+def _standardized(instance: Instance, treatments, rngs,
+                  reward_source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ate, ratio, critical) of one validation run per generator: the
+    (R, M) effects mean_t - mean_c, run r drawing from rngs[r] through the
+    reward source as rows [treatment, control] of t_v/2 pulls each (its
+    treatment side first); each effect in units of the test's scale
+    inflation * sqrt(2 var_sum / t_v); and the (M,) value that ratio must
     reach for the metric to pass."""
+    treatments = np.asarray(treatments)
+    if treatments.dtype.kind not in "iu":
+        raise ValueError(f"treatments must be integers, got {treatments.dtype}")
+    bad = treatments[(treatments < 1) | (treatments > instance.num_treatments)]
+    if bad.size:
+        raise ValueError(f"treatment {bad[0]} out of range")
+    if reward_source not in ("pulls", "means"):
+        raise ValueError(f"unknown reward source {reward_source!r}; "
+                         "expected 'pulls' or 'means'")
+    rows = np.stack((treatments, np.zeros_like(treatments)), axis=1)
+    counts = np.full(rows.shape, instance.validation.horizon // 2)
+    means = get_reward_source(reward_source).stage_means_batch(
+        instance.means[rows], instance.stddevs[rows], counts, rngs)
+    ate = means[:, 0] - means[:, 1]
     cfg = instance.validation
-    var_sum = instance.variance_sums()[np.asarray(treatments) - 1]
+    var_sum = instance.variance_sums()[treatments - 1]
     _, critical, inflation = validation_terms(cfg, var_sum)
-    return ate / (inflation * np.sqrt(2.0 * var_sum / cfg.horizon)), critical
+    return ate, ate / (inflation * np.sqrt(2.0 * var_sum / cfg.horizon)), critical
 
 
 def run_validation(instance: Instance, treatment: int,
@@ -98,17 +88,12 @@ def run_validation(instance: Instance, treatment: int,
                    reward_source: str = "pulls") -> ValidationOutcome:
     """Draw both sides of the A/B test and apply the per-metric decisions.
 
-    reward_source "pulls" draws every individual reward; "means" draws each
-    side's sample mean from its exact law N(mu, sigma^2 / (t_v/2)) — the two
-    produce identically distributed outcomes, and "means" keeps large
-    validation horizons cheap.  Treatment side first, then control.
+    reward_source names the source that draws both sides, treatment first:
+    "pulls" or "means" (identically distributed outcomes; "means" keeps
+    large validation horizons cheap).
     """
-    if not 1 <= treatment <= instance.num_treatments:
-        raise ValueError(f"treatment {treatment} out of range")
-    _check_source(reward_source)
-    ate = _effect_estimates(instance, np.array([treatment]), [rng],
-                            reward_source)[0]
-    ratio, critical = _standardized(instance, treatment, ate)
+    ate, ratio, critical = _standardized(instance, [treatment], [rng], reward_source)
+    ate, ratio = ate[0], ratio[0]
     cfg = instance.validation
     if cfg.variant != BAYESIAN:
         return ValidationOutcome(per_metric_pass=ratio >= critical,
@@ -129,12 +114,5 @@ def run_validation_batch(instance: Instance, treatments, rngs,
     """Per-metric pass decisions (R, M) of one validation run per generator:
     row r equals ``run_validation(instance, treatments[r], rngs[r],
     reward_source).per_metric_pass`` and leaves rngs[r] in the same state."""
-    treatments = np.asarray(treatments, dtype=np.intp)
-    bad = treatments[(treatments < 1) | (treatments > instance.num_treatments)]
-    if bad.size:
-        raise ValueError(f"treatment {bad[0]} out of range")
-    _check_source(reward_source)
-    ratio, critical = _standardized(
-        instance, treatments,
-        _effect_estimates(instance, treatments, rngs, reward_source))
+    _, ratio, critical = _standardized(instance, treatments, rngs, reward_source)
     return ratio >= critical

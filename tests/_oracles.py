@@ -406,3 +406,24 @@ def phase0_reference(source: str, mu, sigma, n: int, rng):
         means.append(mean)
         variances.append(var)
     return means, variances
+
+
+# --- validation draws, one arm at a time -------------------------------------
+# The validation A/B test's effect estimate written per arm with rng.normal:
+# treatment side first, then control, t_v/2 pulls each.  The package draws
+# both sides through its reward sources.
+
+def validation_reference_ate(source: str, mu, sigma, treatment: int,
+                             horizon: int, rng):
+    """(M,) effect estimate mean_treatment - mean_control for the sources
+    "pulls" (every reward drawn) and "means" (each side's sample mean drawn
+    from N(mu, sigma^2 / (t_v/2)))."""
+    half = horizon // 2
+    side_means = []
+    for arm in (treatment, 0):
+        m, s = mu[arm], sigma[arm]
+        if source == "pulls":
+            side_means.append(rng.normal(m, s, size=(half, m.size)).mean(axis=0))
+        else:
+            side_means.append(rng.normal(m, s / math.sqrt(half)))
+    return side_means[0] - side_means[1]

@@ -11,16 +11,18 @@ import _oracles as oracle
 from _gen import random_instance
 from m3ab.alloc import (
     StageAllocation,
+    arm_weights,
     neyman_allocation,
     set_variances,
     shrvar_allocation,
     shrvar_allocation_unrounded,
+    stage_counts,
     uniform_allocation,
     variance_allocation,
 )
 from m3ab.core import Instance, ValidationConfig
 from m3ab.errors import InsufficientBudgetError
-from m3ab.halving import empirical_z
+from m3ab.halving import SAMPLING_RULES, empirical_z, run_exploration
 from m3ab.instances import preset
 
 
@@ -244,6 +246,42 @@ def test_all_rules_respect_budget(seed, budget):
         assert got.control_pulls >= 0
         assert set(got.treatment_pulls) == set(arms)
         assert all(n >= 0 for n in got.treatment_pulls.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**40),
+)
+def test_stage_counts_fund_every_arm_within_budget_up_to_bound(seed, rows,
+                                                               stage_budget):
+    # Extreme variance ratios, every rule, stage budgets up to the 2^40
+    # bound: above about 2^52 the float shares overspent the stage.
+    rng = np.random.default_rng(seed)
+    a_count, m = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    stddevs = np.exp(rng.uniform(-4.0, 4.0, size=(a_count + 1, m)))
+    k = int(rng.integers(1, a_count + 1))
+    active = np.sort(np.stack([rng.choice(np.arange(1, a_count + 1), k,
+                                          replace=False)
+                               for _ in range(rows)]), axis=1)
+    stage_budget = max(stage_budget, k + 1)
+    for rule in SAMPLING_RULES:
+        counts = stage_counts(rule, arm_weights(stddevs[None]), active,
+                              stage_budget)
+        assert counts.shape == (rows, k + 1)
+        assert counts.min() >= 1, rule
+        assert (counts.sum(axis=1) <= stage_budget).all(), rule
+
+
+def test_stage_counts_reject_stage_budgets_above_bound():
+    w = arm_weights(np.ones((1, 3, 1)))
+    for rule in SAMPLING_RULES:
+        with pytest.raises(ValueError, match="2\\^40"):
+            stage_counts(rule, w, np.array([[1, 2]]), 2**40 + 1)
+    with pytest.raises(ValueError, match="2\\^40"):
+        run_exploration(preset("exp1"), "shrvar", 2**62,
+                        rng=np.random.default_rng(0))
 
 
 _ENTRY_POINTS = {

@@ -1,6 +1,7 @@
 """CLI contract: flags, CSV/JSON schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -19,6 +20,7 @@ from m3ab import (
     z_profile,
 )
 from m3ab.cli import RUN_COLUMNS, SWEEP_COLUMNS, main
+from m3ab.instances import table1
 
 
 def parse_csv(text):
@@ -249,6 +251,26 @@ def test_sweep_non_integer_budget_value_is_flag_error(capsys):
     assert code == 2 and "integer" in err
 
 
+@pytest.mark.parametrize("param", ["budget", "t_v"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_sweep_non_finite_value_is_flag_error(capsys, param, value):
+    budget = () if param == "budget" else ("--budget", "500")
+    code, out, err = run_cli(
+        capsys, "sweep", "--preset", "exp1", "--param", param,
+        f"--values={value}", *budget, "--algo", "shrvar", "--reps", "2")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("algo", ["shrvar", "sh-z"])
+def test_run_huge_budget_is_input_error(capsys, algo):
+    code, out, err = run_cli(
+        capsys, "run", "--preset", "exp1", "--algo", algo,
+        "--budget", "99999999999999999999999", "--reps", "2")
+    assert code == 2 and out == ""
+    assert "stage_budget" in err and "2^40" in err
+
+
 def test_sweep_deterministic(capsys):
     args = ("sweep", "--preset", "exp2", "--param", "l", "--values", "2",
             "--algo", "shvar-z", "--budget", "500", "--reps", "25",
@@ -270,6 +292,16 @@ def test_complexity_report_fields(capsys):
     assert "(vacuous)" in out          # budget 0 gives a bound >= 1
     assert "H3~=" in out               # corrected complexity at 120000
     assert "best treatment: 1" in out
+
+
+@pytest.mark.parametrize("name, knobs", [("exp3", "num_treatments, delta, t_v"),
+                                         ("exp1", "delta, t_v")])
+def test_complexity_knob_the_preset_lacks_is_input_error(capsys, name, knobs):
+    code, out, err = run_cli(capsys, "complexity", "--preset", name,
+                             "--l", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == (f"[m3ab] error: preset {name!r} takes no knob 'l'; "
+                           f"its knobs are {knobs}")
 
 
 def test_complexity_too_large_falls_back(capsys):
@@ -332,6 +364,60 @@ def test_gen_null_instance_z_row(capsys, tmp_path):
     star = best_treatment(instance)
     row = z_profile(instance).z[star - 1]
     np.testing.assert_allclose(row, [-0.05, 0.05, 0.05], atol=1e-9)
+
+
+# --- frozen stdout -----------------------------------------------------------
+# SHA-256 of stdout for fixed flags.  A refactor must leave every byte
+# alone; a deliberate change of output updates the digest and says why.
+
+FROZEN_STDOUT = {
+    "run-exp1-csv-means": (
+        ("run", "--preset", "exp1", "--algo", "shrvar", "--algo", "sh-z",
+         "--algo", "shrvar-c", "--budget", "2000", "--budget", "8000",
+         "--reps", "60", "--source", "means"),
+        "e6366d7883c458751b2f8a0285948b987b23eaf35b81f7963290921e7bad7a34"),
+    "run-exp1-json-pulls": (
+        ("run", "--preset", "exp1", "--algo", "shrvar", "--algo", "shrvar-ada",
+         "--budget", "2000", "--reps", "20", "--source", "pulls",
+         "--format", "json"),
+        "eab7a4696f50c62207a90e7c6cc001a2005240781afc9162a9ca713a66d9286d"),
+    "sweep-exp2-l": (
+        ("sweep", "--preset", "exp2", "--param", "l", "--values", "0,3",
+         "--budget", "500", "--algo", "shrvar", "--algo", "sh", "--reps", "60"),
+        "71740d658844b3dc156171d90f3f2b3f1d5648522c1f1b2c0329a46bf124f156"),
+    "sweep-exp1-t_v": (
+        ("sweep", "--preset", "exp1", "--param", "t_v", "--values", "20,100",
+         "--budget", "2000", "--algo", "shrvar", "--reps", "60",
+         "--source", "pulls"),
+        "ba1c705eb0dc42a98f747d3f7cd54c12c32e813fb5e39e5c8d5903631b1b37f1"),
+    "complexity-exp1": (
+        ("complexity", "--preset", "exp1", "--budget", "120000"),
+        "56ce02b1ccb6737570950027359512ffc3baf89535be42e502b19cb2c1e92bec"),
+    "table1": (
+        ("table1",),
+        "62fcad28096986e3205b8971831e5d0bfb80d197f1f4ebf8245f60151b258be2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_STDOUT))
+def test_frozen_stdout(capsys, case):
+    argv, digest = FROZEN_STDOUT[case]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_frozen_stdout_bayesian_validation(capsys, tmp_path):
+    # table1 is a Bayesian instance; its validation passes are not saturated.
+    path = tmp_path / "table1.json"
+    save(table1(), path)
+    code, out, _ = run_cli(
+        capsys, "run", "--instance", str(path), "--algo", "shrvar",
+        "--algo", "sh-c", "--budget", "200", "--reps", "60",
+        "--source", "pulls")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "daf70bcde4f39a51899df4cb7e7e6e961e10553d388fad927c7ca9824e44d9ef"), out
 
 
 # --- module execution --------------------------------------------------------

@@ -514,12 +514,17 @@ def test_adaptive_with_oracle_variances_equals_known_variance_run():
             assert np.array_equal(sa.empirical_means[arm], sb.empirical_means[arm])
 
 
+class _ZeroVarianceSource(FixedMeanSource):
+    def mean_and_variance(self, mu, sigma, n, rngs):
+        return super().mean_and_variance(mu, np.zeros_like(sigma), n, rngs)
+
+
 def test_adaptive_constant_rewards_degenerate_variance():
     inst = unit_instance(4)
     with pytest.raises(DegenerateVarianceError):
         run_exploration_adaptive(
             inst, 1000, rng=np.random.default_rng(0),
-            reward_source=FixedMeanSource(variances="zero"),
+            reward_source=_ZeroVarianceSource(),
         )
 
 

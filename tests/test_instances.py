@@ -153,6 +153,26 @@ def test_exp2_requires_l_in_range():
             preset("exp2", l=bad)
 
 
+@pytest.mark.parametrize("name, knobs, takes", [
+    ("exp1", {"l": 2}, "delta, t_v"),
+    ("exp3", {"l": 2}, "num_treatments, delta, t_v"),
+    ("neyman_gap", {"sigma_big": 4.0, "num_treatments": 8},
+     "num_small, sigma_big, sigma_small, mean_gap, delta, t_v"),
+])
+def test_preset_names_the_knobs_it_takes(name, knobs, takes):
+    unknown = sorted(set(knobs) - set(takes.split(", ")))[0]
+    with pytest.raises(ValueError) as excinfo:
+        preset(name, **knobs)
+    assert str(excinfo.value) == (f"preset {name!r} takes no knob {unknown!r}; "
+                                  f"its knobs are {takes}")
+
+
+def test_preset_seed_reaches_only_random_presets():
+    assert np.array_equal(preset("exp1", seed=5).means, preset("exp1").means)
+    assert not np.array_equal(preset("exp3", seed=5, num_treatments=4).stddevs,
+                              preset("exp3", seed=6, num_treatments=4).stddevs)
+
+
 def test_exp2_validation_defaults():
     inst = preset("exp2", l=2)
     assert inst.validation.variant == "non_bayesian"

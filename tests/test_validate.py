@@ -6,13 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
 from _gen import random_instance
 from m3ab.core import Instance, ValidationConfig, pass_probability
-from m3ab.validate import ValidationOutcome, posterior, run_validation
+from m3ab.validate import (
+    ValidationOutcome,
+    posterior,
+    run_validation,
+    run_validation_batch,
+)
 
 
 def table_instance() -> Instance:
@@ -135,3 +140,66 @@ def test_pass_all_is_conjunction():
         per_metric_pass=np.array([True, True]), ate_estimates=np.zeros(2)
     )
     assert out.pass_all
+
+
+# --- draws against the per-arm oracle ---------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["bayesian", "non_bayesian"]),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["pulls", "means"]),
+)
+def test_validation_draws_match_per_arm_oracle(seed, variant, rows, source):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, variant=variant)
+    treatments = rng.integers(1, inst.num_treatments + 1, size=rows)
+    seeds = rng.integers(2**32, size=rows)
+    outcomes = []
+    for t, s in zip(treatments, seeds):
+        ref_rng, rng_r = np.random.default_rng(s), np.random.default_rng(s)
+        want = oracle.validation_reference_ate(
+            source, inst.means, inst.stddevs, int(t), inst.validation.horizon,
+            ref_rng)
+        out = run_validation(inst, int(t), rng_r, reward_source=source)
+        assert np.array_equal(out.ate_estimates, want)
+        assert rng_r.bit_generator.state == ref_rng.bit_generator.state
+        outcomes.append((out, rng_r.bit_generator.state))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    passed = run_validation_batch(inst, treatments, rngs, reward_source=source)
+    assert passed.shape == (rows, inst.num_metrics)
+    for row, rng_r, (out, state) in zip(passed, rngs, outcomes):
+        assert np.array_equal(row, out.per_metric_pass)
+        assert rng_r.bit_generator.state == state
+
+
+@pytest.mark.parametrize("source", ["fixed", "bogus"])
+def test_validation_rejects_sources_without_a_draw_law(source):
+    inst = table_instance()
+    message = (f"unknown reward source {source!r}; "
+               "expected 'pulls' or 'means'")
+    with pytest.raises(ValueError) as single:
+        run_validation(inst, 1, np.random.default_rng(0), reward_source=source)
+    with pytest.raises(ValueError) as batch:
+        run_validation_batch(inst, [1], [np.random.default_rng(0)],
+                             reward_source=source)
+    assert str(single.value) == str(batch.value) == message
+
+
+@pytest.mark.parametrize("treatment", [0, 3])
+def test_validation_rejects_treatment_out_of_range(treatment):
+    inst = table_instance()
+    with pytest.raises(ValueError, match=f"treatment {treatment} out of range"):
+        run_validation(inst, treatment, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"treatment {treatment} out of range"):
+        run_validation_batch(inst, [1, treatment],
+                             [np.random.default_rng(0)] * 2)
+
+
+def test_validation_rejects_non_integer_treatments():
+    inst = table_instance()
+    with pytest.raises(ValueError, match="treatments must be integers"):
+        run_validation(inst, 1.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="treatments must be integers"):
+        run_validation_batch(inst, [1.0], [np.random.default_rng(0)])
