@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import random_instance
-from _oracles import confidence_bonus, confidence_level_bisection, phase0_reference
+from _oracles import (
+    confidence_bonus,
+    confidence_level_bisection,
+    halving_stage_count,
+    phase0_reference,
+)
 from m3ab.alloc import (
     neyman_allocation,
     shrvar_allocation,
@@ -679,3 +684,36 @@ def test_stage_means_batch_equals_per_arm_reference_draws(source, m, counts,
     assert got.tobytes() == want.tobytes()
     assert [g.bit_generator.state for g in got_rngs] == \
         [g.bit_generator.state for g in want_rngs]
+
+
+def test_means_stages_read_consecutive_rows_of_one_fill():
+    # Under "means" stage s reads one standard normal per arm and metric, so
+    # its rows [control, *active] are rows offset_s .. offset_s + k_s of one
+    # fill of (sum of k_t+1, M) normals, offset_s = sum over t < s of
+    # k_t+1 (k_1 = A, k_{t+1} = ceil(k_t / 2)), and the run leaves its
+    # generator where that fill does.
+    params = np.random.default_rng(2024)
+    for a_count in range(1, 131):
+        inst = Instance(means=params.normal(size=(a_count + 1, 2)),
+                        stddevs=params.uniform(0.2, 4.0, size=(a_count + 1, 2)),
+                        validation=ValidationConfig.non_bayesian([0.1, 0.2], 100))
+        stages = halving_stage_count(a_count)
+        sizes, k = [], a_count
+        for _ in range(stages):
+            sizes.append(k + 1)
+            k = (k + 1) // 2
+        rng = np.random.default_rng(a_count)
+        result = run_exploration(inst, "shrvar", stages * (a_count + 1) * 3,
+                                 reward_source="means", rng=rng)
+        tape_rng = np.random.default_rng(a_count)
+        noise = tape_rng.standard_normal((sum(sizes), 2))
+        offset = 0
+        assert len(result.trail) == len(sizes)
+        for stats, size in zip(result.trail, sizes):
+            rows = [0, *stats.active.tolist()]
+            assert len(rows) == size
+            want = inst.means[rows] + inst.stddevs[rows] \
+                / np.sqrt(stats.counts)[:, None] * noise[offset:offset + size]
+            assert stats.means.tobytes() == want.tobytes(), (a_count, offset)
+            offset += size
+        assert rng.bit_generator.state == tape_rng.bit_generator.state

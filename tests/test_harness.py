@@ -329,6 +329,25 @@ def test_full_blocks_equal_per_repetition_reference(threads):
         == _reference_cells(cfg, instance)
 
 
+@pytest.mark.parametrize("source,algorithms", [
+    ("means", ["shrvar-ada", "shrvar", "sh-c"]),
+    ("means", ["sh-z", "shrvar-ada", "shvar"]),
+    ("means", ["shrvar-c", "neyman-z", "shrvar-ada"]),
+    ("pulls", ["shvar-z", "shrvar-ada", "sh"]),
+])
+def test_menus_around_the_adaptive_engine_equal_reference(monkeypatch, source,
+                                                          algorithms):
+    # The adaptive engine draws its own exploration noise; the algorithms
+    # before and after it must still see their paired draws.  Blocks of 4
+    # over 10 repetitions, on an instance whose validation can fail.
+    monkeypatch.setattr(harness, "BLOCK", 4)
+    instance = preset("exp2", l=3)
+    cfg = ExperimentConfig(instance=instance, algorithms=algorithms,
+                           budgets=[500, 1500], repetitions=10, master_seed=5,
+                           reward_source=source)
+    assert _cell_counts(run_experiment(cfg)) == _reference_cells(cfg, instance)
+
+
 # The two identities the batched engine rests on, on the installed numpy.
 
 @settings(max_examples=200, deadline=None)
@@ -347,6 +366,23 @@ def test_normal_equals_loc_plus_scale_times_standard_normal(shape, n, scale_exp,
     noise = np.random.default_rng(seed).standard_normal((n, *shape))
     want = np.random.default_rng(seed).normal(mu, sd, size=(n, *shape))
     assert (mu + sd * noise).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8), st.integers(1, 4),
+       st.integers(0, 2**63 - 1))
+def test_consecutive_fills_equal_one_fill_of_their_concatenation(rows, m, seed):
+    # A run's stages fill (k_s+1, M) buffers one after another; one fill of
+    # the (sum of k_s+1, M) concatenation gives the same normals and leaves
+    # the generator in the same state, so a run's noise can be drawn ahead.
+    parts_rng, whole_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    parts = [np.empty((k, m)) for k in rows]
+    for part in parts:
+        parts_rng.standard_normal(out=part)
+    whole = np.empty((sum(rows), m))
+    whole_rng.standard_normal(out=whole)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert parts_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
