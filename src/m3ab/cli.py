@@ -109,8 +109,9 @@ def _harness_flags() -> argparse.ArgumentParser:
                              "(breaks byte-identical reruns)")
     parent.add_argument("--threads", type=int, default=None,
                         help="worker processes per experiment, at most "
-                             "one per repetition (default: M3AB_THREADS or "
-                             "1); results are identical for any value")
+                             "one per repetition and one per CPU (default: "
+                             "M3AB_THREADS or 1); results are identical for "
+                             "any value")
     return parent
 
 
@@ -172,7 +173,11 @@ def _resolve_instance(args) -> Instance:
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    return max(1, int(os.environ.get("M3AB_THREADS", "1")))
+    value = os.environ.get("M3AB_THREADS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(f"M3AB_THREADS must be an integer, got {value!r}") from None
 
 
 def _cell_row(cell, timing: bool) -> dict:

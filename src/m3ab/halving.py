@@ -39,9 +39,13 @@ nothing else, so drawing each pull ("pulls") and drawing the sufficient
 statistics from their exact laws ("means": mean ~ N(mu, sigma^2/n), sample
 variance ~ sigma^2 * chi2_{n-1}/(n-1)) induce identical distributions over
 trajectories.  "means" makes very large budgets cheap to simulate; the
-validation A/B test (``validate``) draws through the same two sources.  The
-believed sigma comes as tables with a leading belief axis: one row for the
-known-variance engines, one per repetition for the adaptive engine.
+validation A/B test (``validate``) draws through the same two laws.  Under
+"means" a stage reads one standard normal per arm and metric whatever its
+counts, so a run reads sum_s (k_s + 1) * M of them: the stage loop draws
+them in one fill per repetition and reads stage s at row offset sum over
+t < s of k_t + 1 (the harness draws a block's once for its whole menu).
+The believed sigma comes as tables with a leading belief axis: one row for
+the known-variance engines, one per repetition for the adaptive engine.
 """
 
 from __future__ import annotations
@@ -137,17 +141,27 @@ class GaussianPullSource:
         return out[0], out[1]
 
 
+def _standard_normals(rngs, shape) -> np.ndarray:
+    """(R, *shape) standard normals, row r one C-order fill from rngs[r]
+    (the same numbers as consecutive fills of its slices)."""
+    noise = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    return noise
+
+
+def _stat_means(mu_rows, sigma_rows, counts, noise):
+    """The "means" law: rng.normal(mu, sd / sqrt(n)) is mu + sd / sqrt(n) *
+    standard_normal bit for bit, one normal per arm and metric whatever n."""
+    return mu_rows + sigma_rows / np.sqrt(counts)[..., None] * noise
+
+
 class GaussianStatSource:
     """Draws per-stage means (and phase-0 variances) from their exact laws."""
 
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
-        # Each row's generator fills its slice in C order, consuming its
-        # normal stream arm by arm exactly as rng.normal(mu, sd) would;
-        # rng.normal(mu, sd) is mu + sd * standard_normal, bit for bit.
-        noise = np.empty(mu_rows.shape)
-        for rng, out in zip(rngs, noise):
-            rng.standard_normal(out=out)
-        return mu_rows + sigma_rows / np.sqrt(counts)[..., None] * noise
+        return _stat_means(mu_rows, sigma_rows, counts,
+                           _standard_normals(rngs, mu_rows.shape[1:]))
 
     def mean_and_variance(self, mu, sigma, n, rngs):
         # Row r draws arm by arm from rngs[r] as rng.normal(mu, sd / sqrt(n))
@@ -160,8 +174,7 @@ class GaussianStatSource:
             for arm_noise, arm_gamma in zip(noise_row, gamma_row):
                 normal(out=arm_noise)
                 standard_gamma(shape, out=arm_gamma)
-        mean = mu + sigma / math.sqrt(n) * noise
-        return mean, sigma**2 * (2.0 * gamma) / (n - 1)
+        return _stat_means(mu, sigma, n, noise), sigma**2 * (2.0 * gamma) / (n - 1)
 
 
 class FixedMeanSource:
@@ -173,6 +186,13 @@ class FixedMeanSource:
 
     def mean_and_variance(self, mu, sigma, n, rngs):
         return np.tile(mu, (len(rngs), 1, 1)), np.tile(sigma**2, (len(rngs), 1, 1))
+
+
+def _reads_noise(source) -> bool:
+    """Whether the source's stage law is GaussianStatSource's, which the
+    stage loop reads off one noise array per run instead of calling it."""
+    law = getattr(type(source), "stage_means_batch", None)
+    return law is GaussianStatSource.stage_means_batch
 
 
 _SOURCES = {"pulls": GaussianPullSource, "means": GaussianStatSource,
@@ -383,12 +403,22 @@ def num_stages(num_treatments: int) -> int:
     return max(1, math.ceil(math.log2(num_treatments)))
 
 
+def _noise_rows(num_treatments: int) -> int:
+    """Sum over the stages of k_s + 1: k_{s+1} = ceil(k_s / 2) from k_1 = A
+    makes k_s = ceil(A / 2^(s-1))."""
+    return sum(math.ceil(num_treatments / 2**s) + 1
+               for s in range(num_stages(num_treatments)))
+
+
 def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
-           source, rngs, trail: list | None = None) -> np.ndarray:
+           source, rngs, trail: list | None = None, noise=None) -> np.ndarray:
     """The stage loop: one halving run per generator in ``rngs``, with
     (R, k_s) active index arrays, every row ascending, on the belief tables
     ``constants``.  Returns the R recommended treatments; with ``trail``,
-    appends row 0's StageStats of every stage to it."""
+    appends row 0's StageStats of every stage to it.  Under the "means"
+    law stage s reads rows offset_s .. offset_s + k_s of one
+    (R, _noise_rows(A), M) array of standard normals: ``noise``, or drawn
+    once after stage 1's counts (whose budget check decides every stage)."""
     stages = num_stages(instance.num_treatments)
     stage_budget = budget // stages
     if stage_budget < 1:
@@ -397,11 +427,20 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
         )
     treatments = np.arange(1, instance.num_treatments + 1)
     active = np.tile(treatments, (len(rngs), 1))
+    offset = 0
     for _ in range(stages):
         counts = stage_counts(spec.sampling, constants[0], active, stage_budget)
         rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
-        means = source.stage_means_batch(instance.means[rows],
-                                         instance.stddevs[rows], counts, rngs)
+        mu_rows, sigma_rows = instance.means[rows], instance.stddevs[rows]
+        if _reads_noise(source):
+            if noise is None:
+                noise = _standard_normals(rngs, (_noise_rows(len(treatments)),
+                                                 instance.num_metrics))
+            means = _stat_means(mu_rows, sigma_rows, counts,
+                                noise[:, offset:offset + rows.shape[1]])
+        else:
+            means = source.stage_means_batch(mu_rows, sigma_rows, counts, rngs)
+        offset += rows.shape[1]
         z, z_var = _z_stats(constants, active, means, counts)
         if trail is not None:
             trail.append(StageStats(active=active[0], means=means[0],

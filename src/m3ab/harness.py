@@ -29,8 +29,9 @@ validation stream.  The derivation does not involve the algorithm identity,
 so all algorithms in one experiment see identical reward randomness per
 repetition (paired comparisons), and results are independent of the thread
 count.  Repetitions run in blocks of BLOCK as arrays: each block derives its
-streams once and every algorithm restarts from them (see ``_count_range``
-and the README's "How repetitions run").
+streams once and draws once the normals every algorithm reads alike, and
+only an algorithm that draws from a stream itself restarts it (see
+``_count_range`` and the README's "How repetitions run").
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -51,11 +53,15 @@ from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,
     AlgorithmSpec,
+    _beliefs,
+    _halve,
+    _noise_rows,
+    _reads_noise,
+    _standard_normals,
     get_reward_source,
     run_exploration,
-    run_exploration_batch,
 )
-from m3ab.validate import run_validation, run_validation_batch
+from m3ab.validate import _standardized, run_validation
 
 # run_exploration and run_validation are the one-repetition forms of what
 # _count_range runs in blocks; they stay importable from here, where
@@ -162,9 +168,9 @@ class ExperimentConfig:
 class CellReport:
     """Counts for one (algorithm, budget) cell; rates and Wilson intervals
     derive from them.  ``seconds`` is the time spent on the cell, summed
-    over worker processes, with each block's seed derivation split evenly
-    over the algorithms; it is excluded from equality so deterministic
-    replays compare equal."""
+    over worker processes, with each block's seed derivation and shared
+    draws split evenly over the algorithms; it is excluded from equality so
+    deterministic replays compare equal."""
 
     algorithm: str
     budget: int
@@ -253,7 +259,7 @@ def _streams(key: tuple, reps: range):
     gens = [[np.random.default_rng(np.random.SeedSequence([*key, rep],
                                                           spawn_key=(child,)))
              for rep in reps] for child in (0, 1)]
-    return gens, [g.bit_generator.state for g in gens[0] + gens[1]]
+    return gens, [[g.bit_generator.state for g in child] for child in gens]
 
 
 def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
@@ -264,30 +270,47 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     (len(specs),) of every algorithm over repetitions [start, stop), in
     blocks of BLOCK repetitions.
 
-    Each block derives its generators once; every algorithm restarts them
-    from the same states, so the menu sees paired draws.  The derivation
-    time is split evenly over the menu.
+    Each block derives its generators once and draws once what the whole
+    menu reads alike: the (R, sum of k_s + 1, M) normals of every
+    known-variance run under the "means" law, and the (R, 2, M) of a
+    "means" validation.  An algorithm that draws from a stream itself (the
+    adaptive engine, any "pulls" draw) restarts that stream's generators
+    from their start states.  Derivation and shared-draw time is split
+    evenly over the menu.
     """
+    source = get_reward_source(reward_source)
     validation_source = _validation_source(reward_source)
+    shapes = ((_noise_rows(instance.num_treatments), instance.num_metrics)
+              if _reads_noise(source) else None,
+              (2, instance.num_metrics) if validation_source == "means" else None)
     counts = np.zeros((len(specs), 3), dtype=np.int64)
     seconds = np.zeros(len(specs))
     for lo in range(start, stop, BLOCK):
         started = time.perf_counter()
         gens, states = _streams(key, range(lo, min(lo + BLOCK, stop)))
+        shared = [None if shape is None else _standard_normals(child, shape)
+                  for child, shape in zip(gens, shapes)]
         seconds += (time.perf_counter() - started) / len(specs)
         for idx, spec in enumerate(specs):
             started = time.perf_counter()
-            for gen, state in zip(gens[0] + gens[1], states):
-                gen.bit_generator.state = state
+            noise = (shared[0] if spec.variance_knowledge == "known" else None,
+                     shared[1])
+            for child, child_states, drawn in zip(gens, states, noise):
+                if drawn is None:
+                    for gen, state in zip(child, child_states):
+                        gen.bit_generator.state = state
             try:
-                recommended = run_exploration_batch(instance, spec, budget,
-                                                    gens[0], reward_source)
+                constants, loop_budget = _beliefs(instance, spec, budget,
+                                                  source, gens[0])
+                recommended = _halve(instance, constants, spec, loop_budget,
+                                     source, gens[0], noise=noise[0])
             except InsufficientBudgetError as exc:
                 raise InsufficientBudgetError(
                     f"cell (algorithm={spec.name}, budget={budget}): {exc}",
                     arm=exc.arm, cell=(spec.name, budget)) from exc
-            passed = run_validation_batch(instance, recommended, gens[1],
-                                          validation_source).all(axis=1)
+            _, ratio, critical = _standardized(instance, recommended, gens[1],
+                                               validation_source, noise[1])
+            passed = (ratio >= critical).all(axis=1)
             positive = positive_min_z[recommended - 1]
             counts[idx] += (np.count_nonzero(recommended == star),
                             np.count_nonzero(passed & positive),
@@ -308,10 +331,18 @@ def _worker_count(threads: int, repetitions: int) -> int:
     return len(_chunks(repetitions, max(1, threads)))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool(threads: int, repetitions: int):
     """One process pool for a whole experiment or sweep, or none when the
-    work fits one process."""
-    workers = _worker_count(threads, repetitions)
+    work fits one process.  Chunks follow ``threads``; workers stop at the
+    CPU count, so a large ``threads`` queues chunks instead of processes."""
+    workers = min(_worker_count(threads, repetitions), _cpu_count())
     if workers <= 1:
         return contextlib.nullcontext()
     return ProcessPoolExecutor(max_workers=workers)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from m3ab.core import BAYESIAN, Instance, validation_terms
-from m3ab.halving import get_reward_source
+from m3ab.halving import GaussianPullSource, _standard_normals, _stat_means
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,16 @@ def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
     return delta_hat, sigma_hat_sq
 
 
-def _standardized(instance: Instance, treatments, rngs,
-                  reward_source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardized(instance: Instance, treatments, rngs, reward_source: str,
+                  noise=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ate, ratio, critical) of one validation run per generator: the
     (R, M) effects mean_t - mean_c, run r drawing from rngs[r] through the
     reward source as rows [treatment, control] of t_v/2 pulls each (its
     treatment side first); each effect in units of the test's scale
     inflation * sqrt(2 var_sum / t_v); and the (M,) value that ratio must
-    reach for the metric to pass."""
+    reach for the metric to pass.  Under "means" the draws are (R, 2, M)
+    standard normals, one fill per generator, or ``noise`` when the caller
+    drew them ahead."""
     treatments = np.asarray(treatments)
     if treatments.dtype.kind not in "iu":
         raise ValueError(f"treatments must be integers, got {treatments.dtype}")
@@ -72,13 +74,19 @@ def _standardized(instance: Instance, treatments, rngs,
     if reward_source not in ("pulls", "means"):
         raise ValueError(f"unknown reward source {reward_source!r}; "
                          "expected 'pulls' or 'means'")
-    rows = np.stack((treatments, np.zeros_like(treatments)), axis=1)
-    counts = np.full(rows.shape, instance.validation.horizon // 2)
-    means = get_reward_source(reward_source).stage_means_batch(
-        instance.means[rows], instance.stddevs[rows], counts, rngs)
-    ate = means[:, 0] - means[:, 1]
     cfg = instance.validation
-    var_sum = instance.variance_sums()[treatments - 1]
+    rows = np.zeros((treatments.size, 2), dtype=int)
+    rows[:, 0] = treatments
+    mu_rows, sigma_rows = instance.means[rows], instance.stddevs[rows]
+    if reward_source == "pulls":
+        means = GaussianPullSource().stage_means_batch(
+            mu_rows, sigma_rows, np.full(rows.shape, cfg.horizon // 2), rngs)
+    else:
+        if noise is None:
+            noise = _standard_normals(rngs, mu_rows.shape[1:])
+        means = _stat_means(mu_rows, sigma_rows, cfg.horizon // 2, noise)
+    ate = means[:, 0] - means[:, 1]
+    var_sum = sigma_rows[:, 0] ** 2 + sigma_rows[:, 1] ** 2
     _, critical, inflation = validation_terms(cfg, var_sum)
     return ate, ate / (inflation * np.sqrt(2.0 * var_sum / cfg.horizon)), critical
 

@@ -271,6 +271,17 @@ def test_run_huge_budget_is_input_error(capsys, algo):
     assert "stage_budget" in err and "2^40" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_integer_thread_env_names_the_variable(capsys, monkeypatch, command):
+    monkeypatch.setenv("M3AB_THREADS", "abc")
+    sweep = ("--param", "t_v", "--values", "100") if command == "sweep" else ()
+    code, out, err = run_cli(
+        capsys, command, "--preset", "exp1", "--algo", "shrvar",
+        "--budget", "2000", "--reps", "2", *sweep)
+    assert code == 2 and out == ""
+    assert "M3AB_THREADS must be an integer, got 'abc'" in err
+
+
 def test_sweep_deterministic(capsys):
     args = ("sweep", "--preset", "exp2", "--param", "l", "--values", "2",
             "--algo", "shvar-z", "--budget", "500", "--reps", "25",

@@ -21,7 +21,7 @@ from m3ab import (
     z_profile,
 )
 from m3ab import harness
-from m3ab.halving import ALGORITHMS
+from m3ab.halving import ALGORITHMS, GaussianStatSource
 from m3ab.harness import (
     METRICS,
     SWEEP_PARAMETERS,
@@ -348,6 +348,32 @@ def test_menus_around_the_adaptive_engine_equal_reference(monkeypatch, source,
     assert _cell_counts(run_experiment(cfg)) == _reference_cells(cfg, instance)
 
 
+class _OwnStageLawSource(GaussianStatSource):
+    """The "means" law through its own stage method, counting calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
+        self.calls += 1
+        return super().stage_means_batch(mu_rows, sigma_rows, counts, rngs)
+
+
+def test_source_with_its_own_stage_method_is_called():
+    # Only the built-in "means" law is read off shared noise; a source that
+    # overrides the stage method is called once per stage and block, and
+    # here (same law, drawn stage by stage) gives the same counts.
+    source = _OwnStageLawSource()
+    cfg = small_config(algorithms=["shrvar", "shrvar-ada", "sh"],
+                       repetitions=6)
+    report = run_experiment(dataclasses.replace(cfg, reward_source=source))
+    assert source.calls == 3 * 5  # three algorithms, five stages at A=27
+    assert _cell_counts(report) == _cell_counts(run_experiment(cfg))
+    rng = np.random.default_rng(8)
+    run_exploration(preset("exp1"), "sh-z", 8000, reward_source=source, rng=rng)
+    assert source.calls == 3 * 5 + 4
+
+
 # The two identities the batched engine rests on, on the installed numpy.
 
 @settings(max_examples=200, deadline=None)
@@ -425,6 +451,7 @@ class _SerialPool:
 def test_one_pool_per_call_sized_by_the_work(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
     cfg = small_config(instance=lambda l: preset("exp2", l=l), repetitions=3)
     sweep(cfg, "heterogeneity_l", [0, 1, 2], threads=8)
     assert _SerialPool.sizes == [3]  # one pool for three values, 3 chunks
@@ -432,6 +459,24 @@ def test_one_pool_per_call_sized_by_the_work(monkeypatch):
     assert _SerialPool.sizes == [3]  # one repetition: no pool at all
     run_experiment(small_config(budgets=[500, 600], repetitions=4), threads=2)
     assert _SerialPool.sizes == [3, 2]
+
+
+def test_pool_workers_stop_at_the_cpu_count(monkeypatch):
+    # Chunks still follow threads, so the counts do not move; only the
+    # number of worker processes is capped.  No process is started.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    cfg = small_config(algorithms=["shrvar", "sh"], repetitions=12)
+    assert run_experiment(cfg, threads=5000) == run_experiment(cfg, threads=1)
+    assert _SerialPool.sizes == [2]
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    assert run_experiment(cfg, threads=5000) == run_experiment(cfg, threads=1)
+    assert _SerialPool.sizes == [2]  # one CPU: no pool at all
+
+
+def test_cpu_count_is_positive():
+    assert harness._cpu_count() >= 1
 
 
 def test_insufficient_budget_identifies_cell():
