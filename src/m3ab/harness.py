@@ -280,8 +280,9 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     """
     source = get_reward_source(reward_source)
     validation_source = _validation_source(reward_source)
+    known = any(spec.variance_knowledge == "known" for spec in specs)
     shapes = ((_noise_rows(instance.num_treatments), instance.num_metrics)
-              if _reads_noise(source) else None,
+              if known and _reads_noise(source) else None,
               (2, instance.num_metrics) if validation_source == "means" else None)
     counts = np.zeros((len(specs), 3), dtype=np.int64)
     seconds = np.zeros(len(specs))

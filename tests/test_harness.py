@@ -333,6 +333,7 @@ def test_full_blocks_equal_per_repetition_reference(threads):
     ("means", ["shrvar-ada", "shrvar", "sh-c"]),
     ("means", ["sh-z", "shrvar-ada", "shvar"]),
     ("means", ["shrvar-c", "neyman-z", "shrvar-ada"]),
+    ("means", ["shrvar-ada"]),
     ("pulls", ["shvar-z", "shrvar-ada", "sh"]),
 ])
 def test_menus_around_the_adaptive_engine_equal_reference(monkeypatch, source,
