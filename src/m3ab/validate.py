@@ -1,7 +1,7 @@
 """Simulation of the validation A/B test.
 
 The recommended treatment and the control are each pulled t_v/2 times,
-drawn through the exploration's reward sources (``halving``'s "pulls" or
+drawn with the exploration's reward laws (``halving``'s "pulls" or
 "means") as one stage of rows [treatment, control]: the treatment side is
 drawn first, then the control side — fixed order so a seeded run is
 reproducible.  Per metric, one-sided "treatment beats control" tests:
