@@ -332,24 +332,27 @@ def cmd_complexity(args) -> int:
              f"delta_min: {delta_min(instance):.6g}"]
     try:
         report = h3(instance, max_enumeration=args.max_enum)
-        h_for_bounds = report.h3
         lines.append(f"H3: {report.h3:.6g}")
         lines.append("attaining subset: "
                      + ",".join(str(a) for a in report.argmin_subset))
         lines.append(f"rho_sigma: {report.rho_sigma:.6g}")
         lines.append(f"lambda_sigma: {report.lambda_sigma:.6g}")
     except TooLargeError as exc:
-        h_for_bounds = surrogate
+        report = None
         lines.append(f"H3: too large to enumerate ({exc})")
     lines.append(f"H3': {surrogate:.6g}")
     for budget in args.budget or ():
+        # h3' lies below h3, so it cannot stand in for h3 in a bound
+        if report is None:
+            lines.append(f"budget {budget}: no error bound (H3 not enumerated)")
+            continue
         parts = [f"budget {budget}:"]
-        if budget > 0 and instance.num_treatments <= args.max_enum:
+        if budget > 0:
             tilde = h3_tilde(instance, budget, args.max_enum)
             parts.append(f"H3~={tilde:.6g}")
         for variant in ("theorem1", "theorem2"):
             bound = error_bound(budget, instance.num_treatments,
-                                instance.num_metrics, h_for_bounds, variant)
+                                instance.num_metrics, report.h3, variant)
             suffix = " (vacuous)" if bound.vacuous else ""
             parts.append(f"{variant} bound={bound.value:.6g}{suffix}")
         lines.append(" ".join(parts))

@@ -255,7 +255,7 @@ def _check_enumerable(instance: Instance, max_enumeration: int) -> None:
         raise TooLargeError(
             f"{instance.num_treatments} treatments means "
             f"2^{instance.num_treatments - 1} subsets; raise max_enumeration "
-            f"(currently {max_enumeration}) or use h3_prime instead"
+            f"(currently {max_enumeration})"
         )
 
 

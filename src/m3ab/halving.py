@@ -41,9 +41,9 @@ variance ~ sigma^2 * chi2_{n-1}/(n-1)) induce identical distributions over
 trajectories.  "means" makes very large budgets cheap to simulate; the
 validation A/B test (``validate``) draws through the same two laws.  Under
 "means" a stage reads one standard normal per arm and metric whatever its
-counts, so a run reads sum_s (k_s + 1) * M of them: the stage loop draws
-them in one fill per repetition and reads stage s at row offset sum over
-t < s of k_t + 1 (the harness draws a block's once for its whole menu).
+counts, so a run reads sum_s (k_s + 1) * M of them; the harness draws them
+as one tape per repetition, and the stage loop handed a tape reads stage s
+at row offset sum over t < s of k_t + 1 instead of calling the source.
 The believed sigma comes as tables with a leading belief axis: one row for
 the known-variance engines, one per repetition for the adaptive engine.
 """
@@ -186,13 +186,6 @@ class FixedMeanSource:
 
     def mean_and_variance(self, mu, sigma, n, rngs):
         return np.tile(mu, (len(rngs), 1, 1)), np.tile(sigma**2, (len(rngs), 1, 1))
-
-
-def _reads_noise(source) -> bool:
-    """Whether the source's stage law is GaussianStatSource's, which the
-    stage loop reads off one noise array per run instead of calling it."""
-    law = getattr(type(source), "stage_means_batch", None)
-    return law is GaussianStatSource.stage_means_batch
 
 
 _SOURCES = {"pulls": GaussianPullSource, "means": GaussianStatSource,
@@ -415,31 +408,26 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
     """The stage loop: one halving run per generator in ``rngs``, with
     (R, k_s) active index arrays, every row ascending, on the belief tables
     ``constants``.  Returns the R recommended treatments; with ``trail``,
-    appends row 0's StageStats of every stage to it.  Under the "means"
-    law stage s reads rows offset_s .. offset_s + k_s of one
-    (R, _noise_rows(A), M) array of standard normals: ``noise``, or drawn
-    once after stage 1's counts (whose budget check decides every stage)."""
+    appends row 0's StageStats of every stage to it.  Each stage calls the
+    source once, or, handed a "means" tape ``noise`` of shape
+    (R, _noise_rows(A), M), reads rows offset_s .. offset_s + k_s of it."""
     stages = num_stages(instance.num_treatments)
     stage_budget = budget // stages
     if stage_budget < 1:
         raise InsufficientBudgetError(
             f"budget {budget} cannot fund {stages} stages", arm=0
         )
-    treatments = np.arange(1, instance.num_treatments + 1)
-    active = np.tile(treatments, (len(rngs), 1))
+    active = np.tile(np.arange(1, instance.num_treatments + 1), (len(rngs), 1))
     offset = 0
     for _ in range(stages):
         counts = stage_counts(spec.sampling, constants[0], active, stage_budget)
         rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
         mu_rows, sigma_rows = instance.means[rows], instance.stddevs[rows]
-        if _reads_noise(source):
-            if noise is None:
-                noise = _standard_normals(rngs, (_noise_rows(len(treatments)),
-                                                 instance.num_metrics))
+        if noise is None:
+            means = source.stage_means_batch(mu_rows, sigma_rows, counts, rngs)
+        else:
             means = _stat_means(mu_rows, sigma_rows, counts,
                                 noise[:, offset:offset + rows.shape[1]])
-        else:
-            means = source.stage_means_batch(mu_rows, sigma_rows, counts, rngs)
         offset += rows.shape[1]
         z, z_var = _z_stats(constants, active, means, counts)
         if trail is not None:
@@ -482,8 +470,8 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
                     reward_source="pulls",
                     rng: np.random.Generator | None = None) -> ExplorationResult:
     """Run one exploration phase and return the recommended treatment: the
-    one-row call of the stage loop that ``run_exploration_batch`` runs over
-    many repetitions.  Draw order per stage: control first, then active
+    one-row call of the stage loop the harness runs over blocks of
+    repetitions.  Draw order per stage: control first, then active
     treatments ascending; ``total_pulls_used`` includes phase 0."""
     if isinstance(spec, str):
         spec = AlgorithmSpec.from_name(spec)
@@ -495,23 +483,6 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
     recommended = _halve(instance, constants, spec, loop_budget, source, [rng], trail)
     pulls = budget - loop_budget + sum(int(s.counts.sum()) for s in trail)
     return ExplorationResult(int(recommended[0]), trail, pulls)
-
-
-def run_exploration_batch(instance: Instance, spec: AlgorithmSpec | str,
-                          budget: int, rngs, reward_source="pulls") -> np.ndarray:
-    """The recommended treatment of one exploration per generator in `rngs`.
-
-    Row r equals ``run_exploration(..., rng=rngs[r]).recommended`` and
-    leaves rngs[r] in the same state.  Every engine runs all rows through
-    one stage loop; the adaptive engine first runs phase 0 for every row
-    (one ``mean_and_variance`` call, each row's draws in its own arm-by-arm
-    order) and then loops on per-row beliefs.
-    """
-    if isinstance(spec, str):
-        spec = AlgorithmSpec.from_name(spec)
-    source = get_reward_source(reward_source)
-    constants, loop_budget = _beliefs(instance, spec, budget, source, rngs)
-    return _halve(instance, constants, spec, loop_budget, source, rngs)
 
 
 def run_exploration_adaptive(instance: Instance, budget: int,

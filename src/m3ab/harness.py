@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from m3ab.core import Instance, best_treatment, z_profile
 from m3ab.errors import InsufficientBudgetError
@@ -56,7 +56,6 @@ from m3ab.halving import (
     _beliefs,
     _halve,
     _noise_rows,
-    _reads_noise,
     _standard_normals,
     get_reward_source,
     run_exploration,
@@ -100,7 +99,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     n = float(trials)
     p = successes / n
     z2 = z * z
@@ -274,15 +273,17 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     menu reads alike: the (R, sum of k_s + 1, M) normals of every
     known-variance run under the "means" law, and the (R, 2, M) of a
     "means" validation.  An algorithm that draws from a stream itself (the
-    adaptive engine, any "pulls" draw) restarts that stream's generators
-    from their start states.  Derivation and shared-draw time is split
-    evenly over the menu.
+    adaptive engine, any "pulls" draw or source object) restarts that
+    stream's generators from their start states; under "means" the
+    adaptive engine draws its own exploration normals right after phase 0.
+    Derivation and shared-draw time is split evenly over the menu.
     """
     source = get_reward_source(reward_source)
     validation_source = _validation_source(reward_source)
+    tape = ((_noise_rows(instance.num_treatments), instance.num_metrics)
+            if reward_source == "means" else None)
     known = any(spec.variance_knowledge == "known" for spec in specs)
-    shapes = ((_noise_rows(instance.num_treatments), instance.num_metrics)
-              if known and _reads_noise(source) else None,
+    shapes = (tape if known else None,
               (2, instance.num_metrics) if validation_source == "means" else None)
     counts = np.zeros((len(specs), 3), dtype=np.int64)
     seconds = np.zeros(len(specs))
@@ -294,8 +295,8 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
         seconds += (time.perf_counter() - started) / len(specs)
         for idx, spec in enumerate(specs):
             started = time.perf_counter()
-            noise = (shared[0] if spec.variance_knowledge == "known" else None,
-                     shared[1])
+            noise = [shared[0] if spec.variance_knowledge == "known" else None,
+                     shared[1]]
             for child, child_states, drawn in zip(gens, states, noise):
                 if drawn is None:
                     for gen, state in zip(child, child_states):
@@ -303,6 +304,8 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
             try:
                 constants, loop_budget = _beliefs(instance, spec, budget,
                                                   source, gens[0])
+                if noise[0] is None and tape is not None:
+                    noise[0] = _standard_normals(gens[0], tape)
                 recommended = _halve(instance, constants, spec, loop_budget,
                                      source, gens[0], noise=noise[0])
             except InsufficientBudgetError as exc:

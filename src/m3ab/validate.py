@@ -17,8 +17,8 @@ reproducible.  Per metric, one-sided "treatment beats control" tests:
 Both are one rule: pass iff the standardized effect estimate mean_diff /
 (inflation * sqrt(2(sigma_a^2 + sigma_0^2) / t_v)) reaches the critical value,
 both from ``core.validation_terms`` (for the Bayesian test that ratio is
-delta_hat / sigma_hat, so p_i is its Phi).  ``run_validation`` and
-``run_validation_batch`` both take it from ``_standardized``.
+delta_hat / sigma_hat, so p_i is its Phi).  ``run_validation`` (one run)
+and the harness (a block of runs) both take it from ``_standardized``.
 """
 
 from __future__ import annotations
@@ -116,11 +116,3 @@ def run_validation(instance: Instance, treatment: int,
         p=ndtr(ratio),
     )
 
-
-def run_validation_batch(instance: Instance, treatments, rngs,
-                         reward_source: str = "pulls") -> np.ndarray:
-    """Per-metric pass decisions (R, M) of one validation run per generator:
-    row r equals ``run_validation(instance, treatments[r], rngs[r],
-    reward_source).per_metric_pass`` and leaves rngs[r] in the same state."""
-    _, ratio, critical = _standardized(instance, treatments, rngs, reward_source)
-    return ratio >= critical

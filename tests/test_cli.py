@@ -404,6 +404,10 @@ FROZEN_STDOUT = {
     "complexity-exp1": (
         ("complexity", "--preset", "exp1", "--budget", "120000"),
         "56ce02b1ccb6737570950027359512ffc3baf89535be42e502b19cb2c1e92bec"),
+    # above --max-enum no bound is printed: h3' lies below h3
+    "complexity-exp3-no-bound": (
+        ("complexity", "--preset", "exp3", "--budget", "1000000"),
+        "bf36e053f23d859190032a930877de3f4dd6626926d006eacb2696ef87bb7d12"),
     "table1": (
         ("table1",),
         "62fcad28096986e3205b8971831e5d0bfb80d197f1f4ebf8245f60151b258be2"),

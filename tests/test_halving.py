@@ -33,6 +33,8 @@ from m3ab.halving import (
     GaussianPullSource,
     GaussianStatSource,
     StageStats,
+    _beliefs,
+    _halve,
     confidence_eliminate,
     confidence_level,
     empirical_z,
@@ -42,9 +44,15 @@ from m3ab.halving import (
     num_stages,
     run_exploration,
     run_exploration_adaptive,
-    run_exploration_batch,
 )
 from m3ab.instances import preset
+
+
+def explore_block(instance, name, budget, rngs, reward_source="pulls"):
+    """One run per generator, called the way the harness calls the engine."""
+    spec, source = ALGORITHMS[name], get_reward_source(reward_source)
+    constants, loop_budget = _beliefs(instance, spec, budget, source, rngs)
+    return _halve(instance, constants, spec, loop_budget, source, rngs)
 
 
 def unit_instance(num_treatments: int, delta: float = 0.5) -> Instance:
@@ -427,9 +435,9 @@ def test_confidence_elimination_with_more_than_1024_arm_metric_pairs():
     rows = [run_exploration(inst, "shrvar-c", 120000, reward_source="means",
                             rng=np.random.default_rng(s)).recommended
             for s in seeds]
-    batch = run_exploration_batch(inst, "shrvar-c", 120000,
-                                  [np.random.default_rng(s) for s in seeds],
-                                  reward_source="means")
+    batch = explore_block(inst, "shrvar-c", 120000,
+                          [np.random.default_rng(s) for s in seeds],
+                          reward_source="means")
     assert batch.tolist() == rows
 
 
@@ -556,8 +564,8 @@ def test_adaptive_rejects_bad_phase0_variances(value, kind):
     with pytest.raises(DegenerateVarianceError,
                        match=f"^arm 3 has a {kind} sample variance; "
                              "z-values are undefined$"):
-        run_exploration_batch(unit_instance(4), "shrvar-ada", 1000, rngs,
-                              _PoisonedVarianceSource(value))
+        explore_block(unit_instance(4), "shrvar-ada", 1000, rngs,
+                      _PoisonedVarianceSource(value))
 
 
 @settings(max_examples=60, deadline=None)
@@ -595,8 +603,8 @@ FROZEN_ADA_EXP3 = {
 def test_adaptive_frozen_recommendations_exp3(b, budget):
     rngs = [np.random.default_rng(np.random.SeedSequence([0, 0, b, r]).spawn(2)[0])
             for r in range(20)]
-    got = run_exploration_batch(preset("exp3", seed=7), "shrvar-ada", budget,
-                                rngs, "means")
+    got = explore_block(preset("exp3", seed=7), "shrvar-ada", budget, rngs,
+                        "means")
     assert got.tolist() == FROZEN_ADA_EXP3[budget]
 
 

@@ -55,10 +55,18 @@ def test_wilson_pinned_value():
 
 
 @pytest.mark.parametrize("successes,trials", [(17, 50), (1, 9), (999, 1000)])
-def test_wilson_matches_quadratic_roots(successes, trials):
+def test_wilson_matches_quadratic_roots(monkeypatch, successes, trials):
+    from scipy.stats import norm
+
     ours = wilson_interval(successes, trials, 0.9)
     oracle = wilson_endpoints_by_roots(successes, trials, 0.9)
     assert ours == pytest.approx(oracle, abs=1e-12)
+    # scipy.special.ndtri is the quantile norm.ppf computes, bit for bit
+    levels = (1e-9, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12)
+    ours = [wilson_interval(successes, trials, level) for level in levels]
+    monkeypatch.setattr(harness, "ndtri", norm.ppf)
+    assert [wilson_interval(successes, trials, level)
+            for level in levels] == ours
 
 
 def test_wilson_edge_cases():
@@ -361,9 +369,9 @@ class _OwnStageLawSource(GaussianStatSource):
 
 
 def test_source_with_its_own_stage_method_is_called():
-    # Only the built-in "means" law is read off shared noise; a source that
-    # overrides the stage method is called once per stage and block, and
-    # here (same law, drawn stage by stage) gives the same counts.
+    # Only the name "means" is read off shared noise; a source object is
+    # called once per stage and block, and here (same law, drawn stage by
+    # stage) gives the same counts.
     source = _OwnStageLawSource()
     cfg = small_config(algorithms=["shrvar", "shrvar-ada", "sh"],
                        repetitions=6)
@@ -373,6 +381,9 @@ def test_source_with_its_own_stage_method_is_called():
     rng = np.random.default_rng(8)
     run_exploration(preset("exp1"), "sh-z", 8000, reward_source=source, rng=rng)
     assert source.calls == 3 * 5 + 4
+    # so is a plain GaussianStatSource object, with the counts of "means"
+    plain = dataclasses.replace(cfg, reward_source=GaussianStatSource())
+    assert _cell_counts(run_experiment(plain)) == _cell_counts(run_experiment(cfg))
 
 
 # The two identities the batched engine rests on, on the installed numpy.
