@@ -243,20 +243,6 @@ def validation_terms(config: ValidationConfig,
     return lower / half * inflation, upper, inflation
 
 
-def validation_constant(
-    config: ValidationConfig, sigma_a: float, sigma_0: float, metric: int
-) -> float:
-    """The additive shift xi[a,i] that the validation test contributes to z
-    (see validation_terms).  Non-Bayesian: Phi^-1(delta_i) / sqrt(t_v/2),
-    independent of the stddevs; Bayesian: Phi^-1(1-q_i) / sqrt(t_v/2) *
-    sqrt(1 + 2(sigma_a^2+sigma_0^2) / (tau_i^2 t_v)).
-    """
-    if not 0 <= metric < config.num_metrics:
-        raise ValueError(f"metric {metric} out of range")
-    xi, _, _ = validation_terms(config, sigma_a**2 + sigma_0**2)
-    return float(xi[metric])
-
-
 def z_profile(instance: Instance) -> ZProfile:
     """All z-values of an instance: z = snr + xi, rows are treatments 1..A."""
     var_sum = instance.variance_sums()

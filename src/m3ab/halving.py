@@ -23,8 +23,8 @@ row, the reward source draws the stage means, and a StageStats holds one
 row's stage as arrays: ``active`` (k,), the treatments ascending; ``means``
 (k+1, M) and ``counts`` (k+1,), rows [control, *active]; ``z`` and
 ``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) + lambda2[a,i]/N(0) is
-the exact variance of zhat[a,i].  Its ``empirical_means``,
-``empirical_z``, ``z_variances`` and ``pulls`` key the same rows by arm.
+the exact variance of zhat[a,i].  Its ``empirical_z`` and ``pulls`` key
+the z and count rows by arm.
 
 Reward sources decouple "what the algorithm sees" from "how it is sampled".
 A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
@@ -217,16 +217,8 @@ class StageStats:
     z_var: np.ndarray
 
     @property
-    def empirical_means(self) -> dict[int, np.ndarray]:
-        return dict(zip([0, *self.active.tolist()], self.means))
-
-    @property
     def empirical_z(self) -> dict[int, np.ndarray]:
         return dict(zip(self.active.tolist(), self.z))
-
-    @property
-    def z_variances(self) -> dict[int, np.ndarray]:
-        return dict(zip(self.active.tolist(), self.z_var))
 
     @property
     def pulls(self) -> dict[int, int]:
@@ -362,16 +354,6 @@ def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
         / (s[..., :, None, :, None] + s[..., None, :, None, :])
     c_star = crossing.min(axis=-1).max(axis=(-2, -1))
     return k * m * np.exp(-c_star**2)  # k * m = |A_s| * M, the cap
-
-
-def confidence_level(stats: StageStats, treatment: int) -> float:
-    """The elimination confidence level delta_s(a) of one treatment: the
-    delta at which its UCB meets the best rival LCB, from the closed-form
-    crossing point c*_a (see _confidence_levels)."""
-    if treatment not in stats.active:
-        raise ValueError(f"treatment {treatment} is not active")
-    levels = _confidence_levels(stats.z, stats.z_var)
-    return float(levels[stats.active == treatment][0])
 
 
 def confidence_eliminate(stats: StageStats, keep: int) -> list[int]:

@@ -29,8 +29,10 @@ validation stream.  The derivation does not involve the algorithm identity,
 so all algorithms in one experiment see identical reward randomness per
 repetition (paired comparisons), and results are independent of the thread
 count.  Repetitions run in blocks of BLOCK as arrays: each block derives its
-streams once and draws once the normals every algorithm reads alike, and
-only an algorithm that draws from a stream itself restarts it (see
+streams' PCG64 start states at once (NumPy's SeedSequence hash and PCG64
+seeding, redone over the repetition axis) into generators that each thread
+reuses, draws once the normals every algorithm reads alike, and only an
+algorithm that draws from a stream itself restarts it (see ``_streams``,
 ``_count_range`` and the README's "How repetitions run").
 """
 
@@ -38,8 +40,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
+import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -240,25 +244,80 @@ class MonteCarloReport:
         raise KeyError(f"no cell for algorithm={algorithm!r}, budget={budget}")
 
 
-def _validation_source(reward_source) -> str:
-    """Validation draws are real even when exploration uses a synthetic
-    source; only 'pulls' asks for the per-reward simulation."""
-    return "pulls" if reward_source == "pulls" else "means"
-
-
 # Repetitions per batched engine call: the arrays of one block at A=128
 # stay a few MB, so memory is bounded at any repetition count.
 BLOCK = 512
 
 
-def _streams(key: tuple, reps: range):
-    """Every repetition's exploration and validation generators with their
-    start states.  SeedSequence([*key, rep], spawn_key=(i,)) is the state
-    SeedSequence([*key, rep]).spawn(2)[i] gives, built directly."""
-    gens = [[np.random.default_rng(np.random.SeedSequence([*key, rep],
-                                                          spawn_key=(child,)))
-             for rep in reps] for child in (0, 1)]
-    return gens, [[g.bit_generator.state for g in child] for child in gens]
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG step
+_LOCAL = threading.local()  # each thread's generators, reused block to block
+
+
+def _seed_words(words: list) -> np.ndarray:
+    """(R, 4) uint64 SeedSequence(entropy).generate_state(4, np.uint64) of
+    every row of the assembled entropy ``words`` (uint32 scalars or (R,)
+    arrays): NumPy's pool hash, over all repetitions at once."""
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return out ^ out >> 16
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in words[:4]]
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word, dst in itertools.product(words[4:], range(4)):
+            pool[dst] = mix(pool[dst], hashmix(word))
+        const = 0x8B51F9DD
+        out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    out = np.stack(out, axis=1).astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+
+
+def _restart(gens: list, states: list) -> list:
+    for gen, state in zip(gens, states):
+        gen.bit_generator.state = state
+    return gens
+
+
+def _streams(key: tuple, reps: range) -> tuple[list, list]:
+    """This thread's reused generators for every repetition's exploration
+    and validation streams, not yet started, and their start states: those
+    of default_rng(SeedSequence([*key, rep], spawn_key=(i,))), which is
+    SeedSequence([*key, rep]).spawn(2)[i], i = 0 and 1.  The words of key,
+    (master_seed, value_idx, budget_idx) of any size, and the repetitions go
+    through _seed_words as arrays (at least four words before the spawn
+    word, so SeedSequence's zero padding never applies); repetition indices
+    of 2**32 or more take SeedSequence itself.  PCG64 then seeds in Python
+    integers: inc = 2 initseq + 1, state = (inc + initstate) * MULT + inc."""
+    prefix = [np.uint32(k >> bit & 0xFFFFFFFF) for k in key
+              for bit in range(0, max(k.bit_length(), 1), 32)]
+    states = []
+    for child in (0, 1):
+        if reps.stop > 1 << 32:
+            words = np.array([np.random.SeedSequence([*key, rep], spawn_key=(
+                child,)).generate_state(4, np.uint64) for rep in reps])
+        else:
+            words = _seed_words([*prefix, np.arange(reps.start, reps.stop,
+                                dtype=np.uint32), np.uint32(child)])
+        s0, s1, s2, s3 = words.astype(object).T
+        inc = ((s2 << 64 | s3) << 1 | 1) % (1 << 128)
+        seeded = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) % (1 << 128)
+        states.append([{"bit_generator": "PCG64", "has_uint32": 0,
+                        "uinteger": 0, "state": {"state": s, "inc": i}}
+                       for s, i in zip(seeded, inc)])
+    pool = _LOCAL.__dict__.setdefault("generators", [])
+    pool.extend(np.random.Generator(np.random.PCG64(0))
+                for _ in range(2 * len(reps) - len(pool)))
+    return [pool[:len(reps)], pool[len(reps):2 * len(reps)]], states
 
 
 def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
@@ -279,7 +338,9 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     Derivation and shared-draw time is split evenly over the menu.
     """
     source = get_reward_source(reward_source)
-    validation_source = _validation_source(reward_source)
+    # validation draws are real even when exploration uses a synthetic
+    # source; only "pulls" asks for the per-reward simulation
+    validation_source = "pulls" if reward_source == "pulls" else "means"
     tape = ((_noise_rows(instance.num_treatments), instance.num_metrics)
             if reward_source == "means" else None)
     known = any(spec.variance_knowledge == "known" for spec in specs)
@@ -290,8 +351,9 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     for lo in range(start, stop, BLOCK):
         started = time.perf_counter()
         gens, states = _streams(key, range(lo, min(lo + BLOCK, stop)))
-        shared = [None if shape is None else _standard_normals(child, shape)
-                  for child, shape in zip(gens, shapes)]
+        shared = [None if shape is None
+                  else _standard_normals(_restart(child, child_states), shape)
+                  for child, child_states, shape in zip(gens, states, shapes)]
         seconds += (time.perf_counter() - started) / len(specs)
         for idx, spec in enumerate(specs):
             started = time.perf_counter()
@@ -299,8 +361,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                      shared[1]]
             for child, child_states, drawn in zip(gens, states, noise):
                 if drawn is None:
-                    for gen, state in zip(child, child_states):
-                        gen.bit_generator.state = state
+                    _restart(child, child_states)
             try:
                 constants, loop_budget = _beliefs(instance, spec, budget,
                                                   source, gens[0])

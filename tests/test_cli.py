@@ -317,10 +317,11 @@ def test_complexity_knob_the_preset_lacks_is_input_error(capsys, name, knobs):
 
 def test_complexity_too_large_falls_back(capsys):
     code, out, _ = run_cli(capsys, "complexity", "--preset", "exp1",
-                           "--max-enum", "4")
+                           "--max-enum", "4", "--budget", "120000")
     assert code == 0
     assert "too large" in out
     assert "H3':" in out  # the closed-form surrogate is always printed
+    assert "budget 120000: no error bound (H3 not enumerated)" in out
 
 
 def test_complexity_single_treatment_is_input_error(capsys, tmp_path):

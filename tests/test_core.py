@@ -23,7 +23,7 @@ from m3ab.core import (
     joint_pass_probability,
     pass_probability,
     relative_variance,
-    validation_constant,
+    validation_terms,
     z_profile,
 )
 
@@ -73,21 +73,26 @@ def test_relative_variance_sums_to_one(sigma_a, sigma_0):
     assert abs(rho + lam - 1.0) < 1e-12
 
 
-# --- validation_constant ----------------------------------------------------
+# --- xi, the first of validation_terms --------------------------------------
+
+
+def xi_of(cfg, sigma_a, sigma_0, metric):
+    return float(validation_terms(cfg, sigma_a**2 + sigma_0**2)[0][metric])
+
 
 def test_xi_non_bayesian_half_is_zero():
     cfg = ValidationConfig.non_bayesian([0.5], 100)
-    assert validation_constant(cfg, 3.0, 1.0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert xi_of(cfg, 3.0, 1.0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xi_bayesian_half_is_zero():
     cfg = ValidationConfig.bayesian([0.5], [2.0], 100)
-    assert validation_constant(cfg, 3.0, 1.0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert xi_of(cfg, 3.0, 1.0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xi_bayesian_reference_value():
     cfg = ValidationConfig.bayesian([0.67], [10.0], 100)
-    got = validation_constant(cfg, 10.0, 10.0, 0)
+    got = xi_of(cfg, 10.0, 10.0, 0)
     want = oracle.xi_value("bayesian", 100, q=0.67, tau=10.0, sigma_a=10.0, sigma_0=10.0)
     assert got == pytest.approx(want, abs=1e-9)
     assert got == pytest.approx(-0.06345, abs=5e-6)
@@ -96,7 +101,7 @@ def test_xi_bayesian_reference_value():
 def test_xi_non_bayesian_ignores_stddevs():
     cfg = ValidationConfig.non_bayesian([0.1, 0.3], 50)
     for metric in range(2):
-        vals = {validation_constant(cfg, sa, s0, metric)
+        vals = {xi_of(cfg, sa, s0, metric)
                 for sa, s0 in [(1.0, 1.0), (9.0, 0.1), (0.5, 7.0)]}
         assert len(vals) == 1
         want = oracle.xi_value("non_bayesian", 50, delta=[0.1, 0.3][metric])
@@ -112,8 +117,8 @@ def test_xi_bayesian_monotone_in_sigma_with_quantile_sign(q, tau, sigma_lo):
     # d(xi)/d(sigma_a) carries the sign of Phi^-1(1-q): the prior inflation
     # factor grows with reward noise and multiplies that quantile.
     cfg = ValidationConfig.bayesian([q], [tau], 100)
-    lo = validation_constant(cfg, sigma_lo, 1.0, 0)
-    hi = validation_constant(cfg, sigma_lo * 2.0, 1.0, 0)
+    lo = xi_of(cfg, sigma_lo, 1.0, 0)
+    hi = xi_of(cfg, sigma_lo * 2.0, 1.0, 0)
     sign = oracle.phi_inv(1.0 - q)
     if abs(sign) > 1e-12:
         assert (hi - lo) * sign > 0.0

@@ -34,9 +34,9 @@ from m3ab.halving import (
     GaussianStatSource,
     StageStats,
     _beliefs,
+    _confidence_levels,
     _halve,
     confidence_eliminate,
-    confidence_level,
     empirical_z,
     get_reward_source,
     mean_eliminate,
@@ -53,6 +53,12 @@ def explore_block(instance, name, budget, rngs, reward_source="pulls"):
     spec, source = ALGORITHMS[name], get_reward_source(reward_source)
     constants, loop_budget = _beliefs(instance, spec, budget, source, rngs)
     return _halve(instance, constants, spec, loop_budget, source, rngs)
+
+
+def confidence_level(stats, treatment):
+    """delta_s(a) of one active treatment, read off the stage's levels."""
+    levels = _confidence_levels(stats.z, stats.z_var)
+    return float(levels[stats.active == treatment][0])
 
 
 def unit_instance(num_treatments: int, delta: float = 0.5) -> Instance:
@@ -318,7 +324,7 @@ def test_confidence_level_monotone_in_own_z():
         a = int(rng.integers(1, 5))
         bumped = dict(zvals)
         bumped[a] += 0.3
-        stats2 = stats_with_z(bumped, variance=float(stats.z_variances[1][0]))
+        stats2 = stats_with_z(bumped, variance=float(stats.z_var[0, 0]))
         assert confidence_level(stats2, a) >= confidence_level(stats, a) - 1e-12
 
 
@@ -423,8 +429,7 @@ def test_run_exploration_deterministic():
     assert a.recommended == b.recommended
     for sa, sb in zip(a.trail, b.trail):
         assert np.array_equal(sa.active, sb.active)
-        for arm in sa.empirical_means:
-            assert np.array_equal(sa.empirical_means[arm], sb.empirical_means[arm])
+        assert np.array_equal(sa.means, sb.means)
 
 
 def test_confidence_elimination_with_more_than_1024_arm_metric_pairs():
@@ -523,8 +528,7 @@ def test_adaptive_with_oracle_variances_equals_known_variance_run():
     assert ada.recommended == known.recommended
     assert ada.total_pulls_used == known.total_pulls_used + (a_count + 1) * n0
     for sa, sb in zip(ada.trail, known.trail):
-        for arm in sa.empirical_means:
-            assert np.array_equal(sa.empirical_means[arm], sb.empirical_means[arm])
+        assert np.array_equal(sa.means, sb.means)
 
 
 class _ZeroVarianceSource(FixedMeanSource):

@@ -2,10 +2,16 @@
 sweeps, and the variance-blind-baseline regression."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import count_range_reference
@@ -430,6 +436,84 @@ def test_spawn_key_builds_the_spawned_child_state(key):
     for i, child in enumerate(children):
         direct = np.random.SeedSequence(key, spawn_key=(i,))
         assert np.random.PCG64(direct).state == np.random.PCG64(child).state
+
+
+# Entropy words of one, two and three 32-bit words, as SeedSequence splits them.
+_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**96))
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.tuples(_WORDS, _WORDS, _WORDS),
+       start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 6, 2**32 + 6)),
+       count=st.integers(1, 12))
+@example(key=(2**32 + 5, 0, 0), start=0, count=3)
+@example(key=(2**64 + 3, 1, 2**40), start=2**32 - 2, count=4)
+def test_streams_equal_numpy_seed_sequence(key, start, count):
+    # The array derivation against NumPy itself: a NumPy release that changes
+    # SeedSequence or PCG64 seeding fails here, not silently in the counts.
+    reps = range(start, start + count)
+    gens, states = harness._streams(key, reps)
+    for child in (0, 1):
+        harness._restart(gens[child], states[child])
+        for rep, gen, state in zip(reps, gens[child], states[child]):
+            want = np.random.default_rng(
+                np.random.SeedSequence([*key, rep], spawn_key=(child,)))
+            assert state == want.bit_generator.state
+            assert gen.standard_normal(3).tobytes() \
+                == want.standard_normal(3).tobytes()
+            assert gen.integers(2**63) == want.integers(2**63)
+
+
+_FRESH_RUN = ("import pickle, sys; from m3ab.harness import run_experiment; "
+              "pickle.dump(run_experiment(pickle.load(sys.stdin.buffer)), "
+              "sys.stdout.buffer)")
+
+
+def test_generator_pool_isolation():
+    # The reused generators carry nothing from one run or thread to another.
+    cfg = small_config(algorithms=["shrvar", "shrvar-ada", "sh"],
+                       budgets=[500, 1500], repetitions=30, master_seed=21)
+    other = small_config(algorithms=["sh-z", "shrvar-ada"], repetitions=60,
+                         master_seed=22, reward_source="pulls")
+    serial, other_serial = run_experiment(cfg), run_experiment(other)
+    # in a fresh process
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN],
+                          input=pickle.dumps(cfg), capture_output=True,
+                          env=env, check=True)
+    assert pickle.loads(proc.stdout) == serial
+    # right after runs that grow the pool past one block and draw from it
+    for source, algorithms in (("means", ["shrvar-ada"]), ("pulls", ["sh"])):
+        run_experiment(small_config(algorithms=algorithms, reward_source=source,
+                                    repetitions=harness.BLOCK + 3))
+    assert run_experiment(cfg) == serial
+    # in three threads at once, switching often
+    barrier = threading.Barrier(3)
+
+    def twice(config):
+        barrier.wait(timeout=60)
+        return [run_experiment(config) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as threads:
+            runs = [threads.submit(twice, c) for c in (cfg, other, cfg)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[serial] * 2, [other_serial] * 2, [serial] * 2]
+
+
+@pytest.mark.parametrize("master_seed", [2**32 + 5, 2**64 + 3])
+def test_multi_word_master_seeds_equal_reference(master_seed):
+    instance = preset("exp2", l=3)
+    cfg = ExperimentConfig(instance=instance, algorithms=["shrvar", "shrvar-ada"],
+                           budgets=[500], repetitions=20, master_seed=master_seed)
+    assert _cell_counts(run_experiment(cfg)) == _reference_cells(cfg, instance)
 
 
 # --- process pools ------------------------------------------------------------

@@ -14,7 +14,7 @@ from m3ab.core import (
     ValidationConfig,
     best_treatment,
     relative_variance,
-    validation_constant,
+    validation_terms,
     z_profile,
 )
 from m3ab.errors import SchemaError
@@ -67,7 +67,7 @@ def test_from_z_at_xi_reproduces_control_means():
     # With rho_sq = 0.5 and sigma_0 = 1, treatment stddevs equal 1; a z-value
     # exactly equal to the validation constant means zero SNR.
     cfg = ValidationConfig.non_bayesian([0.1, 0.3], 200)
-    xi = [validation_constant(cfg, 1.0, 1.0, i) for i in range(2)]
+    xi = validation_terms(cfg, 2.0)[0].tolist()
     inst = from_z_parameterization(
         [xi, xi], np.full((2, 2), 0.5), [0.7, -0.2], [1.0, 1.0], cfg
     )
@@ -179,7 +179,7 @@ def test_exp2_validation_defaults():
     assert inst.validation.horizon == 100
     assert np.allclose(inst.validation.delta, 0.05)
     # the implied additive validation constant
-    xi = validation_constant(inst.validation, 1.0, 1.0, 0)
+    xi = float(validation_terms(inst.validation, 2.0)[0][0])
     assert xi == pytest.approx(-0.23262, abs=5e-6)
 
 
