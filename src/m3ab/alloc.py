@@ -55,14 +55,6 @@ class StageAllocation:
 
 
 @dataclass(frozen=True)
-class SetVariances:
-    """Aggregate relative-variance scales of an active set."""
-
-    rho_sigma: float
-    lambda_sigma: float
-
-
-@dataclass(frozen=True)
 class ArmWeights:
     """Per-arm weights of the sampling rules: (B, A+1) tables of metric
     maxima and the (B, A+1, M) rho_sq/lambda_sq split of z noise against
@@ -168,24 +160,6 @@ def _allocation(sampling: str, instance: Instance | None, active,
     return StageAllocation(control_pulls=control,
                            treatment_pulls=dict(zip(arms.tolist(), treated)),
                            stage_budget=stage_budget)
-
-
-def set_variances(instance: Instance, active) -> SetVariances:
-    """rho_sigma = sqrt(sum of per-treatment max rho2); lambda_sigma = max lambda."""
-    arms = active_index(active, instance.num_treatments)
-    rho_sigma, lambda_sigma = _set_scales(arm_weights(instance.stddevs[None]),
-                                          arms[None])
-    return SetVariances(float(rho_sigma[0]), float(lambda_sigma[0]))
-
-
-def shrvar_allocation_unrounded(
-    instance: Instance, active, stage_budget: int
-) -> tuple[float, dict[int, float]]:
-    """The exact (real-valued) relative-variance allocation before rounding."""
-    arms = active_index(active, instance.num_treatments)
-    control, *treated = _shrvar_shares(arm_weights(instance.stddevs[None]), arms[None],
-                                       stage_budget)[0].tolist()
-    return control, dict(zip(arms.tolist(), treated))
 
 
 def shrvar_allocation(

@@ -95,8 +95,7 @@ def _subset_kernel(instance: Instance, correction: float | None):
     D(S, a)^2 (c, A) against the best treatment star (the corrected gap when
     a correction is given), its kappa values (c, A, M), rho_sigma and
     lambda_sigma (c,).  Gaps and kappas are filled in for every arm, member
-    or not; only members' values are meaningful.  The per-instance constants
-    are derived once, here."""
+    or not; only members' values are meaningful."""
     star = best_treatment(instance)
     z = z_profile(instance).z
     g = np.maximum(z[star - 1][None, :, None] - z[:, None, :], 0.0) ** 2
@@ -105,7 +104,7 @@ def _subset_kernel(instance: Instance, correction: float | None):
     mr = rho2.max(axis=1)
     ml2 = lam2.max(axis=1)
     p = np.where(mr[:, None] > 0, rho2 / np.where(mr[:, None] > 0, mr[:, None], 1.0), 1.0)
-    dm2 = _delta_min(z, star) ** 2 if correction is not None else None
+    dm2 = delta_min(instance) ** 2 if correction is not None else None
 
     def gaps(member: np.ndarray):
         rho_sigma = np.sqrt(member @ mr)
@@ -158,18 +157,13 @@ def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
     return float(kap[0, treatment - 1, metric])
 
 
-def _delta_min(z: np.ndarray, star: int) -> float:
-    minz = z.min(axis=1)
-    others = np.delete(minz, star - 1)
-    return float(minz[star - 1] - others.max())
-
-
 def delta_min(instance: Instance) -> float:
     """Smallest gap in bottleneck z-values between the best treatment and
     any other."""
     if instance.num_treatments < 2:
         raise ValueError("need at least two treatments for a gap")
-    return _delta_min(z_profile(instance).z, best_treatment(instance))
+    minz, star = z_profile(instance).min_z, best_treatment(instance)
+    return float(minz[star - 1] - np.delete(minz, star - 1).max())
 
 
 def _pair_gap_sq(instance: Instance, subset, treatment: int,

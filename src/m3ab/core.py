@@ -23,12 +23,17 @@ and a validation constant ``xi[a,i]`` determined by the test configuration,
 so the treatment with the best worst-case validation chance is the argmax over
 treatments of ``min_i z[a,i]``.  This module keeps everything analytic; no
 random sampling happens here.
+
+Each instance derives these numbers once, as the ZProfile that every reader
+takes from ``z_profile``; ``validation_terms`` and ``posterior`` hold each
+formula of the test once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -155,34 +160,54 @@ class Instance:
         """Treatment arm indices (1..A); arm 0 is the control."""
         return range(1, self.num_treatments + 1)
 
-    def variance_sums(self) -> np.ndarray:
-        """(A, M) array of sigma[a,i]^2 + sigma[0,i]^2, row a-1 <-> treatment a."""
-        return self.stddevs[1:] ** 2 + self.stddevs[0] ** 2
-
-    def snr(self) -> np.ndarray:
-        """(A, M) signal-to-noise ratios, row a-1 <-> treatment a."""
-        return (self.means[1:] - self.means[0]) / np.sqrt(self.variance_sums())
+    @cached_property
+    def _profile(self) -> ZProfile:
+        """The tables of ``z_profile``, derived on first read;
+        posterior(1.0, ...) is the shrink factor exactly (x * 1.0 = x)."""
+        cfg, sd = self.validation, self.stddevs
+        var_sum = sd[1:] ** 2 + sd[0] ** 2
+        snr = (self.means[1:] - self.means[0]) / np.sqrt(var_sum)
+        xi, critical, inflation = validation_terms(cfg, var_sum)
+        z = snr + xi
+        min_z = z.min(axis=1)
+        shrink, variance = (posterior(1.0, sd[1:], sd[0], cfg.tau, cfg.horizon)
+                            if cfg.variant == BAYESIAN else (None, None))
+        return ZProfile(
+            z=z, min_z=min_z, bottleneck=np.argmin(z, axis=1),
+            best=int(np.argmax(min_z)) + 1, critical=critical,
+            scale=inflation * np.sqrt(2.0 * var_sum / cfg.horizon),
+            # Pass iff ate / sqrt(2 var_sum / t_v), ~ N(snr sqrt(t_v/2), 1),
+            # reaches critical * inflation.
+            pass_probabilities=1.0 - ndtr(critical * inflation
+                                          - snr * math.sqrt(cfg.horizon / 2.0)),
+            posterior_variance=variance, shrink=shrink)
 
 
 @dataclass(frozen=True)
 class ZProfile:
-    """Per-(treatment, metric) z-values; row a-1 corresponds to treatment a.
-
-    bottleneck[a-1] is the metric attaining min_i z[a,i] (ties -> lowest
-    metric index).
-    """
+    """The tables of one instance; row a-1 is treatment a, arrays read-only.
+    z = snr + xi, min_z its minimum over metrics, attained at metric
+    bottleneck[a-1] (ties -> lowest metric); best, the treatment with the
+    largest min_z (ties -> lowest index).  Validating a passes metric i when
+    ate / scale[a-1, i] reaches critical[i] (scale = inflation * sqrt(2
+    var_sum / t_v)), with probability pass_probabilities[a-1, i].  Bayesian
+    only (else None): the posterior given ate is N(shrink * ate,
+    posterior_variance)."""
 
     z: np.ndarray
-    xi: np.ndarray
-    bottleneck: np.ndarray = field(init=False)
+    min_z: np.ndarray
+    bottleneck: np.ndarray
+    best: int
+    critical: np.ndarray
+    scale: np.ndarray
+    pass_probabilities: np.ndarray
+    posterior_variance: np.ndarray | None = None
+    shrink: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bottleneck", np.argmin(self.z, axis=1))
-
-    @property
-    def min_z(self) -> np.ndarray:
-        """(A,) bottleneck z-value per treatment."""
-        return self.z.min(axis=1)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def relative_variance(sigma_a, sigma_0):
@@ -243,17 +268,25 @@ def validation_terms(config: ValidationConfig,
     return lower / half * inflation, upper, inflation
 
 
+def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
+    """Posterior (mean, variance) of the treatment effect under the Bayesian
+    test's N(0, tau^2) prior, given the estimate sample_mean_diff; scalars
+    or arrays of one entry per metric."""
+    var_sum = sigma_a**2 + sigma_0**2
+    sigma_hat_sq = 1.0 / (t_v / (2.0 * var_sum) + 1.0 / tau**2)
+    delta_hat = t_v * sigma_hat_sq / (2.0 * var_sum) * sample_mean_diff
+    return delta_hat, sigma_hat_sq
+
+
 def z_profile(instance: Instance) -> ZProfile:
-    """All z-values of an instance: z = snr + xi, rows are treatments 1..A."""
-    var_sum = instance.variance_sums()
-    xi = np.broadcast_to(validation_terms(instance.validation, var_sum)[0],
-                         var_sum.shape).copy()
-    return ZProfile(z=instance.snr() + xi, xi=xi)
+    """The instance's tables (z = snr + xi, the best treatment, the
+    validation test's), derived on the first call and then cached."""
+    return instance._profile
 
 
 def best_treatment(instance: Instance) -> int:
     """argmax over treatments of min_i z[a,i]; ties -> lowest treatment index."""
-    return int(np.argmax(z_profile(instance).min_z)) + 1
+    return z_profile(instance).best
 
 
 def pass_probability(instance: Instance, treatment: int, metric: int) -> float:
@@ -272,13 +305,7 @@ def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
     """(M,) vector of per-metric pass probabilities for one treatment."""
     if not 1 <= treatment <= instance.num_treatments:
         raise ValueError(f"treatment {treatment} out of range")
-    cfg = instance.validation
-    snr = instance.snr()[treatment - 1]
-    _, critical, inflation = validation_terms(
-        cfg, instance.variance_sums()[treatment - 1])
-    # Pass iff ate / sqrt(2 var_sum / t_v), ~ N(snr sqrt(t_v/2), 1), reaches
-    # critical * inflation.
-    return 1.0 - ndtr(critical * inflation - snr * math.sqrt(cfg.horizon / 2.0))
+    return z_profile(instance).pass_probabilities[treatment - 1]
 
 
 def joint_pass_probability(instance: Instance, treatment: int) -> float:

@@ -23,8 +23,7 @@ row, the reward source draws the stage means, and a StageStats holds one
 row's stage as arrays: ``active`` (k,), the treatments ascending; ``means``
 (k+1, M) and ``counts`` (k+1,), rows [control, *active]; ``z`` and
 ``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) + lambda2[a,i]/N(0) is
-the exact variance of zhat[a,i].  Its ``empirical_z`` and ``pulls`` key
-the z and count rows by arm.
+the exact variance of zhat[a,i].
 
 Reward sources decouple "what the algorithm sees" from "how it is sampled".
 A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
@@ -215,14 +214,6 @@ class StageStats:
     counts: np.ndarray
     z: np.ndarray
     z_var: np.ndarray
-
-    @property
-    def empirical_z(self) -> dict[int, np.ndarray]:
-        return dict(zip(self.active.tolist(), self.z))
-
-    @property
-    def pulls(self) -> dict[int, int]:
-        return dict(zip([0, *self.active.tolist()], self.counts.tolist()))
 
 
 def _belief_constants(stddevs: np.ndarray, validation):

@@ -322,8 +322,7 @@ def _streams(key: tuple, reps: range) -> tuple[list, list]:
 
 def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                  budget: int, reward_source, key: tuple, start: int,
-                 stop: int, star: int,
-                 positive_min_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(exploration, validation, type1) counts (len(specs), 3) and seconds
     (len(specs),) of every algorithm over repetitions [start, stop), in
     blocks of BLOCK repetitions.
@@ -338,6 +337,8 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     Derivation and shared-draw time is split evenly over the menu.
     """
     source = get_reward_source(reward_source)
+    star = best_treatment(instance)
+    positive_min_z = z_profile(instance).min_z > 0.0
     # validation draws are real even when exploration uses a synthetic
     # source; only "pulls" asks for the per-reward simulation
     validation_source = "pulls" if reward_source == "pulls" else "means"
@@ -415,12 +416,9 @@ def _pool(threads: int, repetitions: int):
 
 def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
                threads: int, pool) -> tuple[CellReport, ...]:
-    star = best_treatment(instance)
-    positive_min_z = z_profile(instance).min_z > 0.0
     chunks = _chunks(config.repetitions, max(1, threads))
     tasks = [(instance, config.algorithms, budget, config.reward_source,
-              (config.master_seed, value_idx, budget_idx), lo, hi, star,
-              positive_min_z)
+              (config.master_seed, value_idx, budget_idx), lo, hi)
              for budget_idx, budget in enumerate(config.budgets)
              for lo, hi in chunks]
     columns = zip(*tasks)
@@ -481,6 +479,8 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
+    if parameter != "heterogeneity_l" and any(int(v) != v for v in values):
+        raise ValueError(f"{parameter} values must be integers, got {values}")
     reports = []
     with _pool(threads, config.repetitions) as pool:
         for value_idx, value in enumerate(values):

@@ -15,10 +15,11 @@ reproducible.  Per metric, one-sided "treatment beats control" tests:
   sigma_hat) reaches q_i.
 
 Both are one rule: pass iff the standardized effect estimate mean_diff /
-(inflation * sqrt(2(sigma_a^2 + sigma_0^2) / t_v)) reaches the critical value,
-both from ``core.validation_terms`` (for the Bayesian test that ratio is
-delta_hat / sigma_hat, so p_i is its Phi).  ``run_validation`` (one run)
-and the harness (a block of runs) both take it from ``_standardized``.
+(inflation * sqrt(2(sigma_a^2 + sigma_0^2) / t_v)) reaches the critical value
+(for the Bayesian test that ratio is delta_hat / sigma_hat, so p_i is its
+Phi).  The scale, the critical values and the posterior factors are the
+instance's tables (``core.z_profile``); ``run_validation`` (one run) and
+the harness (a block of runs) both read them in ``_standardized``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from m3ab.core import BAYESIAN, Instance, validation_terms
+from m3ab.core import BAYESIAN, Instance, z_profile
 from m3ab.halving import GaussianPullSource, _standard_normals, _stat_means
 
 
@@ -44,15 +45,6 @@ class ValidationOutcome:
     @property
     def pass_all(self) -> bool:
         return bool(np.all(self.per_metric_pass))
-
-
-def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
-    """Posterior (mean, variance) of the treatment effect; scalars or
-    arrays of one entry per metric."""
-    var_sum = sigma_a**2 + sigma_0**2
-    sigma_hat_sq = 1.0 / (t_v / (2.0 * var_sum) + 1.0 / tau**2)
-    delta_hat = t_v * sigma_hat_sq / (2.0 * var_sum) * sample_mean_diff
-    return delta_hat, sigma_hat_sq
 
 
 def _standardized(instance: Instance, treatments, rngs, reward_source: str,
@@ -86,9 +78,8 @@ def _standardized(instance: Instance, treatments, rngs, reward_source: str,
             noise = _standard_normals(rngs, mu_rows.shape[1:])
         means = _stat_means(mu_rows, sigma_rows, cfg.horizon // 2, noise)
     ate = means[:, 0] - means[:, 1]
-    var_sum = sigma_rows[:, 0] ** 2 + sigma_rows[:, 1] ** 2
-    _, critical, inflation = validation_terms(cfg, var_sum)
-    return ate, ate / (inflation * np.sqrt(2.0 * var_sum / cfg.horizon)), critical
+    profile = z_profile(instance)
+    return ate, ate / profile.scale[treatments - 1], profile.critical
 
 
 def run_validation(instance: Instance, treatment: int,
@@ -102,17 +93,12 @@ def run_validation(instance: Instance, treatment: int,
     """
     ate, ratio, critical = _standardized(instance, [treatment], [rng], reward_source)
     ate, ratio = ate[0], ratio[0]
-    cfg = instance.validation
-    if cfg.variant != BAYESIAN:
+    if instance.validation.variant != BAYESIAN:
         return ValidationOutcome(per_metric_pass=ratio >= critical,
                                  ate_estimates=ate)
-    delta_hat, sigma_hat_sq = posterior(ate, instance.stddevs[treatment],
-                                        instance.stddevs[0], cfg.tau,
-                                        cfg.horizon)
-    return ValidationOutcome(
-        per_metric_pass=ratio >= critical,
-        ate_estimates=ate,
-        posterior=list(zip(delta_hat.tolist(), sigma_hat_sq.tolist())),
-        p=ndtr(ratio),
-    )
+    profile = z_profile(instance)
+    posterior = zip((profile.shrink[treatment - 1] * ate).tolist(),
+                    profile.posterior_variance[treatment - 1].tolist())
+    return ValidationOutcome(per_metric_pass=ratio >= critical, ate_estimates=ate,
+                             posterior=list(posterior), p=ndtr(ratio))
 

@@ -427,3 +427,47 @@ def validation_reference_ate(source: str, mu, sigma, treatment: int,
         else:
             side_means.append(rng.normal(m, s / math.sqrt(half)))
     return side_means[0] - side_means[1]
+
+
+# --- instance tables, one treatment at a time --------------------------------
+# The per-call formulas of the validation test and z, row by row: each row's
+# variance sum goes through the test's terms, passed in as `terms`
+# (core.validation_terms), so this module still imports nothing from m3ab.
+# Same numeric route as the package, so the tables must match bit for bit.
+
+def posterior_reference(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):
+    """Posterior (mean, variance) of the effect under a N(0, tau^2) prior."""
+    var_sum = sigma_a**2 + sigma_0**2
+    sigma_hat_sq = 1.0 / (t_v / (2.0 * var_sum) + 1.0 / tau**2)
+    delta_hat = t_v * sigma_hat_sq / (2.0 * var_sum) * sample_mean_diff
+    return delta_hat, sigma_hat_sq
+
+
+def instance_tables_reference(terms, instance) -> dict:
+    """critical (M,) and, stacked over treatments 1..A, z = snr + xi, the
+    test's scale inflation * sqrt(2 var_sum / t_v), the pass probabilities
+    1 - Phi(critical * inflation - snr * sqrt(t_v/2)) and (Bayesian only,
+    else None) the posterior variance and shrink factor."""
+    import numpy as np
+    from scipy.special import ndtr
+
+    cfg = instance.validation
+    rows = {"z": [], "scale": [], "pass_probabilities": [],
+            "posterior_variance": [], "shrink": []}
+    for arm in instance.treatments:
+        sigma_a, sigma_0 = instance.stddevs[arm], instance.stddevs[0]
+        var_sum = sigma_a**2 + sigma_0**2
+        xi, critical, inflation = terms(cfg, var_sum)
+        snr = (instance.means[arm] - instance.means[0]) / np.sqrt(var_sum)
+        rows["z"].append(snr + xi)
+        rows["scale"].append(inflation * np.sqrt(2.0 * var_sum / cfg.horizon))
+        rows["pass_probabilities"].append(
+            1.0 - ndtr(critical * inflation - snr * math.sqrt(cfg.horizon / 2.0)))
+        if cfg.variant == "bayesian":
+            shrink, variance = posterior_reference(1.0, sigma_a, sigma_0,
+                                                   cfg.tau, cfg.horizon)
+            rows["shrink"].append(shrink)
+            rows["posterior_variance"].append(variance)
+    tables = {name: np.array(r) if r else None for name, r in rows.items()}
+    tables["critical"] = critical
+    return tables

@@ -23,6 +23,7 @@ import time
 import numpy as np
 
 from _gen import homogeneous_single_metric, random_instance
+from _kernels import set_scales, shrvar_shares
 from _oracles import (
     halving_stage_count,
     minmax_allocation,
@@ -45,11 +46,7 @@ from m3ab import (
     table1,
     z_profile,
 )
-from m3ab.alloc import (
-    set_variances,
-    shrvar_allocation,
-    shrvar_allocation_unrounded,
-)
+from m3ab.alloc import shrvar_allocation
 from m3ab.cli import main
 from m3ab.validate import run_validation
 
@@ -164,8 +161,8 @@ def test_04_allocation_matches_minmax_oracle():
         inst = random_instance(rng, max_treatments=4, max_metrics=1)
         num_treatments = inst.means.shape[0] - 1
         active = list(range(1, num_treatments + 1))
-        control, per_arm = shrvar_allocation_unrounded(inst, active, budget)
-        sv = set_variances(inst, active)
+        control, per_arm = shrvar_shares(inst, active, budget)
+        sv = set_scales(inst, active)
         sigma_sq = inst.stddevs[:, 0] ** 2
         rho_sq = sigma_sq[1:] / (sigma_sq[1:] + sigma_sq[0])
         oracle_control, oracle_arms = minmax_allocation(
@@ -378,7 +375,7 @@ def test_08_single_metric_reductions():
             spread=float(rng.uniform(0.5, 2.0)),
         )
         active = list(range(1, num_treatments + 1))
-        _, per_arm = shrvar_allocation_unrounded(inst, active, 10_000)
+        _, per_arm = shrvar_shares(inst, active, 10_000)
         shares = np.array([per_arm[a] for a in active])
         worst_share_spread = max(
             worst_share_spread, float(shares.max() - shares.min())

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from _gen import random_instance
+from _kernels import set_scales, shrvar_shares
 from m3ab.alloc import (
     StageAllocation,
     arm_weights,
     neyman_allocation,
-    set_variances,
     shrvar_allocation,
-    shrvar_allocation_unrounded,
     stage_counts,
     uniform_allocation,
     variance_allocation,
@@ -33,18 +32,18 @@ def instance_from_stddevs(stddevs) -> Instance:
     return Instance(means=np.zeros_like(sd), stddevs=sd, validation=cfg)
 
 
-# --- set_variances ----------------------------------------------------------
+# --- set scales ------------------------------------------------------------
 
 def test_set_variances_two_even_treatments():
     inst = instance_from_stddevs([[1.0], [1.0], [1.0]])
-    sv = set_variances(inst, {1, 2})
+    sv = set_scales(inst, {1, 2})
     assert sv.rho_sigma == pytest.approx(1.0, abs=1e-12)
     assert sv.lambda_sigma == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 def test_set_variances_single_even_treatment():
     inst = instance_from_stddevs([[2.0], [2.0]])
-    sv = set_variances(inst, [1])
+    sv = set_scales(inst, [1])
     assert sv.rho_sigma == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert sv.lambda_sigma == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
@@ -52,13 +51,13 @@ def test_set_variances_single_even_treatment():
 def test_set_variances_empty_set():
     inst = instance_from_stddevs([[1.0], [1.0]])
     with pytest.raises(ValueError):
-        set_variances(inst, set())
+        set_scales(inst, set())
 
 
 def test_set_variances_uses_row_maxima():
     # per-treatment max over metrics for rho; global max for lambda
     inst = instance_from_stddevs([[1.0, 1.0], [1.0, 3.0], [0.5, 1.0]])
-    sv = set_variances(inst, [1, 2])
+    sv = set_scales(inst, [1, 2])
     rho1 = 9.0 / 10.0   # metric 2 of treatment 1
     rho2 = 0.5          # metric 2 of treatment 2
     lam = 1.0 / 1.25    # metric 1 of treatment 2 (sigma 0.5 vs control 1)
@@ -95,7 +94,7 @@ def test_shrvar_funds_floored_to_zero_arm():
     got = shrvar_allocation(inst, [1, 2], 20)
     assert got.treatment_pulls[1] == 1
     assert got.total_pulls <= 20
-    unrounded_control, unrounded = shrvar_allocation_unrounded(inst, [1, 2], 20)
+    unrounded_control, unrounded = shrvar_shares(inst, [1, 2], 20)
     assert got.control_pulls == int(unrounded_control)
     assert got.treatment_pulls[2] == int(unrounded[2])
 
@@ -114,7 +113,7 @@ def test_shrvar_unrounded_shares_sum_to_budget():
     rng = np.random.default_rng(7)
     for _ in range(25):
         inst = random_instance(rng)
-        control, per_arm = shrvar_allocation_unrounded(
+        control, per_arm = shrvar_shares(
             inst, list(inst.treatments), 173
         )
         assert control + sum(per_arm.values()) == pytest.approx(173.0, abs=1e-9)
@@ -126,8 +125,8 @@ def test_shrvar_variance_equalization():
     for _ in range(50):
         inst = random_instance(rng, max_metrics=1, max_treatments=6)
         arms = list(inst.treatments)
-        control, per_arm = shrvar_allocation_unrounded(inst, arms, 500)
-        sv = set_variances(inst, arms)
+        control, per_arm = shrvar_shares(inst, arms, 500)
+        sv = set_scales(inst, arms)
         rho2 = (inst.stddevs[1:, 0] ** 2) / (inst.stddevs[1:, 0] ** 2 + inst.stddevs[0, 0] ** 2)
         values = [
             rho2[a - 1] / per_arm[a] + sv.lambda_sigma**2 / control for a in arms
@@ -145,7 +144,7 @@ def test_shrvar_matches_minmax_oracle():
         inst = random_instance(rng, max_metrics=1, max_treatments=4)
         arms = list(inst.treatments)
         budget = int(rng.integers(50, 400))
-        control, per_arm = shrvar_allocation_unrounded(inst, arms, budget)
+        control, per_arm = shrvar_shares(inst, arms, budget)
         sd = inst.stddevs[:, 0]
         rho2 = sd[1:] ** 2 / (sd[1:] ** 2 + sd[0] ** 2)
         lam2 = float(np.max(sd[0] ** 2 / (sd[1:] ** 2 + sd[0] ** 2)))

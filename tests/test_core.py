@@ -360,3 +360,36 @@ def test_random_instances_satisfy_invariants(seed):
         joint = joint_pass_probability(inst, t)
         per = [pass_probability(inst, t, i) for i in range(inst.num_metrics)]
         assert 0.0 <= joint <= min(per) <= 1.0
+
+
+# --- the instance's tables ---------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["bayesian", "non_bayesian"]))
+def test_tables_equal_per_row_reference(seed, variant):
+    inst = random_instance(np.random.default_rng(seed), variant=variant)
+    prof = z_profile(inst)
+    want = oracle.instance_tables_reference(validation_terms, inst)
+    for name, table in want.items():
+        got = getattr(prof, name)
+        if table is None:
+            assert got is None, name
+        else:
+            assert got.shape == table.shape and np.array_equal(got, table), name
+    assert np.array_equal(prof.min_z, want["z"].min(axis=1))
+    assert np.array_equal(prof.bottleneck, np.argmin(want["z"], axis=1))
+    assert prof.best == best_treatment(inst) == int(np.argmax(prof.min_z)) + 1
+    for t in inst.treatments:
+        assert joint_pass_probability(inst, t) == float(
+            np.prod(want["pass_probabilities"][t - 1]))
+
+
+def test_tables_are_read_only_and_built_once():
+    inst = table_instance()
+    prof = z_profile(inst)
+    assert z_profile(inst) is prof
+    for name in ("z", "min_z", "bottleneck", "critical", "scale",
+                 "pass_probabilities", "posterior_variance", "shrink"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prof, name)[0] = 0.0

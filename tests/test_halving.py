@@ -100,14 +100,14 @@ def test_empirical_z_zero_noise_recovers_z():
     stats = empirical_z(samples, inst, list(inst.treatments))
     want = z_profile(inst)
     for a in inst.treatments:
-        assert np.allclose(stats.empirical_z[a], want.z[a - 1], atol=1e-12)
+        assert np.allclose(stats.z[a - 1], want.z[a - 1], atol=1e-12)
 
 
 def test_empirical_z_equal_means_zero_xi():
     inst = unit_instance(2)
     samples = {arm: np.full((5, 1), 3.3) for arm in (0, 1, 2)}
     stats = empirical_z(samples, inst, [1, 2])
-    assert stats.empirical_z[1][0] == pytest.approx(0.0, abs=1e-12)
+    assert stats.z[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_empirical_z_variance_matches_formula():
@@ -125,7 +125,7 @@ def test_empirical_z_variance_matches_formula():
             0: rng.normal(0.0, 1.0, size=(n_0, 1)),
             1: rng.normal(0.4, 2.0, size=(n_a, 1)),
         }
-        vals[r] = empirical_z(samples, inst, [1]).empirical_z[1][0]
+        vals[r] = empirical_z(samples, inst, [1]).z[0][0]
     want = (4.0 / 5.0) / n_a + (1.0 / 5.0) / n_0
     se = want * math.sqrt(2.0 / reps)
     assert abs(vals.var() - want) < 3 * se
@@ -415,7 +415,7 @@ def test_stage_structure_and_budget_accounting():
         for prev, nxt in zip(sizes, sizes[1:]):
             assert nxt == math.ceil(prev / 2)
         assert math.ceil(sizes[-1] / 2) == 1
-        assert res.total_pulls_used == sum(sum(s.pulls.values()) for s in res.trail)
+        assert res.total_pulls_used == sum(int(s.counts.sum()) for s in res.trail)
         assert res.total_pulls_used <= budget
         assert [res.recommended] == sorted(
             minz_eliminate(res.trail[-1], 1)

@@ -671,6 +671,36 @@ def test_sweep_validation_horizon():
     assert reports[0].cells[0].repetitions == 300
 
 
+def test_sweep_rejects_non_integer_budget():
+    with pytest.raises(ValueError, match="budget values must be integers"):
+        sweep(small_config(), "budget", [8000.7])
+
+
+def test_sweep_rejects_non_integer_t_v():
+    with pytest.raises(ValueError, match="t_v values must be integers"):
+        sweep(small_config(), "t_v", [1000.9])
+
+
+def test_sweep_t_v_equals_freshly_built_instances():
+    """Each swept horizon runs on a new instance with its own tables, never
+    on tables cached on the base instance."""
+    base = preset("exp2", l=2.0)  # t_v = 100; validation is borderline
+    z_profile(base)  # the base instance's tables exist before the sweep
+    cfg = ExperimentConfig(instance=base, algorithms=["shrvar", "sh"],
+                           budgets=[500], repetitions=200, master_seed=4)
+    reports = sweep(cfg, "t_v", [200, 1000])
+    for value_idx, (report, t_v) in enumerate(zip(reports, [200, 1000])):
+        old = base.validation
+        fresh = Instance(means=base.means.copy(), stddevs=base.stddevs.copy(),
+                         validation=type(old)(old.variant, t_v, delta=old.delta,
+                                              q=old.q, tau=old.tau))
+        direct = dataclasses.replace(cfg, instance=fresh)
+        want = (run_experiment(direct).cells if value_idx == 0
+                else harness._run_cells(fresh, direct, value_idx, 1, None))
+        assert report.cells == want
+    assert reports[0].cells != reports[1].cells
+
+
 def test_sweep_t_v_rejects_odd_horizon():
     cfg = small_config()
     with pytest.raises(ValueError):

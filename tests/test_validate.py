@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from _gen import random_instance
-from m3ab.core import Instance, ValidationConfig, pass_probability
-from m3ab.validate import (
-    ValidationOutcome,
-    _standardized,
+from m3ab.core import (
+    Instance,
+    ValidationConfig,
+    pass_probability,
     posterior,
-    run_validation,
+    validation_terms,
 )
+from m3ab.validate import ValidationOutcome, _standardized, run_validation
 
 
 def validate_block(instance, treatments, rngs, reward_source="pulls"):
@@ -209,3 +210,33 @@ def test_validation_rejects_non_integer_treatments():
         run_validation(inst, 1.5, np.random.default_rng(0))
     with pytest.raises(ValueError, match="treatments must be integers"):
         validate_block(inst, [1.0], [np.random.default_rng(0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_posterior_equals_per_call_formula(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, variant="bayesian")
+    t = int(rng.integers(1, inst.num_treatments + 1))
+    out = run_validation(inst, t, rng, reward_source="means")
+    delta_hat, sigma_hat_sq = oracle.posterior_reference(
+        out.ate_estimates, inst.stddevs[t], inst.stddevs[0],
+        inst.validation.tau, inst.validation.horizon)
+    assert out.posterior == list(zip(delta_hat.tolist(), sigma_hat_sq.tolist()))
+
+
+def test_validation_terms_called_once_per_instance(monkeypatch):
+    import m3ab.core as core
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validation_terms(*args)
+
+    monkeypatch.setattr(core, "validation_terms", counted)
+    inst = table_instance()
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        run_validation(inst, 2, rng, reward_source="means")
+    assert len(calls) == 1
