@@ -17,10 +17,14 @@ Baseline rules (uniform / proportional to max_i sigma^2 / proportional to
 max_i sigma) treat the control as one more arm.  All rules guarantee every
 arm at least one pull whenever the stage budget covers the arm count: a
 zero-pull active arm has no mean estimate, so a floored-to-zero count is
-bumped to one pull funded from the floor-discarded remainder (extreme
-variance ratios hit this, e.g. the control share when every surviving
-treatment dwarfs the control's variance).  Only a budget below |active|+1 is
-reported as insufficient.
+bumped to one pull (extreme variance ratios hit this, e.g. the control share
+when every surviving treatment dwarfs the control's variance).  Pulls beyond
+the floor-discarded remainder come back one at a time from the first largest
+count.  In closed form, for all starved rows at once: clip each row at the
+smallest level T whose excess sum(max(c - T, 0)) fits its surplus (bisected
+bit by bit, at most 41 steps at B <= 2^40), then take the rest of the surplus
+from the counts equal to T in position order.  Only a budget below
+|active|+1 is reported as insufficient.
 """
 
 from __future__ import annotations
@@ -123,8 +127,8 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
 
     Every rule is written here once, over the weights ``w`` (one belief row
     or one per row; unread by the uniform rule) and rows from
-    ``active_index``.  Shares are floored row by row, and a row with a zero
-    count goes through ``_fund_starved``.  Stage budgets above 2^40 are
+    ``active_index``.  Shares are floored, and ``_fund_starved`` funds the
+    zero counts of every row in one array pass.  Stage budgets above 2^40 are
     refused: near 2^52 the float shares stop resolving single pulls.
     """
     if not isinstance(stage_budget, (int, np.integer)) or not 0 < stage_budget <= 2**40:
@@ -142,9 +146,7 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
                           * stage_budget).astype(int)
     else:
         raise ValueError(f"unknown sampling rule {sampling!r}")
-    for row in np.flatnonzero((counts == 0).any(axis=1)):
-        counts[row] = _fund_starved(counts[row], active[row], stage_budget)
-    return counts
+    return _fund_starved(counts, active, stage_budget)
 
 
 def _allocation(sampling: str, instance: Instance | None, active,
@@ -165,13 +167,9 @@ def _allocation(sampling: str, instance: Instance | None, active,
 def shrvar_allocation(
     instance: Instance, active, stage_budget: int
 ) -> StageAllocation:
-    """Relative-variance allocation with the algorithm's floor rounding.
-
-    Floored-to-zero counts are bumped to one pull, paid for from the
-    floor-discarded remainder first and otherwise from the largest counts;
-    all other counts keep their exact floors.  Raises
-    InsufficientBudgetError when the budget cannot cover one pull per arm.
-    """
+    """Relative-variance allocation with the algorithm's floor rounding and
+    starved-arm funding (module docstring).  Raises InsufficientBudgetError
+    when the budget cannot cover one pull per arm."""
     return _allocation("relative_variance", instance, active, stage_budget)
 
 
@@ -192,17 +190,26 @@ def neyman_allocation(instance: Instance, active, stage_budget: int) -> StageAll
 
 def _fund_starved(counts: np.ndarray, active: np.ndarray,
                   stage_budget: int) -> np.ndarray:
-    """Give every zero-count arm of one row one pull without exceeding the
-    budget; beyond the discarded remainder, pulls come back from the largest
-    counts (first position on ties)."""
-    if stage_budget < counts.size:
-        starved = int(np.argmin(counts))
-        raise InsufficientBudgetError(
-            f"stage budget {stage_budget} cannot cover {counts.size} arms",
-            arm=0 if starved == 0 else int(active[starved - 1]),
-        )
-    counts = counts.copy()
-    counts[counts == 0] = 1
-    while counts.sum() > stage_budget:
-        counts[np.argmax(counts)] -= 1
+    """Fund, in place, the zero counts of every starved row of an (R, k+1)
+    block at once, by the closed form of the module docstring."""
+    starved = np.flatnonzero((counts == 0).any(axis=1))
+    if starved.size == 0:
+        return counts
+    if stage_budget < counts.shape[1]:
+        row = starved[0]
+        arm = np.concatenate(([0], active[row]))[np.argmin(counts[row])]
+        raise InsufficientBudgetError(f"stage budget {stage_budget} cannot cover "
+                                      f"{counts.shape[1]} arms", arm=int(arm))
+    bumped = np.maximum(counts[starved], 1)
+    surplus = bumped.sum(axis=1) - stage_budget
+    below = np.zeros_like(surplus)  # T - 1; the excess at 0 exceeds every surplus
+    for bit in reversed(range(int(bumped.max()).bit_length())):
+        trial = below + (1 << bit)
+        excess = np.maximum(bumped - trial[:, None], 0).sum(axis=1)
+        below = np.where(excess > surplus, trial, below)
+    level = below[:, None] + 1
+    at_level = bumped >= level
+    left = surplus - np.maximum(bumped - level, 0).sum(axis=1)
+    counts[starved] = np.minimum(bumped, level) - (
+        at_level & (np.cumsum(at_level, axis=1) <= left[:, None]))
     return counts

@@ -160,6 +160,9 @@ class Instance:
         """Treatment arm indices (1..A); arm 0 is the control."""
         return range(1, self.num_treatments + 1)
 
+    def __reduce__(self):  # unpickle through __post_init__: read-only, no stale tables
+        return Instance, (self.means, self.stddevs, self.validation)
+
     @cached_property
     def _profile(self) -> ZProfile:
         """The tables of ``z_profile``, derived on first read;

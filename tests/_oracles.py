@@ -141,10 +141,17 @@ def _floor_counts(shares, active: list[int], stage_budget: int) -> list[int]:
     denom = rho_sigma + lambda_sigma
     counts = [math.floor(lambda_sigma / denom * stage_budget)]
     counts += [math.floor(r / (rho_sigma * denom) * stage_budget) for r in rho2]
-    if 0 in counts:
-        counts = [max(c, 1) for c in counts]
-        while sum(counts) > stage_budget:
-            counts[counts.index(max(counts))] -= 1
+    return fund_starved_reference(counts, stage_budget) if 0 in counts else counts
+
+
+def fund_starved_reference(counts: list[int], stage_budget: int) -> list[int]:
+    """One starved row's funding, one pull at a time: every zero count becomes
+    one pull, then while the row overspends the budget the first largest
+    count gives one back.  The reference for ``alloc._fund_starved``'s closed
+    form; it takes one step per pull, so keep the overspend small."""
+    counts = [max(c, 1) for c in counts]
+    while sum(counts) > stage_budget:
+        counts[counts.index(max(counts))] -= 1
     return counts
 
 

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
 from _gen import random_instance
 from _kernels import set_scales, shrvar_shares
+from m3ab import alloc, halving
 from m3ab.alloc import (
     StageAllocation,
+    _fund_starved,
     arm_weights,
     neyman_allocation,
     shrvar_allocation,
@@ -22,6 +24,7 @@ from m3ab.alloc import (
 from m3ab.core import Instance, ValidationConfig
 from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import SAMPLING_RULES, empirical_z, run_exploration
+from m3ab.harness import ExperimentConfig, run_experiment
 from m3ab.instances import preset
 
 
@@ -271,6 +274,89 @@ def test_stage_counts_fund_every_arm_within_budget_up_to_bound(seed, rows,
         assert counts.shape == (rows, k + 1)
         assert counts.min() >= 1, rule
         assert (counts.sum(axis=1) <= stage_budget).all(), rule
+
+
+@st.composite
+def count_blocks(draw):
+    """(rows, stage budget): 1-4 rows of n in 2..9 counts, budget >= n.  A
+    row's bumped total overspends the budget by at most min(budget, 64)
+    pulls: up to the whole budget when it is small, and few enough for the
+    oracle's one-pull steps at budgets up to 2^40."""
+    n = draw(st.integers(2, 9))
+    budget = draw(st.integers(n, 4 * n) | st.integers(n, 2**40))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(st.integers(0, budget), min_size=n, max_size=n))
+        cap = budget - n + draw(st.integers(0, min(budget, 64)))
+        total = sum(row)
+        rows.append([c * cap // total for c in row] if total > cap else row)
+    return rows, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_blocks())
+@example(([[0, 0, 5, 0, 3]], 8))                  # several zeros
+@example(([[0, 4, 4, 4, 1]], 10))                 # ties at the clip level 3
+@example(([[0, 3, 2], [0, 0, 1]], 10))            # bumps fit the remainder
+@example(([[0, 9, 10], [0, 20, 0]], 10))          # overspend = the budget
+@example(([[0, 7, 0, 2], [1, 1, 1, 1]], 4))       # budget = arm count
+@example(([[3, 3, 4], [0, 5, 5], [2, 2, 2], [0, 0, 10]], 10))  # mixed rows
+@example(([[0, 2**40 - 1, 0], [2**39, 0, 2**39]], 2**40))
+def test_fund_starved_equals_one_pull_at_a_time_oracle(block):
+    rows, budget = block
+    active = np.tile(np.arange(1, len(rows[0])), (len(rows), 1))
+    want = [oracle.fund_starved_reference(row, budget) if 0 in row else row
+            for row in rows]
+    assert _fund_starved(np.array(rows), active, budget).tolist() == want
+
+
+@pytest.mark.parametrize("sampling,active,arm", [
+    ("uniform", [[2, 3], [1, 2]], 0),
+    ("relative_variance", [[3, 4], [1, 2]], 3),
+    ("variance", [[1, 4], [3, 4]], 1),
+    ("neyman", [[1, 4], [3, 4]], 1),
+])
+def test_stage_budget_below_arm_count_names_first_starved_rows_arm(
+        sampling, active, arm):
+    # Two pulls for three arms starve every row; the error names the first
+    # row's first smallest count (0 = control).  Alone, the second row would
+    # name another arm, except under the uniform rule (all zeros).
+    w = arm_weights(np.array([[[10.0], [1.0], [1.0], [10.0], [0.1]]]))
+    with pytest.raises(InsufficientBudgetError,
+                       match="^stage budget 2 cannot cover 3 arms$") as excinfo:
+        stage_counts(sampling, w, np.array(active), 2)
+    assert excinfo.value.arm == arm
+
+
+def test_block_counts_equal_row_by_row_counts(monkeypatch):
+    # Every active set met in 64 repetitions on exp2 at l=5 and B=500, where
+    # stage 1 starves arms, funded as one (R, k) block and one row at a time:
+    # no row's counts depend on its neighbours.
+    calls, starved = [], []
+
+    def record(sampling, w, active, stage_budget):
+        calls.append((sampling, w, active, stage_budget))
+        return stage_counts(sampling, w, active, stage_budget)
+
+    def count_starved(counts, active, stage_budget):
+        starved.append(int((counts == 0).any(axis=1).sum()))
+        return fund_starved(counts, active, stage_budget)
+
+    monkeypatch.setattr(halving, "stage_counts", record)
+    run_experiment(ExperimentConfig(instance=preset("exp2", l=5.0),
+                                    algorithms=["shrvar", "shvar", "sh"],
+                                    budgets=[500], repetitions=64))
+    fund_starved = alloc._fund_starved
+    monkeypatch.setattr(alloc, "_fund_starved", count_starved)
+    for sampling, w, active, stage_budget in calls:
+        rows = [stage_counts(sampling, w, row[None], stage_budget)
+                for row in active]
+        assert np.array_equal(stage_counts(sampling, w, active, stage_budget),
+                              np.concatenate(rows))
+    assert {call[0] for call in calls} == {"relative_variance", "variance",
+                                           "uniform"}
+    assert any(len(np.unique(active, axis=0)) > 1 for _, _, active, _ in calls)
+    assert sum(starved) > 0
 
 
 def test_stage_counts_reject_stage_budgets_above_bound():

@@ -8,6 +8,7 @@ against the package.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -393,3 +394,24 @@ def test_tables_are_read_only_and_built_once():
                  "pass_probabilities", "posterior_variance", "shrink"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(prof, name)[0] = 0.0
+
+
+def test_unpickled_instance_is_read_only_with_equal_tables():
+    # Process-pool tasks receive their instance pickled; its arrays and its
+    # derived tables must come back read-only, the tables equal to the
+    # sender's.
+    inst = table_instance()
+    sent = z_profile(inst)
+    back = pickle.loads(pickle.dumps(inst))
+    prof = z_profile(back)
+    assert prof is not sent
+    tables = {name: value for name, value in vars(prof).items()
+              if isinstance(value, np.ndarray)}
+    assert len(tables) == 8  # every table of a Bayesian instance
+    for name, value in {"means": back.means, "stddevs": back.stddevs,
+                        **tables}.items():
+        assert not value.flags.writeable, name
+    assert np.array_equal(back.means, inst.means)
+    assert np.array_equal(back.stddevs, inst.stddevs)
+    for name, value in vars(sent).items():
+        assert np.array_equal(getattr(prof, name), value), name

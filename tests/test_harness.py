@@ -583,6 +583,18 @@ def test_insufficient_budget_identifies_cell():
     assert "shrvar" in str(excinfo.value) and "budget=3" in str(excinfo.value)
 
 
+def test_starved_stage_error_names_arm_and_cell():
+    # exp2's 28 arms at B=100 over 5 stages: 20 pulls a stage.  The first
+    # repetition's relative-variance floors starve treatment 1 first.
+    cfg = small_config(instance=preset("exp2", l=5.0), budgets=[100],
+                       repetitions=4)
+    with pytest.raises(InsufficientBudgetError) as excinfo:
+        run_experiment(cfg)
+    assert (excinfo.value.arm, excinfo.value.cell) == (1, ("shrvar", 100))
+    assert str(excinfo.value) == ("cell (algorithm=shrvar, budget=100): "
+                                  "stage budget 20 cannot cover 28 arms")
+
+
 def test_disjoint_seeds_agree_within_intervals():
     cells = [
         run_experiment(small_config(repetitions=2000, master_seed=s))
