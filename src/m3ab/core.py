@@ -32,7 +32,7 @@ formula of the test once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -42,17 +42,33 @@ NON_BAYESIAN = "non_bayesian"
 BAYESIAN = "bayesian"
 
 
+class _ArrayFields:
+    """Frozen dataclasses of arrays: value equality (arrays by np.array_equal,
+    None equal only to None; no hash) and unpickling through __post_init__."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(x is y if x is None or y is None else
+                   np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                   for x, y in zip(self.__reduce__()[1], other.__reduce__()[1]))
+
+    def __reduce__(self):  # read-only arrays, no stale cached tables
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _as_prob_vector(x, m: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = np.array(x, dtype=float).reshape(-1)
     if v.shape != (m,):
         raise ValueError(f"{name} must have length {m}, got shape {v.shape}")
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0) or np.any(v >= 1.0):
         raise ValueError(f"{name} entries must lie strictly inside (0, 1)")
+    v.setflags(write=False)
     return v
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
+@dataclass(frozen=True, eq=False)
+class ValidationConfig(_ArrayFields):
     """Configuration of the downstream validation A/B test.
 
     variant: "non_bayesian" (per-metric level delta) or "bayesian"
@@ -87,11 +103,12 @@ class ValidationConfig:
                 raise ValueError("Bayesian validation requires q and tau")
             m = np.asarray(self.q).size
             object.__setattr__(self, "q", _as_prob_vector(self.q, m, "q"))
-            tau = np.asarray(self.tau, dtype=float).reshape(-1)
+            tau = np.array(self.tau, dtype=float).reshape(-1)
             if tau.shape != (m,):
                 raise ValueError(f"tau must have length {m}, got shape {tau.shape}")
             if not np.all(np.isfinite(tau)) or np.any(tau <= 0.0):
                 raise ValueError("tau entries must be strictly positive")
+            tau.setflags(write=False)
             object.__setattr__(self, "tau", tau)
             if self.delta is not None:
                 raise ValueError("delta is a non-Bayesian-only field")
@@ -112,8 +129,8 @@ class ValidationConfig:
         )
 
 
-@dataclass(frozen=True)
-class Instance:
+@dataclass(frozen=True, eq=False)
+class Instance(_ArrayFields):
     """A full problem instance: reward model plus validation configuration.
 
     means, stddevs: (A+1) x M arrays; row 0 is the control, row a is
@@ -125,8 +142,8 @@ class Instance:
     validation: ValidationConfig
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        stddevs = np.atleast_2d(np.asarray(self.stddevs, dtype=float))
+        means = np.atleast_2d(np.array(self.means, dtype=float))
+        stddevs = np.atleast_2d(np.array(self.stddevs, dtype=float))
         if means.shape != stddevs.shape:
             raise ValueError(
                 f"means shape {means.shape} != stddevs shape {stddevs.shape}"
@@ -159,9 +176,6 @@ class Instance:
     def treatments(self) -> range:
         """Treatment arm indices (1..A); arm 0 is the control."""
         return range(1, self.num_treatments + 1)
-
-    def __reduce__(self):  # unpickle through __post_init__: read-only, no stale tables
-        return Instance, (self.means, self.stddevs, self.validation)
 
     @cached_property
     def _profile(self) -> ZProfile:

@@ -308,10 +308,9 @@ def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
     return _eliminate("mean", stats, keep)
 
 
-# Elements of one (rows, k, k, M, M) crossing array; larger blocks of
-# repetitions are split into row chunks of at most this size (8 MB), down to
-# single rows, which are computed whole whatever their size.
-_CROSSING_CELLS = 2**20
+# Cells of one (rows, k, k) crossing plane (2 MB; about five are live at once):
+# blocks are split into row chunks that fit, down to single rows, computed whole.
+_CROSSING_CELLS = 2**18
 
 
 def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
@@ -331,19 +330,26 @@ def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
     The term a' = a is exactly 0 (take i = j = argmin zhat[a]), so c* >= 0
     with no clip, and the empirical-best arm (and any arm tied with it)
     gets c* = 0, hence the cap.
+
+    The crossings are (..., k, k) planes over (a, a'), one per metric pair
+    (i, j), folded by min over j, then max over i: a few planes in memory.
     """
     k, m = z.shape[-2:]
-    if z.ndim == 3 and len(z) > 1 and z.size * k * m > _CROSSING_CELLS:
-        step = max(1, _CROSSING_CELLS // (k * m) ** 2)
+    if z.ndim == 3 and len(z) > 1 and len(z) * k * k > _CROSSING_CELLS:
+        step = max(1, _CROSSING_CELLS // k**2)
         return np.concatenate([
             _confidence_levels(z[lo:lo + step], z_var[lo:lo + step])
             for lo in range(0, len(z), step)])
     s = 2.0 * np.sqrt(z_var)
-    # crossing[..., a, b, i, j]: the c at which a's metric-i UCB term meets
-    # rival b's metric-j LCB term
-    crossing = (z[..., None, :, None, :] - z[..., :, None, :, None]) \
-        / (s[..., :, None, :, None] + s[..., None, :, None, :])
-    c_star = crossing.min(axis=-1).max(axis=(-2, -1))
+    c_star = None
+    for i in range(m):
+        fold = None
+        for j in range(m):
+            plane = (z[..., None, :, j] - z[..., :, None, i]) \
+                / (s[..., :, None, i] + s[..., None, :, j])
+            fold = plane if fold is None else np.minimum(fold, plane, out=fold)
+        c_star = fold if c_star is None else np.maximum(c_star, fold, out=c_star)
+    c_star = c_star.max(axis=-1)
     return k * m * np.exp(-c_star**2)  # k * m = |A_s| * M, the cap
 
 

@@ -8,8 +8,11 @@ form, the confidence level is bisected instead of taken from the closed-form
 crossing point, and the halving reference is a scalar loop over plain floats
 driven by the stdlib generator (random.Random) instead of numpy's.  The
 harness reference runs one repetition at a time where the harness runs
-blocks of repetitions as arrays.  Keep
-these free of imports from m3ab so a bug cannot leak into its own check.
+blocks of repetitions as arrays.  One oracle shares the package's
+arithmetic on purpose: the confidence levels as a single (..., k, k, M, M)
+crossing array, which the package's pair-by-pair fold must equal bit for
+bit.  Keep these free of imports from m3ab so a bug cannot leak into its
+own check.
 """
 
 from __future__ import annotations
@@ -246,6 +249,23 @@ def confidence_level_bisection(z, v, arm) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if f(mid) > 0.0 else (mid, hi)
     return cap * math.exp(-(0.5 * (lo + hi)) ** 2)
+
+
+def confidence_levels_broadcast(z, z_var):
+    """The closed-form confidence levels of a block (..., k, M) in one
+    broadcast: crossing[..., a, b, i, j] = (z[b,j] - z[a,i]) / (s[a,i] +
+    s[b,j]) with s = 2 sqrt(z_var), reduced by min over j, then max over
+    (b, i).  Every crossing is the same IEEE operation on the same operands
+    as in any fold of (k, k) planes, and min/max are exact, so a correct
+    fold equals this array bit for bit."""
+    import numpy as np  # local import: only the array oracles use numpy
+
+    k, m = z.shape[-2:]
+    s = 2.0 * np.sqrt(z_var)
+    crossing = (z[..., None, :, None, :] - z[..., :, None, :, None]) \
+        / (s[..., :, None, :, None] + s[..., None, :, None, :])
+    c_star = crossing.min(axis=-1).max(axis=(-2, -1))
+    return k * m * np.exp(-c_star**2)
 
 
 def confidence_bonus(delta: float, rho_sq: float, lambda_sq: float, n_a: int,

@@ -7,6 +7,7 @@ against the package.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 
@@ -27,6 +28,7 @@ from m3ab.core import (
     validation_terms,
     z_profile,
 )
+from m3ab.instances import preset
 
 
 def table_instance() -> Instance:
@@ -397,21 +399,78 @@ def test_tables_are_read_only_and_built_once():
 
 
 def test_unpickled_instance_is_read_only_with_equal_tables():
-    # Process-pool tasks receive their instance pickled; its arrays and its
-    # derived tables must come back read-only, the tables equal to the
-    # sender's.
+    # Process-pool tasks receive their instance pickled; its arrays, its
+    # config's and its derived tables must come back read-only, the tables
+    # equal to the sender's.
     inst = table_instance()
     sent = z_profile(inst)
     back = pickle.loads(pickle.dumps(inst))
+    assert back == inst and back.validation == inst.validation
     prof = z_profile(back)
     assert prof is not sent
     tables = {name: value for name, value in vars(prof).items()
               if isinstance(value, np.ndarray)}
     assert len(tables) == 8  # every table of a Bayesian instance
     for name, value in {"means": back.means, "stddevs": back.stddevs,
+                        "q": back.validation.q, "tau": back.validation.tau,
                         **tables}.items():
         assert not value.flags.writeable, name
     assert np.array_equal(back.means, inst.means)
     assert np.array_equal(back.stddevs, inst.stddevs)
     for name, value in vars(sent).items():
         assert np.array_equal(getattr(prof, name), value), name
+
+
+def test_validation_arrays_are_read_only():
+    bayes = table_instance().validation
+    for name, cfg in (("delta", preset("exp1").validation), ("q", bayes),
+                      ("tau", bayes)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, name)[0] = 0.5
+
+
+def test_validation_config_keeps_a_copy_of_its_inputs():
+    delta = np.array([0.1, 0.2])
+    cfg = ValidationConfig.non_bayesian(delta, 100)
+    cached = z_profile(Instance(np.zeros((2, 2)), np.ones((2, 2)), cfg))
+    delta[0] = 0.5
+    assert cfg.delta.tolist() == [0.1, 0.2]
+    # the tables cached before the write still match the config
+    again = z_profile(Instance(np.zeros((2, 2)), np.ones((2, 2)), cfg))
+    for name in ("critical", "pass_probabilities"):
+        assert np.array_equal(getattr(again, name), getattr(cached, name)), name
+    q, tau = np.array([0.9, 0.8]), np.array([1.0, 2.0])
+    bayes = ValidationConfig.bayesian(q, tau, 100)
+    q[0], tau[0] = 0.5, 9.0
+    assert bayes.q.tolist() == [0.9, 0.8] and bayes.tau.tolist() == [1.0, 2.0]
+
+
+def test_instance_copies_the_callers_arrays():
+    means, stddevs = np.zeros((3, 2)), np.ones((3, 2))
+    inst = Instance(means, stddevs, ValidationConfig.non_bayesian([0.1, 0.1], 100))
+    assert inst.means is not means and inst.stddevs is not stddevs
+    assert means.flags.writeable and stddevs.flags.writeable
+    means[1, 0], stddevs[1, 0] = 5.0, 3.0
+    assert not inst.means.any() and (inst.stddevs == 1.0).all()
+
+
+def test_instance_from_views_ignores_writes_to_their_base():
+    base = np.ones((4, 2))
+    inst = Instance(base[:3], base[1:],
+                    ValidationConfig.non_bayesian([0.1, 0.1], 100))
+    base[:] = 7.0
+    assert (inst.means == 1.0).all() and (inst.stddevs == 1.0).all()
+
+
+def test_equality_compares_fields_by_value():
+    inst = preset("exp1")
+    assert inst == preset("exp1") and inst.validation == preset("exp1").validation
+    longer = dataclasses.replace(inst.validation, horizon=inst.validation.horizon + 2)
+    assert longer != inst.validation
+    assert dataclasses.replace(inst, validation=longer) != inst
+    assert ValidationConfig.non_bayesian([0.1, 0.1], 100) \
+        != ValidationConfig.bayesian([0.9, 0.9], [1.0, 1.0], 100)
+    assert inst != inst.validation and inst.validation != inst
+    for value in (inst, inst.validation):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _gen import random_instance
 from _oracles import (
     confidence_bonus,
     confidence_level_bisection,
+    confidence_levels_broadcast,
     halving_stage_count,
     phase0_reference,
 )
+from m3ab import halving
 from m3ab.alloc import (
     neyman_allocation,
     shrvar_allocation,
@@ -316,6 +319,62 @@ def test_confidence_closed_form_matches_bisection_oracle(stage):
                     assert want[k] > want[d]
 
 
+@st.composite
+def confidence_blocks(draw):
+    """Random blocks (R, k, M) of stages with the same optional twists as
+    confidence_stages (a copied zhat row, one shared variance, a leader that
+    underflows every other arm), plus a chunk size for _CROSSING_CELLS
+    (None keeps the default) small enough to split a block of several rows."""
+    r, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    z = draw(arrays(float, (r, k, m), elements=st.floats(-5.0, 5.0)))
+    if k > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(k)))[:2]
+        z[:, dst] = z[:, src]
+    if draw(st.booleans()):
+        z_var = np.full((r, k, m), draw(st.floats(1e-4, 1.0)))
+    else:
+        z_var = draw(arrays(float, (r, k, m), elements=st.floats(1e-4, 1.0)))
+    if draw(st.booleans()):
+        z[:, draw(st.integers(0, k - 1))] += 1e3
+    cells = draw(st.none() | st.integers(1, max(1, r * k * k - 1)))
+    return z, z_var, cells
+
+
+def named_block(r, k, m, cells=None, *, tied=False, leader=None):
+    """A seeded block for the named cases: optionally arm 0's zhat row copied
+    into arm k-1 with one variance shared by every cell, or arm `leader`
+    lifted by 1e3 on every metric."""
+    rng = np.random.default_rng(r * 100 + k)
+    z, z_var = rng.uniform(-5.0, 5.0, (r, k, m)), rng.uniform(1e-4, 1.0, (r, k, m))
+    if tied:
+        z[:, -1], z_var[:] = z[:, 0], 0.03
+    if leader is not None:
+        z[:, leader] += 1e3
+    return z, z_var, cells
+
+
+# Named cases: tied rows with one shared variance; a leader that underflows
+# every other arm to delta = 0; k = 1; blocks split into single rows and
+# into chunks of two rows.
+@example(named_block(2, 4, 3, tied=True))
+@example(named_block(3, 8, 2, leader=5))
+@example(named_block(4, 1, 3))
+@example(named_block(6, 40, 4, cells=1000))
+@example(named_block(5, 20, 3, cells=800))
+@settings(max_examples=150, deadline=None)
+@given(confidence_blocks())
+def test_confidence_levels_equal_broadcast_oracle_bit_for_bit(block):
+    z, z_var, cells = block
+    want = confidence_levels_broadcast(z, z_var)
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(halving, "_CROSSING_CELLS", cells)
+        got = _confidence_levels(z, z_var)
+    assert np.array_equal(got, want)
+    for row in range(len(z)):  # one stage, no repetition axis
+        assert np.array_equal(_confidence_levels(z[row], z_var[row]), want[row])
+
+
 def test_confidence_level_monotone_in_own_z():
     rng = np.random.default_rng(43)
     for _ in range(20):
@@ -433,8 +492,9 @@ def test_run_exploration_deterministic():
 
 
 def test_confidence_elimination_with_more_than_1024_arm_metric_pairs():
-    # 342 arms x 3 metrics: one row's crossing array alone exceeds the chunk
-    # size, so it is computed whole instead of split further.
+    # 342 arms x 3 metrics, more than 1024 arm-metric pairs: each row's
+    # (342, 342) crossing planes are folded over the 9 metric pairs, and the
+    # block must agree with the row-by-row runs.
     inst = preset("exp3", seed=7, num_treatments=342)
     seeds = (3, 4)
     rows = [run_exploration(inst, "shrvar-c", 120000, reward_source="means",
