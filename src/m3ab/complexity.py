@@ -74,11 +74,10 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Subset-minimum hardness of one instance, plus the cheaper surrogates."""
+    """Subset-minimum hardness of one instance: h3, the subset attaining it
+    and that subset's rho_sigma and lambda_sigma."""
 
     h3: float
-    h3_prime: float
-    delta_min: float
     argmin_subset: tuple[int, ...]
     rho_sigma: float
     lambda_sigma: float
@@ -191,22 +190,37 @@ def effective_gap(instance: Instance, subset, treatment: int) -> float:
 def effective_gap_tilde(instance: Instance, subset, treatment: int,
                         budget: float) -> float:
     """The budget-corrected gap; never exceeds effective_gap."""
+    return math.sqrt(_pair_gap_sq(instance, subset, treatment,
+                                  _correction(instance, budget)))
+
+
+def _correction(instance: Instance, budget: float) -> float:
+    """The budget term 8 A log2(A)^2 / T of the corrected gap."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     a_count = instance.num_treatments
-    correction = 8.0 * a_count * math.log2(a_count) ** 2 / budget
-    return math.sqrt(_pair_gap_sq(instance, subset, treatment, correction))
+    return 8.0 * a_count * math.log2(a_count) ** 2 / budget
 
 
-def _best_over_subsets(instance: Instance, correction: float | None):
-    """Minimize min_{a in S'_c} gap^2 / (rho_sigma + lambda_sigma)^2 over all
-    subsets containing the best treatment.  Returns (value, members, scales).
+def _best_over_subsets(instance: Instance, correction: float | None,
+                       max_enumeration: int):
+    """h = 1 / min over subsets S holding the best treatment of
+    gap^2 / (rho_sigma + lambda_sigma)^2, where gap^2 is the
+    (floor(|S|/4) + 1)-th smallest squared gap of S's sub-optimal members
+    (inf when S'_c is empty).  Returns (h, attaining members, their scales).
 
     Subsets are swept as bitmasks over the sub-optimal treatments, in chunks
     of _CHUNK masks, each chunk one call of the subset kernel.
     """
-    star, gaps = _subset_kernel(instance, correction)
     a_count = instance.num_treatments
+    if a_count < 2:
+        raise ValueError("need at least two treatments for a gap")
+    if a_count > max_enumeration:
+        raise TooLargeError(
+            f"{a_count} treatments means 2^{a_count - 1} subsets; raise "
+            f"max_enumeration (currently {max_enumeration})"
+        )
+    star, gaps = _subset_kernel(instance, correction)
     star_idx = star - 1
     others = np.array([a for a in range(a_count) if a != star_idx])
     k = len(others)
@@ -220,20 +234,11 @@ def _best_over_subsets(instance: Instance, correction: float | None):
         member = np.zeros((c, a_count), dtype=bool)
         member[:, others] = (masks[:, None] >> np.arange(k)[None, :]) & 1
         member[:, star_idx] = True
-        sizes = member.sum(axis=1)
         gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
 
-        rank_key = gap_sq.copy()
-        rank_key[:, star_idx] = -np.inf  # pinned first; never a drop slot
-        rank_key[~member] = np.inf
-        values = gap_sq.copy()
-        values[:, star_idx] = np.inf
-        values[~member] = np.inf
-        order = np.argsort(rank_key, axis=1, kind="stable")
-        ranked_values = np.take_along_axis(values, order, axis=1)
-        suffix_min = np.minimum.accumulate(ranked_values[:, ::-1], axis=1)[:, ::-1]
-        drops = np.where(sizes >= 4, sizes // 4, 0)
-        numerator = suffix_min[np.arange(c), drops + 1]
+        values = np.where(member, gap_sq, np.inf)
+        values[:, star_idx] = np.inf  # never a drop slot, never counted
+        numerator = np.sort(values, axis=1)[np.arange(c), member.sum(axis=1) // 4]
         candidate = numerator / (rho_sigma + lambda_sigma)**2
 
         j = int(np.argmin(candidate))
@@ -241,16 +246,7 @@ def _best_over_subsets(instance: Instance, correction: float | None):
             best = float(candidate[j])
             best_members = np.flatnonzero(member[j]) + 1
             best_scales = (float(rho_sigma[j]), float(lambda_sigma[j]))
-    return best, best_members, best_scales
-
-
-def _check_enumerable(instance: Instance, max_enumeration: int) -> None:
-    if instance.num_treatments > max_enumeration:
-        raise TooLargeError(
-            f"{instance.num_treatments} treatments means "
-            f"2^{instance.num_treatments - 1} subsets; raise max_enumeration "
-            f"(currently {max_enumeration})"
-        )
+    return (1.0 / best if best > 0 else math.inf), best_members, best_scales
 
 
 def h3_prime(instance: Instance) -> float:
@@ -270,33 +266,16 @@ def h3(instance: Instance,
        max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> ComplexityReport:
     """Exhaustive subset-minimum complexity; ``h3_tilde`` gives the
     budget-corrected variant."""
-    if instance.num_treatments < 2:
-        raise ValueError("need at least two treatments for a gap")
-    _check_enumerable(instance, max_enumeration)
-    value, members, scales = _best_over_subsets(instance, None)
-    return ComplexityReport(
-        h3=1.0 / value if value > 0 else math.inf,
-        h3_prime=h3_prime(instance),
-        delta_min=delta_min(instance),
-        argmin_subset=tuple(int(a) for a in members),
-        rho_sigma=scales[0],
-        lambda_sigma=scales[1],
-    )
+    h, members, scales = _best_over_subsets(instance, None, max_enumeration)
+    return ComplexityReport(h, tuple(int(a) for a in members), *scales)
 
 
 def h3_tilde(instance: Instance, budget: float,
              max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> float:
     """Subset-minimum complexity with the budget-corrected gap; >= h3, and
     equal once the budget clears 8 A log2(A)^2 / delta_min^2."""
-    if instance.num_treatments < 2:
-        raise ValueError("need at least two treatments for a gap")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    _check_enumerable(instance, max_enumeration)
-    a_count = instance.num_treatments
-    correction = 8.0 * a_count * math.log2(a_count) ** 2 / budget
-    value, _, _ = _best_over_subsets(instance, correction)
-    return 1.0 / value if value > 0 else math.inf
+    return _best_over_subsets(instance, _correction(instance, budget),
+                              max_enumeration)[0]
 
 
 def error_bound(budget: float, num_treatments: int, num_metrics: int,

@@ -200,8 +200,8 @@ class Instance(_ArrayFields):
             posterior_variance=variance, shrink=shrink)
 
 
-@dataclass(frozen=True)
-class ZProfile:
+@dataclass(frozen=True, eq=False)
+class ZProfile(_ArrayFields):
     """The tables of one instance; row a-1 is treatment a, arrays read-only.
     z = snr + xi, min_z its minimum over metrics, attained at metric
     bottleneck[a-1] (ties -> lowest metric); best, the treatment with the

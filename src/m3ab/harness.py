@@ -115,6 +115,11 @@ def wilson_interval(successes: int, trials: int,
     return (lo, hi)
 
 
+def _is_whole(value) -> bool:
+    """A whole number of any size: not a fraction, an infinity or a NaN."""
+    return value == value and abs(value) != math.inf and int(value) == value
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """What to run: instance (or a callable producing one), algorithm menu,
@@ -148,19 +153,19 @@ class ExperimentConfig:
             if not isinstance(spec, AlgorithmSpec):
                 raise TypeError(f"not an algorithm name or spec: {spec!r}")
         object.__setattr__(self, "algorithms", specs)
+        if not all(map(_is_whole, self.budgets)):
+            raise ValueError("budgets must be integers")
         budgets = tuple(int(b) for b in self.budgets)
         if not budgets:
             raise ValueError("budgets must be non-empty")
-        if any(b != orig for b, orig in zip(budgets, self.budgets)):
-            raise ValueError("budgets must be integers")
         if any(b < 1 for b in budgets):
             raise ValueError(f"budgets must be >= 1, got {budgets}")
         object.__setattr__(self, "budgets", budgets)
-        if int(self.repetitions) != self.repetitions or self.repetitions < 1:
+        if not _is_whole(self.repetitions) or self.repetitions < 1:
             raise ValueError(f"repetitions must be a positive integer, "
                              f"got {self.repetitions}")
         object.__setattr__(self, "repetitions", int(self.repetitions))
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
+        if not _is_whole(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, "
                              f"got {self.master_seed}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
@@ -479,7 +484,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
-    if parameter != "heterogeneity_l" and any(int(v) != v for v in values):
+    if parameter != "heterogeneity_l" and not all(map(_is_whole, values)):
         raise ValueError(f"{parameter} values must be integers, got {values}")
     reports = []
     with _pool(threads, config.repetitions) as pool:

@@ -8,11 +8,12 @@ form, the confidence level is bisected instead of taken from the closed-form
 crossing point, and the halving reference is a scalar loop over plain floats
 driven by the stdlib generator (random.Random) instead of numpy's.  The
 harness reference runs one repetition at a time where the harness runs
-blocks of repetitions as arrays.  One oracle shares the package's
-arithmetic on purpose: the confidence levels as a single (..., k, k, M, M)
-crossing array, which the package's pair-by-pair fold must equal bit for
-bit.  Keep these free of imports from m3ab so a bug cannot leak into its
-own check.
+blocks of repetitions as arrays.  Two oracles share the package's
+arithmetic on purpose, and the package must equal them bit for bit: the
+confidence levels as a single (..., k, k, M, M) crossing array, against
+the pair-by-pair fold, and the subset search's ranked drop of the
+floor(|S|/4) smallest gaps, against its order statistic.  Keep these free
+of imports from m3ab so a bug cannot leak into its own check.
 """
 
 from __future__ import annotations
@@ -377,6 +378,29 @@ def h3_reference(z, rho2, budget=None):
             if value < best:
                 best, best_subset = value, subset
     return (1.0 / best if best > 0 else math.inf), best_subset
+
+
+def drop_smallest_gaps_ranked(gap_sq, member, star):
+    """Per (c, A) member mask, the smallest squared gap of S'_c: the
+    sub-optimal members of S minus the floor(|S|/4) with smallest gap (no
+    drops when |S| <= 3), inf when S'_c is empty.  Ranked: the best treatment
+    (0-based index star) pinned first so it holds no drop slot, members by
+    gap, non-members last, then the minimum of what follows the drops."""
+    import numpy as np  # local import: only the array oracles use numpy
+
+    c = len(member)
+    sizes = member.sum(axis=1)
+    rank_key = gap_sq.copy()
+    rank_key[:, star] = -np.inf
+    rank_key[~member] = np.inf
+    values = gap_sq.copy()
+    values[:, star] = np.inf
+    values[~member] = np.inf
+    order = np.argsort(rank_key, axis=1, kind="stable")
+    ranked_values = np.take_along_axis(values, order, axis=1)
+    suffix_min = np.minimum.accumulate(ranked_values[:, ::-1], axis=1)[:, ::-1]
+    drops = np.where(sizes >= 4, sizes // 4, 0)
+    return suffix_min[np.arange(c), drops + 1]
 
 
 # --- per-repetition harness loop --------------------------------------------

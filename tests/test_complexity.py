@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import homogeneous_single_metric, random_instance
-from _oracles import effective_gap_sq_reference, h3_reference, kappa_reference
+from _oracles import (
+    drop_smallest_gaps_ranked,
+    effective_gap_sq_reference,
+    h3_reference,
+    kappa_reference,
+)
 from m3ab.complexity import (
+    _subset_kernel,
+    delta_min,
     effective_gap,
     effective_gap_tilde,
     error_bound,
@@ -178,6 +185,53 @@ def test_h3_matches_pure_python_enumerator():
         assert h3_tilde(inst, budget) == pytest.approx(want_tilde, rel=1e-9)
 
 
+def _ranked_sweep(inst: Instance, correction: float | None):
+    """(h, subset, rho_sigma, lambda_sigma) from one subset-kernel call over
+    every mask, in the search's bitmask order, with the ranked drop oracle."""
+    star, gaps = _subset_kernel(inst, correction)
+    others = [a for a in range(inst.num_treatments) if a != star - 1]
+    masks = np.arange(2 ** len(others))
+    member = np.zeros((len(masks), inst.num_treatments), dtype=bool)
+    member[:, others] = (masks[:, None] >> np.arange(len(others))) & 1
+    member[:, star - 1] = True
+    gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
+    candidate = (drop_smallest_gaps_ranked(gap_sq, member, star - 1)
+                 / (rho_sigma + lambda_sigma) ** 2)
+    j = int(np.argmin(candidate))
+    h = 1.0 / float(candidate[j]) if candidate[j] > 0 else math.inf
+    return h, tuple(np.flatnonzero(member[j]) + 1), rho_sigma[j], lambda_sigma[j]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1e-3, 1.0, 50.0, 500.0, 5000.0, 1e6]),
+)
+def test_subset_search_equals_ranked_drop_oracle(seed, a_count, m, copies, budget):
+    """h3 and h3_tilde equal, bit for bit, a sweep over every mask that drops
+    the floor(|S|/4) smallest gaps by ranking.  Copied treatment rows tie
+    gaps; the smallest budgets clip corrected gaps at 0."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1.0, 1.0, size=(a_count + 1, m))
+    stddevs = rng.uniform(0.3, 3.0, size=(a_count + 1, m))
+    for _ in range(copies):
+        src, dst = rng.integers(1, a_count + 1, size=2)
+        means[dst], stddevs[dst] = means[src], stddevs[src]
+    validation = (ValidationConfig.non_bayesian(rng.uniform(0.05, 0.5, size=m), 100)
+                  if rng.random() < 0.5 else
+                  ValidationConfig.bayesian(rng.uniform(0.1, 0.9, size=m),
+                                            rng.uniform(0.5, 20.0, size=m), 100))
+    inst = Instance(means=means, stddevs=stddevs, validation=validation)
+    report = h3(inst)
+    assert (report.h3, report.argmin_subset, report.rho_sigma,
+            report.lambda_sigma) == _ranked_sweep(inst, None)
+    correction = 8.0 * a_count * math.log2(a_count) ** 2 / budget
+    assert h3_tilde(inst, budget) == _ranked_sweep(inst, correction)[0]
+
+
 def test_h3_gap_doubling_quarters_complexity():
     rng = np.random.default_rng(23)
     for metrics, delta in ((1, 0.17), (3, 0.5)):  # delta=0.5 makes xi zero
@@ -207,7 +261,7 @@ def test_h3_invariant_under_treatment_permutation():
     )
     assert h3(shuffled).h3 == pytest.approx(h3(inst).h3, rel=1e-9)
     assert h3_prime(shuffled) == pytest.approx(h3_prime(inst), rel=1e-9)
-    assert h3(shuffled).delta_min == pytest.approx(h3(inst).delta_min, rel=1e-9)
+    assert delta_min(shuffled) == pytest.approx(delta_min(inst), rel=1e-9)
 
 
 def test_h3_near_h2_for_single_metric_homogeneous():
@@ -227,10 +281,10 @@ def test_h3_report_sanity():
         inst = random_instance(rng, max_treatments=6)
     report = h3(inst)
     assert 0 < report.h3 < math.inf
-    assert 0 < report.h3_prime < math.inf
+    assert 0 < h3_prime(inst) < math.inf
     assert h3_tilde(inst, 500.0) >= report.h3 - 1e-12
     assert best_treatment(inst) in report.argmin_subset
-    assert report.delta_min > 0
+    assert delta_min(inst) > 0
 
 
 def test_h3_enumeration_cap():
@@ -301,7 +355,7 @@ def test_tilde_equals_plain_at_large_budget():
         report = h3(inst)
         assert h3_tilde(inst, math.inf) == report.h3
         a_count = inst.num_treatments
-        threshold = 8.0 * a_count * math.log2(a_count) ** 2 / report.delta_min**2
+        threshold = 8.0 * a_count * math.log2(a_count) ** 2 / delta_min(inst)**2
         assert h3_tilde(inst, 2.0 * threshold + 1.0) == pytest.approx(
             report.h3, rel=1e-12
         )

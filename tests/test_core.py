@@ -28,7 +28,7 @@ from m3ab.core import (
     validation_terms,
     z_profile,
 )
-from m3ab.instances import preset
+from m3ab.instances import preset, table1
 
 
 def table_instance() -> Instance:
@@ -474,3 +474,20 @@ def test_equality_compares_fields_by_value():
     for value in (inst, inst.validation):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
+
+
+def test_z_profile_compares_by_value():
+    prof = z_profile(preset("exp1"))
+    assert prof == z_profile(preset("exp1"))
+    assert z_profile(table1()) == z_profile(table1())  # Bayesian tables too
+    inst = preset("exp1")
+    longer = dataclasses.replace(inst.validation, horizon=inst.validation.horizon + 2)
+    assert z_profile(dataclasses.replace(inst, validation=longer)) != prof
+    bayes = z_profile(table1())
+    back = pickle.loads(pickle.dumps(bayes))
+    assert back == bayes
+    for name, value in vars(back).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(prof)

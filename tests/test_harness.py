@@ -2,6 +2,7 @@
 sweeps, and the variance-blind-baseline regression."""
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -691,6 +692,18 @@ def test_sweep_rejects_non_integer_budget():
 def test_sweep_rejects_non_integer_t_v():
     with pytest.raises(ValueError, match="t_v values must be integers"):
         sweep(small_config(), "t_v", [1000.9])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_counts_are_value_errors(value):
+    for field, message in (("budgets", "budgets must be integers"),
+                           ("repetitions", "repetitions must be a positive"),
+                           ("master_seed", "master_seed must be a non-negative")):
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: [value] if field == "budgets" else value})
+    for parameter in ("budget", "t_v"):
+        with pytest.raises(ValueError, match=f"{parameter} values must be integers"):
+            sweep(small_config(), parameter, [value])
 
 
 def test_sweep_t_v_equals_freshly_built_instances():

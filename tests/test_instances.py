@@ -416,10 +416,10 @@ def test_shipped_exp1_fixture_matches_preset():
 
 
 def test_exp1_complexity_golden_values():
-    from m3ab.complexity import h3
+    from m3ab.complexity import delta_min, h3, h3_prime
 
     report = h3(preset("exp1"))
     assert math.isfinite(report.h3) and report.h3 > 0
     assert report.h3 == pytest.approx(3127.987228, rel=1e-6)
-    assert report.h3_prime == pytest.approx(1361.300042, rel=1e-6)
-    assert report.delta_min == pytest.approx(0.0999519, rel=1e-4)
+    assert h3_prime(preset("exp1")) == pytest.approx(1361.300042, rel=1e-6)
+    assert delta_min(preset("exp1")) == pytest.approx(0.0999519, rel=1e-4)
