@@ -195,11 +195,13 @@ def effective_gap_tilde(instance: Instance, subset, treatment: int,
 
 
 def _correction(instance: Instance, budget: float) -> float:
-    """The budget term 8 A log2(A)^2 / T of the corrected gap."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    """The budget term 8 A log2(A)^2 / T of the corrected gap; a budget that
+    is NaN, not positive, or small enough to overflow the term is refused."""
     a_count = instance.num_treatments
-    return 8.0 * a_count * math.log2(a_count) ** 2 / budget
+    term = 8.0 * a_count * math.log2(a_count) ** 2 / budget if budget > 0 else math.nan
+    if not math.isfinite(term):
+        raise ValueError(f"budget {budget} is not positive or overflows the correction")
+    return term
 
 
 def _best_over_subsets(instance: Instance, correction: float | None,

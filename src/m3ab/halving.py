@@ -23,7 +23,7 @@ row, the reward source draws the stage means, and a StageStats holds one
 row's stage as arrays: ``active`` (k,), the treatments ascending; ``means``
 (k+1, M) and ``counts`` (k+1,), rows [control, *active]; ``z`` and
 ``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) + lambda2[a,i]/N(0) is
-the exact variance of zhat[a,i].
+the exact variance of zhat[a,i], formed only for confidence elimination or trails.
 
 Reward sources decouple "what the algorithm sees" from "how it is sampled".
 A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import active_index, arm_weights, gather, stage_counts
+from m3ab.alloc import active_index, arm_weights, fold, gather, stage_counts
 from m3ab.core import Instance, validation_terms
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
@@ -228,16 +228,16 @@ def _belief_constants(stddevs: np.ndarray, validation):
 
 
 def _z_stats(constants, active: np.ndarray, means: np.ndarray,
-             counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zhat and its variance (R, k, M) from an (R, k) active array and the
-    mean rows and counts [control, *active] of every repetition."""
+             counts: np.ndarray, variance: bool = True):
+    """zhat and its variance (R, k, M), or None unless asked for, from an
+    (R, k) active array and the mean rows and counts [control, *active]."""
     weights, xi, scale = constants
     if xi.ndim > 1:  # a Bayesian xi depends on the believed sigma
         xi = gather(xi, active)
     z = (means[:, 1:] - means[:, :1]) / gather(scale, active) + xi
-    z_var = gather(weights.rho_sq, active) / counts[:, 1:, None] \
-        + gather(weights.lambda_sq, active) / counts[:, :1, None]
-    return z, z_var
+    return z, (gather(weights.rho_sq, active) / counts[:, 1:, None]
+               + gather(weights.lambda_sq, active) / counts[:, :1, None]
+               if variance else None)
 
 
 def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> StageStats:
@@ -282,9 +282,9 @@ def _elimination_key(rule: str, z: np.ndarray, z_var: np.ndarray,
                      means: np.ndarray) -> np.ndarray:
     """The ranking key (..., k) of every active treatment under a rule."""
     if rule == "min_z":
-        return z.min(axis=-1)
+        return fold(np.minimum, z)
     if rule == "mean":
-        return means[..., 1:, :].min(axis=-1)
+        return fold(np.minimum, means[..., 1:, :])
     return _confidence_levels(z, z_var)
 
 
@@ -393,22 +393,22 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
     stages = num_stages(instance.num_treatments)
     stage_budget = budget // stages
     if stage_budget < 1:
-        raise InsufficientBudgetError(
-            f"budget {budget} cannot fund {stages} stages", arm=0
-        )
+        raise InsufficientBudgetError(f"budget {budget} cannot fund {stages} stages",
+                                      arm=0)
     active = np.tile(np.arange(1, instance.num_treatments + 1), (len(rngs), 1))
-    offset = 0
+    offset, variance = 0, trail is not None or spec.elimination == "confidence"
     for _ in range(stages):
         counts = stage_counts(spec.sampling, constants[0], active, stage_budget)
         rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
-        mu_rows, sigma_rows = instance.means[rows], instance.stddevs[rows]
+        mu_rows = np.take(instance.means, rows, axis=0)
+        sigma_rows = np.take(instance.stddevs, rows, axis=0)
         if noise is None:
             means = source.stage_means_batch(mu_rows, sigma_rows, counts, rngs)
         else:
             means = _stat_means(mu_rows, sigma_rows, counts,
                                 noise[:, offset:offset + rows.shape[1]])
         offset += rows.shape[1]
-        z, z_var = _z_stats(constants, active, means, counts)
+        z, z_var = _z_stats(constants, active, means, counts, variance)
         if trail is not None:
             trail.append(StageStats(active=active[0], means=means[0],
                                     counts=counts[0], z=z[0], z_var=z_var[0]))
@@ -419,22 +419,22 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
 
 
 def _beliefs(instance: Instance, spec: AlgorithmSpec, budget: int, source,
-             rngs) -> tuple[tuple, int]:
+             rngs, known: tuple | None = None) -> tuple[tuple, int]:
     """The stage loop's belief tables and budget for one run per generator:
-    the instance's stddevs and the whole budget, or (adaptive, phase 0) the
-    unbiased estimates from N0 = floor(T / ((A+1) * ceil(log2 A))) >= 2
-    pulls per arm and repetition, and what is left of the budget."""
+    the instance's stddevs (``known``, if derived already) and the whole
+    budget, or (adaptive, phase 0) the unbiased estimates from N0 = floor(T
+    / ((A+1) * ceil(log2 A))) >= 2 pulls per arm and repetition, and the rest."""
     if spec.variance_knowledge == "known":
-        return _belief_constants(instance.stddevs[None], instance.validation), budget
+        return known or _belief_constants(instance.stddevs[None],
+                                          instance.validation), budget
     a_count = instance.num_treatments
     n0 = budget // ((a_count + 1) * num_stages(a_count))
     if n0 < 2:
         raise InsufficientBudgetError(
             f"budget {budget} gives the variance-estimation round only {n0} "
-            f"pulls per arm (need >= 2)", arm=0,
-        )
+            f"pulls per arm (need >= 2)", arm=0)
     _, var = source.mean_and_variance(instance.means, instance.stddevs, n0, rngs)
-    bad = ~(np.isfinite(var) & (var > 0.0)).all(axis=-1)
+    bad = ~fold(np.logical_and, np.isfinite(var) & (var > 0.0))
     if bad.any():
         row, arm = np.argwhere(bad)[0]
         kind = "non-finite" if not np.isfinite(var[row, arm]).all() else "zero"

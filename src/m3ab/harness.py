@@ -52,11 +52,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from m3ab.alloc import fold
 from m3ab.core import Instance, best_treatment, z_profile
 from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,
     AlgorithmSpec,
+    _belief_constants,
     _beliefs,
     _halve,
     _noise_rows,
@@ -350,6 +352,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     tape = ((_noise_rows(instance.num_treatments), instance.num_metrics)
             if reward_source == "means" else None)
     known = any(spec.variance_knowledge == "known" for spec in specs)
+    beliefs = _belief_constants(instance.stddevs[None], instance.validation)
     shapes = (tape if known else None,
               (2, instance.num_metrics) if validation_source == "means" else None)
     counts = np.zeros((len(specs), 3), dtype=np.int64)
@@ -370,7 +373,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                     _restart(child, child_states)
             try:
                 constants, loop_budget = _beliefs(instance, spec, budget,
-                                                  source, gens[0])
+                                                  source, gens[0], beliefs)
                 if noise[0] is None and tape is not None:
                     noise[0] = _standard_normals(gens[0], tape)
                 recommended = _halve(instance, constants, spec, loop_budget,
@@ -381,7 +384,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                     arm=exc.arm, cell=(spec.name, budget)) from exc
             _, ratio, critical = _standardized(instance, recommended, gens[1],
                                                validation_source, noise[1])
-            passed = (ratio >= critical).all(axis=1)
+            passed = fold(np.logical_and, ratio >= critical)
             positive = positive_min_z[recommended - 1]
             counts[idx] += (np.count_nonzero(recommended == star),
                             np.count_nonzero(passed & positive),

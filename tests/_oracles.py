@@ -12,8 +12,10 @@ blocks of repetitions as arrays.  Two oracles share the package's
 arithmetic on purpose, and the package must equal them bit for bit: the
 confidence levels as a single (..., k, k, M, M) crossing array, against
 the pair-by-pair fold, and the subset search's ranked drop of the
-floor(|S|/4) smallest gaps, against its order statistic.  Keep these free
-of imports from m3ab so a bug cannot leak into its own check.
+floor(|S|/4) smallest gaps, against its order statistic.  So do NumPy's
+own reductions over the metric axis and fancy-index gathers, against the
+stage loop's ufunc folds and np.take gathers.  Keep these free of imports
+from m3ab so a bug cannot leak into its own check.
 """
 
 from __future__ import annotations
@@ -401,6 +403,22 @@ def drop_smallest_gaps_ranked(gap_sq, member, star):
     suffix_min = np.minimum.accumulate(ranked_values[:, ::-1], axis=1)[:, ::-1]
     drops = np.where(sizes >= 4, sizes // 4, 0)
     return suffix_min[np.arange(c), drops + 1]
+
+
+# --- metric-axis kernels ----------------------------------------------------
+
+def metric_reduce_reference(name: str, x):
+    """NumPy's reduction x.min(axis=-1), x.max(axis=-1) or x.all(axis=-1)."""
+    return getattr(x, name)(axis=-1)
+
+
+def gather_reference(table, active):
+    """table[rows, active] by fancy indexing for an (R, k) index array: row
+    r of a (B, A+1, ...) table, or its one row for every r when B = 1."""
+    import numpy as np  # local import: only the array oracles use numpy
+
+    rows = np.arange(len(active))[:, None] if len(table) > 1 else 0
+    return table[rows, active]
 
 
 # --- per-repetition harness loop --------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _oracles as oracle
 from _gen import random_instance
@@ -391,3 +392,48 @@ def test_entry_points_reject_bad_active_sets(entry):
     for active in bad:
         with pytest.raises(ValueError):
             _ENTRY_POINTS[entry](inst, active)
+
+
+# --- metric-axis kernels ---------------------------------------------------
+
+# Ties, signed zeros, infinities and NaN next to ordinary floats.
+_KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]) \
+    | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A (B, A+1, M) table, B = 1 or one row per repetition, M in 1..5, and
+    an (R, k) array of ascending arms in 1..A."""
+    a_count, reps, m = draw(st.integers(1, 6)), draw(st.integers(1, 4)), \
+        draw(st.integers(1, 5))
+    k = draw(st.integers(1, a_count))
+    belief_rows = draw(st.sampled_from([1, reps]))
+    table = draw(arrays(float, (belief_rows, a_count + 1, m),
+                        elements=_KERNEL_FLOATS))
+    active = np.array([sorted(draw(st.permutations(range(1, a_count + 1)))[:k])
+                       for _ in range(reps)])
+    return table, active
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_blocks())
+@example((np.array([[[-0.0], [0.0], [np.nan]]]), np.array([[1], [2]])))
+@example((np.array([[[1.0, 1.0, np.inf]], [[-np.inf, -0.0, 0.0]]]).repeat(3, 1),
+          np.array([[2], [1]])))
+def test_folds_and_gathers_equal_numpy_reference(block):
+    """alloc.fold and alloc.gather equal NumPy's reductions and fancy
+    indexing: NaN in the same places, zeros of the same sign, and gathers
+    bit for bit."""
+    table, active = block
+    for ufunc, name, x in ((np.minimum, "min", table), (np.maximum, "max", table),
+                           (np.logical_and, "all", table > 0.0)):
+        got, want = alloc.fold(ufunc, x), oracle.metric_reduce_reference(name, x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=x.dtype.kind == "f")
+        assert np.array_equal(np.signbit(got) | np.isnan(want),
+                              np.signbit(want) | np.isnan(want))
+    for tab in (table, table[..., 0]):
+        got, want = alloc.gather(tab, active), oracle.gather_reference(tab, active)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -35,6 +35,7 @@ from m3ab.core import (
     z_profile,
 )
 from m3ab.errors import TooLargeError
+from m3ab.instances import preset
 
 
 def _rho2_rows(inst: Instance) -> list[list[float]]:
@@ -298,6 +299,18 @@ def test_h3_enumeration_cap():
     with pytest.raises(TooLargeError):
         h3_tilde(inst, 100.0, max_enumeration=5)
     assert h3(inst, max_enumeration=6).h3 > 0
+
+
+@pytest.mark.parametrize("budget", [math.nan, 1e-310, 0.0, -1.0])
+def test_tilde_functions_refuse_nan_and_overflowing_budgets(budget):
+    # A NaN budget used to give h3_tilde = 0, and 1e-310 an infinite
+    # correction that computed inf - inf inside the subset kernel.
+    inst = preset("exp1")
+    other = next(a for a in inst.treatments if a != best_treatment(inst))
+    with pytest.raises(ValueError, match="budget"):
+        h3_tilde(inst, budget)
+    with pytest.raises(ValueError, match="budget"):
+        effective_gap_tilde(inst, list(inst.treatments), other, budget)
 
 
 # --- h3_prime ----------------------------------------------------------------

@@ -457,6 +457,23 @@ def test_engine_allocation_equals_public_allocators(name, knobs, budget):
                 ], (algo, seed, s)
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in ALGORITHMS.items()
+    if spec.elimination != "confidence" and spec.variance_knowledge == "known"))
+def test_trail_carries_z_variance_under_ranking_rules(name):
+    # min_z and mean elimination never read z_var, but a kept trail does.
+    inst = preset("exp1")
+    res = run_exploration(inst, name, 8000, reward_source="means",
+                          rng=np.random.default_rng(3))
+    var = inst.stddevs**2
+    for stats in res.trail:
+        for row, (arm, n_a) in enumerate(zip(stats.active, stats.counts[1:])):
+            for i in range(inst.num_metrics):
+                total = var[arm, i] + var[0, i]
+                want = var[arm, i] / total / n_a + var[0, i] / total / stats.counts[0]
+                assert stats.z_var[row, i] == pytest.approx(want, rel=1e-12)
+
+
 def test_stage_structure_and_budget_accounting():
     rng = np.random.default_rng(67)
     for a_count in (2, 5, 9, 16):

@@ -364,6 +364,24 @@ def test_menus_around_the_adaptive_engine_equal_reference(monkeypatch, source,
     assert _cell_counts(run_experiment(cfg)) == _reference_cells(cfg, instance)
 
 
+def test_known_variance_tables_derived_once_per_call(monkeypatch):
+    # Two blocks of a six-algorithm known-variance menu: one derivation.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return constants(*args)
+
+    constants = harness._belief_constants
+    monkeypatch.setattr(harness, "BLOCK", 4)
+    monkeypatch.setattr(harness, "_belief_constants", counted)
+    cfg = ExperimentConfig(instance=preset("exp1"), budgets=[2000],
+                           algorithms=["shrvar", "sh-z", "shvar-z", "neyman-z",
+                                       "sh", "shvar"], repetitions=8)
+    run_experiment(cfg)
+    assert len(calls) == 1
+
+
 class _OwnStageLawSource(GaussianStatSource):
     """The "means" law through its own stage method, counting calls."""
 
