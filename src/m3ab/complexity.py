@@ -39,6 +39,16 @@ whenever kappa(S,a,j) > kappa(S,star,i); it is never larger than D, so the
 corrected complexity is never smaller.  delta_min is the smallest gap in
 bottleneck z-values between the best treatment and any other.
 
+Both minima come from a branch and bound over arm membership, not a sweep
+of all 2^(A-1) subsets.  Times (rho_sigma + lambda_sigma)^2, a cell of D^2
+is [.]_+^2 / ((p_aj + p_si) rho_sigma + (lambda2_aj + lambda2_si) /
+lambda_sigma)^2 with p = rho2 / max_i rho2: it falls in rho_sigma and rises
+in lambda_sigma.  The corrected alternative undercuts a cell only when
+delta_min^2 is below the budget term, and its difference is linear in both
+rho_sigma and 1/lambda_sigma.  So a box of scales bounds every subset
+between two sets from below.  The result is exact, ties go to the lowest
+bitmask over the sub-optimal treatments, and max_enumeration caps A.
+
 The error_bound helper evaluates 6 M log2(A) exp(-T / (c h log2 A)) with
 c = 2 ("theorem1") or c = 8 ("theorem2" — its source states 2 but concludes
 with 8; we default the stricter variant to the concluding constant).
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +80,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ENUMERATION = 20
-_CHUNK = 1024
+_LEAF = 6  # free arms a leaf node leaves to the kernel: 2^6 masks
+_SPLIT = 4  # branchings a block decides at once: 2^4 leaves
+_MARGIN = 1e-9  # relative slack for the bound's rounding against the kernel's
 
 
 @dataclass(frozen=True)
@@ -89,15 +102,20 @@ class ErrorBound(NamedTuple):
 
 
 def _subset_kernel(instance: Instance, correction: float | None):
-    """The subset kernel of one instance: returns (star, gaps), where
+    """The subset kernel of one instance: returns (star, gaps, floor).
+
     gaps(member) maps (c, A) member masks to each mask's squared gaps
     D(S, a)^2 (c, A) against the best treatment star (the corrected gap when
     a correction is given), its kappa values (c, A, M), rho_sigma and
     lambda_sigma (c,).  Gaps and kappas are filled in for every arm, member
-    or not; only members' values are meaningful."""
+    or not; only members' values are meaningful.  A row depends on its own
+    mask alone, whatever the batch.  floor(inside, reach) bounds each arm's
+    D(S, a)^2 / (rho_sigma + lambda_sigma)^2 from below over every S with
+    inside <= S <= reach, for (n, A) masks (see the module docstring)."""
     star = best_treatment(instance)
+    s = star - 1
     z = z_profile(instance).z
-    g = np.maximum(z[star - 1][None, :, None] - z[:, None, :], 0.0) ** 2
+    g = np.maximum(z[s][:, None, None] - z.T[None], 0.0) ** 2  # [i, j, a]
     rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
     lam2 = 1.0 - rho2
     mr = rho2.max(axis=1)
@@ -105,37 +123,66 @@ def _subset_kernel(instance: Instance, correction: float | None):
     p = np.where(mr[:, None] > 0, rho2 / np.where(mr[:, None] > 0, mr[:, None], 1.0), 1.0)
     dm2 = delta_min(instance) ** 2 if correction is not None else None
 
-    def gaps(member: np.ndarray):
-        rho_sigma = np.sqrt(member @ mr)
-        lambda_sigma = np.sqrt(np.where(member, ml2[None, :], -np.inf).max(axis=1))
-        denom = rho_sigma + lambda_sigma
-        kap = (p[None] * rho_sigma[:, None, None]
-               + lam2[None] / lambda_sigma[:, None, None]) / denom[:, None, None]
-        k_star = kap[:, star - 1, :]
-        # The (c, A, M, M) terms are built in place: one fresh chunk-sized
-        # array per call (two when corrected) instead of one per operation
-        # keeps the allocator from handing the pages back to the system
-        # between chunks.
-        cell = kap[:, :, None, :] + k_star[:, None, :, None]  # [c, a, i, j]
-        np.divide(g, np.square(cell, out=cell), out=cell)
-        if correction is not None:
-            alt = kap[:, :, None, :] - k_star[:, None, :, None]
-            positive = alt > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(g, np.square(alt, out=alt), out=alt)
-            alt += dm2
-            alt -= correction
-            np.copyto(cell, np.minimum(cell, alt, out=alt), where=positive)
-        gap_sq = cell.max(axis=3).min(axis=2)  # [c, a]
-        if correction is not None:
-            gap_sq = np.maximum(gap_sq, 0.0)
-        return gap_sq, kap, rho_sigma, lambda_sigma
+    def scales(member: np.ndarray):
+        # a row sum, not member @ mr: BLAS rounds a row differently by batch
+        return (np.sqrt(np.where(member, mr, 0.0).sum(axis=1)),
+                np.sqrt(np.where(member, ml2, -np.inf).max(axis=1)))
 
-    return star, gaps
+    def fold(plus, minus=None, offset=None) -> np.ndarray:
+        """min over i of max over j of the (n, A) planes g / plus(i, j)^2 or,
+        given minus, of the smaller of that and offset(g / minus(i, j)^2)
+        where minus(i, j) > 0, clipped at 0.  Whole planes keep NumPy's
+        loops long and the temporaries in cache."""
+        def cell(i, j):
+            out = g[i, j] / np.square(plus(i, j))
+            if minus is not None:
+                diff = minus(i, j)
+                alt = offset(g[i, j] / np.square(diff))
+                np.copyto(out, np.minimum(out, alt), where=diff > 0)
+            return out
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = reduce(np.minimum, [reduce(np.maximum, [cell(i, j) for j in range(len(g))])
+                                      for i in range(len(g))])
+        return gap if minus is None else np.maximum(gap, 0.0)
+
+    def gaps(member: np.ndarray):
+        rho_sigma, lambda_sigma = scales(member)
+        k = (p.T[:, None] * rho_sigma[:, None] + lam2.T[:, None] / lambda_sigma[:, None]
+             ) / (rho_sigma + lambda_sigma)[:, None]  # [j, c, a]
+        gap_sq = fold(lambda i, j: k[j] + k[i, :, s, None],
+                      None if correction is None else lambda i, j: k[j] - k[i, :, s, None],
+                      lambda x: x + dm2 - correction)
+        return gap_sq, k.transpose(1, 2, 0), rho_sigma, lambda_sigma
+
+    # [i, j, 1, a] sums and differences of arm a's metric j and star's metric i
+    pa, ps = p.T[None, :, None], p[s, :, None, None, None]
+    la, ls = lam2.T[None, :, None], lam2[s, :, None, None, None]
+    p_sum, p_diff, l_sum, l_diff = pa + ps, pa - ps, la + ls, la - ls
+
+    def floor(inside: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        (rho_lo, lam_lo), (rho_hi, lam_hi) = (
+            [v[:, None] for v in scales(mask)] for mask in (inside, reach))
+        plus = p_sum * rho_hi + l_sum / lam_lo  # [i, j, n, a]
+        if correction is None or dm2 >= correction:  # then no alternative undercuts
+            return fold(lambda i, j: plus[i, j])
+        minus = (np.maximum(p_diff * rho_lo, p_diff * rho_hi)
+                 + np.maximum(l_diff / lam_lo, l_diff / lam_hi))
+        shift = (dm2 - correction) / (rho_lo + lam_lo) ** 2
+        return fold(lambda i, j: plus[i, j], lambda i, j: minus[i, j], lambda x: x + shift)
+
+    return star, gaps, floor
+
+
+def _whole(value, what: str) -> int:
+    """value as an int; a bool, a fraction or a non-finite number is refused."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, not {value!r}")
+    return int(value)
 
 
 def _validate_subset(instance: Instance, subset) -> np.ndarray:
-    members = sorted(set(int(a) for a in subset))
+    members = sorted(set(_whole(a, "treatment") for a in subset))
     if not members:
         raise ValueError("subset must not be empty")
     for a in members:
@@ -147,11 +194,12 @@ def _validate_subset(instance: Instance, subset) -> np.ndarray:
 def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
     """Heterogeneity weight of (treatment, metric) within the candidate set."""
     members = _validate_subset(instance, subset)
+    treatment, metric = _whole(treatment, "treatment"), _whole(metric, "metric")
     if treatment not in members:
         raise ValueError(f"treatment {treatment} is not in the subset")
     if not 0 <= metric < instance.num_metrics:
         raise ValueError(f"metric {metric} out of range")
-    _, gaps = _subset_kernel(instance, None)
+    _, gaps, _ = _subset_kernel(instance, None)
     _, kap, _, _ = gaps(np.isin(instance.treatments, members)[None])
     return float(kap[0, treatment - 1, metric])
 
@@ -169,7 +217,7 @@ def _pair_gap_sq(instance: Instance, subset, treatment: int,
                  correction: float | None) -> float:
     """D(S, a)^2, optionally with the budget-corrected alternative term."""
     members = _validate_subset(instance, subset)
-    star = best_treatment(instance)
+    star, treatment = best_treatment(instance), _whole(treatment, "treatment")
     if treatment == star:
         raise ValueError("the best treatment has no gap against itself")
     if treatment not in members or star not in members:
@@ -177,7 +225,7 @@ def _pair_gap_sq(instance: Instance, subset, treatment: int,
             f"subset must contain both treatment {treatment} and the best "
             f"treatment {star}"
         )
-    _, gaps = _subset_kernel(instance, correction)
+    _, gaps, _ = _subset_kernel(instance, correction)
     gap_sq, _, _, _ = gaps(np.isin(instance.treatments, members)[None])
     return float(gap_sq[0, treatment - 1])
 
@@ -211,44 +259,73 @@ def _best_over_subsets(instance: Instance, correction: float | None,
     (floor(|S|/4) + 1)-th smallest squared gap of S's sub-optimal members
     (inf when S'_c is empty).  Returns (h, attaining members, their scales).
 
-    Subsets are swept as bitmasks over the sub-optimal treatments, in chunks
-    of _CHUNK masks, each chunk one call of the subset kernel.
+    Depth first, a node holds every S with inside <= S <= inside + free; the
+    (floor(|inside|/4) + 1)-th smallest floor over inside + free bounds it.
+    The full set is the first incumbent.  A node is dropped when its bound
+    tops the incumbent by more than _MARGIN (the kernel's rounding) or, once
+    the incumbent is 0, when it cannot hold a lower mask (h3_tilde needs no
+    mask).  Blocks of _LEAF + _SPLIT free arms bound their 2^_SPLIT leaves at
+    once and evaluate the kept ones in one kernel call.
     """
     a_count = instance.num_treatments
     if a_count < 2:
         raise ValueError("need at least two treatments for a gap")
-    if a_count > max_enumeration:
+    if a_count > _whole(max_enumeration, "max_enumeration"):
         raise TooLargeError(
             f"{a_count} treatments means 2^{a_count - 1} subsets; raise "
             f"max_enumeration (currently {max_enumeration})"
         )
-    star, gaps = _subset_kernel(instance, correction)
+    star, gaps, floor = _subset_kernel(instance, correction)
     star_idx = star - 1
-    others = np.array([a for a in range(a_count) if a != star_idx])
-    k = len(others)
+    bit = np.zeros(a_count, dtype=np.int64)
+    bit[np.arange(a_count) != star_idx] = 1 << np.arange(a_count - 1)
+    best = [math.inf, math.inf, None, math.nan, math.nan]  # value, mask, row, scales
 
-    best = math.inf
-    best_members: np.ndarray | None = None
-    best_scales = (math.nan, math.nan)
-    for start in range(0, 2**k, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 2**k))
-        c = len(masks)
-        member = np.zeros((c, a_count), dtype=bool)
-        member[:, others] = (masks[:, None] >> np.arange(k)[None, :]) & 1
-        member[:, star_idx] = True
+    def evaluate(member: np.ndarray) -> None:
         gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
-
         values = np.where(member, gap_sq, np.inf)
         values[:, star_idx] = np.inf  # never a drop slot, never counted
-        numerator = np.sort(values, axis=1)[np.arange(c), member.sum(axis=1) // 4]
+        numerator = np.sort(values, axis=1)[np.arange(len(member)), member.sum(axis=1) // 4]
         candidate = numerator / (rho_sigma + lambda_sigma)**2
+        tied = np.flatnonzero(candidate == candidate.min())
+        j = tied[np.argmin(member[tied] @ bit)]
+        if (candidate[j], member[j] @ bit) < (best[0], best[1]):
+            best[:] = candidate[j], member[j] @ bit, member[j], rho_sigma[j], lambda_sigma[j]
 
-        j = int(np.argmin(candidate))
-        if candidate[j] < best:
-            best = float(candidate[j])
-            best_members = np.flatnonzero(member[j]) + 1
-            best_scales = (float(rho_sigma[j]), float(lambda_sigma[j]))
-    return (1.0 / best if best > 0 else math.inf), best_members, best_scales
+    def fill(inside: np.ndarray, arms: list[int]) -> np.ndarray:
+        """Each row of inside with every subset of arms added, all arms first."""
+        combos = (np.arange(2 ** len(arms) - 1, -1, -1)[:, None] >> np.arange(len(arms))) & 1
+        rows = np.repeat(inside, len(combos), axis=0)
+        rows[:, arms] = np.tile(combos, (len(inside), 1))
+        return rows
+
+    def search(inside: np.ndarray, free: list[int], floors: np.ndarray) -> None:
+        """Branch on the free arm with the smallest floor, include first; a
+        block branches on all but the _LEAF largest at once."""
+        free = sorted(free, key=floors.__getitem__)
+        cut = 1 if len(free) > _LEAF + _SPLIT else max(len(free) - _LEAF, 0)
+        nodes, rest = fill(inside[None], free[:cut]), free[cut:]
+        reach = nodes.copy()
+        reach[:, rest] = True
+        node_floors = np.where(reach, floor(nodes, reach), np.inf)
+        node_floors[:, star_idx] = np.inf
+        bound = np.sort(node_floors, axis=1)[np.arange(len(nodes)), nodes.sum(axis=1) // 4]
+        keep = bound <= best[0] * (1.0 + _MARGIN)
+        if best[0] == 0:  # nothing beats 0; h3 alone reports the lowest mask
+            keep &= (nodes @ bit < best[1]) & (correction is None)
+        if len(rest) > _LEAF:
+            for node, child_floors in zip(nodes[keep], node_floors[keep]):
+                search(node, rest, child_floors)
+        elif keep.any():
+            evaluate(fill(nodes[keep], rest))
+
+    full = np.ones((1, a_count), dtype=bool)
+    evaluate(full)
+    root = np.arange(a_count) == star_idx
+    search(root, list(np.flatnonzero(bit)), floor(root[None], full)[0])
+    value, _, row, *scales = best
+    h = 1.0 / float(value) if value > 0 else math.inf
+    return h, np.flatnonzero(row) + 1, tuple(map(float, scales))
 
 
 def h3_prime(instance: Instance) -> float:
@@ -266,8 +343,9 @@ def h3_prime(instance: Instance) -> float:
 
 def h3(instance: Instance,
        max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> ComplexityReport:
-    """Exhaustive subset-minimum complexity; ``h3_tilde`` gives the
-    budget-corrected variant."""
+    """Subset-minimum complexity, certified by branch and bound (exact, the
+    lowest subset bitmask among ties); ``h3_tilde`` gives the budget-corrected
+    variant."""
     h, members, scales = _best_over_subsets(instance, None, max_enumeration)
     return ComplexityReport(h, tuple(int(a) for a in members), *scales)
 
@@ -289,7 +367,7 @@ def error_bound(budget: float, num_treatments: int, num_metrics: int,
     constants = {"theorem1": 2.0, "theorem2": 8.0}
     if variant not in constants:
         raise ValueError(f"variant must be one of {sorted(constants)}")
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be nonnegative")
     if num_treatments < 1 or num_metrics < 1:
         raise ValueError("need at least one treatment and one metric")

@@ -14,8 +14,10 @@ confidence levels as a single (..., k, k, M, M) crossing array, against
 the pair-by-pair fold, and the subset search's ranked drop of the
 floor(|S|/4) smallest gaps, against its order statistic.  So do NumPy's
 own reductions over the metric axis and fancy-index gathers, against the
-stage loop's ufunc folds and np.take gathers.  Keep these free of imports
-from m3ab so a bug cannot leak into its own check.
+stage loop's ufunc folds and np.take gathers, and the exhaustive subset
+sweep, which drives the package's own gap kernel, against the subset
+branch and bound.  Keep these free of imports from m3ab so a bug cannot
+leak into its own check.
 """
 
 from __future__ import annotations
@@ -380,6 +382,42 @@ def h3_reference(z, rho2, budget=None):
             if value < best:
                 best, best_subset = value, subset
     return (1.0 / best if best > 0 else math.inf), best_subset
+
+
+def subset_sweep(star, gaps, a_count, chunk=1024):
+    """(h, attaining members, (rho_sigma, lambda_sigma)) by sweeping every
+    bitmask over the sub-optimal treatments in ascending order, in chunks of
+    chunk masks, each chunk one call of the package's gaps kernel; the first
+    mask to reach the least value wins a tie.  The exhaustive reference for
+    the package's subset branch and bound."""
+    import numpy as np  # local import: only the array oracles use numpy
+
+    star_idx = star - 1
+    others = np.array([a for a in range(a_count) if a != star_idx])
+    k = len(others)
+
+    best = math.inf
+    best_members = None
+    best_scales = (math.nan, math.nan)
+    for start in range(0, 2**k, chunk):
+        masks = np.arange(start, min(start + chunk, 2**k))
+        c = len(masks)
+        member = np.zeros((c, a_count), dtype=bool)
+        member[:, others] = (masks[:, None] >> np.arange(k)[None, :]) & 1
+        member[:, star_idx] = True
+        gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
+
+        values = np.where(member, gap_sq, np.inf)
+        values[:, star_idx] = np.inf  # never a drop slot, never counted
+        numerator = np.sort(values, axis=1)[np.arange(c), member.sum(axis=1) // 4]
+        candidate = numerator / (rho_sigma + lambda_sigma)**2
+
+        j = int(np.argmin(candidate))
+        if candidate[j] < best:
+            best = float(candidate[j])
+            best_members = np.flatnonzero(member[j]) + 1
+            best_scales = (float(rho_sigma[j]), float(lambda_sigma[j]))
+    return (1.0 / best if best > 0 else math.inf), best_members, best_scales
 
 
 def drop_smallest_gaps_ranked(gap_sq, member, star):

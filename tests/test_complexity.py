@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import homogeneous_single_metric, random_instance
@@ -15,7 +15,9 @@ from _oracles import (
     effective_gap_sq_reference,
     h3_reference,
     kappa_reference,
+    subset_sweep,
 )
+from m3ab import complexity
 from m3ab.complexity import (
     _subset_kernel,
     delta_min,
@@ -189,7 +191,7 @@ def test_h3_matches_pure_python_enumerator():
 def _ranked_sweep(inst: Instance, correction: float | None):
     """(h, subset, rho_sigma, lambda_sigma) from one subset-kernel call over
     every mask, in the search's bitmask order, with the ranked drop oracle."""
-    star, gaps = _subset_kernel(inst, correction)
+    star, gaps, _ = _subset_kernel(inst, correction)
     others = [a for a in range(inst.num_treatments) if a != star - 1]
     masks = np.arange(2 ** len(others))
     member = np.zeros((len(masks), inst.num_treatments), dtype=bool)
@@ -231,6 +233,149 @@ def test_subset_search_equals_ranked_drop_oracle(seed, a_count, m, copies, budge
             report.lambda_sigma) == _ranked_sweep(inst, None)
     correction = 8.0 * a_count * math.log2(a_count) ** 2 / budget
     assert h3_tilde(inst, budget) == _ranked_sweep(inst, correction)[0]
+
+
+def _sweep(inst: Instance, correction: float | None):
+    """(h, subset, rho_sigma, lambda_sigma) of the exhaustive sweep oracle."""
+    h, members, scales = subset_sweep(*_subset_kernel(inst, correction)[:2],
+                                      inst.num_treatments)
+    return (h, tuple(int(a) for a in members), *scales)
+
+
+def _assert_search_equals_sweep(inst: Instance, budget: float):
+    report = h3(inst)
+    assert (report.h3, report.argmin_subset, report.rho_sigma,
+            report.lambda_sigma) == _sweep(inst, None)
+    correction = 8.0 * inst.num_treatments * math.log2(inst.num_treatments) ** 2 / budget
+    assert h3_tilde(inst, budget) == _sweep(inst, correction)[0]
+
+
+@pytest.mark.parametrize("leaf", [0, 2])
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    a_count=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=1, max_value=3),
+    copies=st.integers(min_value=0, max_value=3),
+    ties=st.integers(min_value=0, max_value=2),
+    bayesian=st.booleans(),
+    budget=st.sampled_from([1e-3, 1.0, 500.0, 1e6, math.inf]),
+    relative=st.sampled_from([None, 0.5, 1.5, 4.0, 20.0, 100.0, 500.0]),
+)
+# copies of the best row give zero gaps: h3 = inf, reached first by the full
+# set, and the lowest mask among the zero subsets must win
+@example(seed=5, a_count=5, m=2, copies=0, ties=2, bayesian=False, budget=500.0,
+         relative=None)
+@example(seed=8, a_count=12, m=3, copies=1, ties=1, bayesian=True, budget=math.inf,
+         relative=None)
+# a tiny budget drives every corrected cell below 0, so corrected gaps clip at 0
+@example(seed=2, a_count=9, m=3, copies=0, ties=0, bayesian=False, budget=1e-3,
+         relative=None)
+# corrections of 20 to 500 times delta_min^2: the floor's negative corrected
+# term must take the node's smallest rho_sigma + lambda_sigma, and its kappa
+# difference the largest corner of the node's box
+@example(seed=69, a_count=10, m=1, copies=0, ties=0, bayesian=False, budget=1.0,
+         relative=20.0)
+@example(seed=821, a_count=10, m=3, copies=0, ties=0, bayesian=False, budget=1.0,
+         relative=100.0)
+@example(seed=291, a_count=8, m=1, copies=0, ties=0, bayesian=False, budget=1.0,
+         relative=100.0)
+@example(seed=23, a_count=12, m=3, copies=0, ties=0, bayesian=False, budget=1.0,
+         relative=500.0)
+def test_branch_and_bound_equals_sweep_oracle(leaf, seed, a_count, m, copies, ties,
+                                              bayesian, budget, relative):
+    """h3 (value, subset, scales) and h3_tilde equal, with ==, the chunked
+    sweep over every mask; leaves of 0 or 2 free arms make the search branch
+    and prune deep in the tree.  A relative budget sets the correction to
+    that multiple of delta_min^2, where corrected cells change sign."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1.0, 1.0, size=(a_count + 1, m))
+    stddevs = rng.uniform(0.3, 3.0, size=(a_count + 1, m))
+    for _ in range(copies):
+        src, dst = rng.integers(1, a_count + 1, size=2)
+        means[dst], stddevs[dst] = means[src], stddevs[src]
+    validation = (ValidationConfig.bayesian(rng.uniform(0.1, 0.9, size=m),
+                                            rng.uniform(0.5, 20.0, size=m), 100)
+                  if bayesian else
+                  ValidationConfig.non_bayesian(rng.uniform(0.05, 0.5, size=m), 100))
+    inst = Instance(means=means, stddevs=stddevs, validation=validation)
+    star = best_treatment(inst)
+    for dst in [a for a in range(1, a_count + 1) if a != star][:ties]:
+        means[dst], stddevs[dst] = means[star], stddevs[star]
+    inst = Instance(means=means, stddevs=stddevs, validation=validation)
+    if relative is not None and delta_min(inst) > 0:
+        budget = 8.0 * a_count * math.log2(a_count) ** 2 / (relative * delta_min(inst) ** 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_LEAF", leaf)
+        _assert_search_equals_sweep(inst, budget)
+        if ties:
+            assert h3(inst).h3 == math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    a_count=st.integers(min_value=2, max_value=8),
+    m=st.integers(min_value=1, max_value=3),
+    relative=st.sampled_from([None, 0.3, 1.0, 1.5, 4.0, 30.0]),
+)
+def test_subset_floor_bounds_every_subset_of_its_node(seed, a_count, m, relative):
+    """The kernel's floor never exceeds any arm's scaled gap
+    D(S, a)^2 / (rho_sigma + lambda_sigma)^2 over the subsets S between the
+    node's two sets, beyond the search's rounding margin."""
+    inst = random_instance(np.random.default_rng(seed), max_treatments=a_count,
+                           max_metrics=m)
+    if inst.num_treatments < 2 or delta_min(inst) == 0:
+        return
+    correction = None if relative is None else relative * delta_min(inst) ** 2
+    star, gaps, floor = _subset_kernel(inst, correction)
+    rng = np.random.default_rng(seed + 1)
+    a_count = inst.num_treatments
+    inside = rng.random(a_count) < 0.3
+    reach = inside | (rng.random(a_count) < 0.6)
+    inside[star - 1] = reach[star - 1] = True
+    free = np.flatnonzero(reach & ~inside)
+    member = np.repeat(inside[None], 2 ** len(free), axis=0)
+    member[:, free] = (np.arange(2 ** len(free))[:, None] >> np.arange(len(free))) & 1
+    gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
+    scaled = gap_sq / ((rho_sigma + lambda_sigma) ** 2)[:, None]
+    bound = floor(inside[None], reach[None])[0]
+    assert np.all((bound <= scaled * (1.0 + complexity._MARGIN)) | ~member)
+
+
+@pytest.mark.parametrize("name, seed, a_count", [
+    ("exp1", 0, None), ("exp3", 7, 16), ("exp3", 11, 16), ("exp3", 13, 16)])
+def test_branch_and_bound_equals_sweep_oracle_on_presets(name, seed, a_count):
+    knobs = {"num_treatments": a_count} if a_count else {}
+    inst = preset(name, seed=seed, **knobs)
+    for budget in (8000.0, 64000.0):
+        _assert_search_equals_sweep(inst, budget)
+
+
+@pytest.mark.parametrize("budget", [None, 64000.0])
+def test_subset_kernel_rows_do_not_depend_on_the_batch(budget):
+    """Every output row of the kernel is that mask's own: a 1024-mask batch
+    equals its rows computed one at a time, and kappa and effective_gap read
+    the same numbers for a subset as its row of the batch."""
+    inst = preset("exp3", seed=7, num_treatments=20)
+    correction = None if budget is None else 8.0 * 20 * math.log2(20) ** 2 / budget
+    star, gaps, _ = _subset_kernel(inst, correction)
+    member = np.random.default_rng(5).random((1024, 20)) < 0.5
+    member[:, star - 1] = True
+    batch = gaps(member)
+    rows = [gaps(member[r:r + 1]) for r in range(len(member))]
+    for k, got in enumerate(batch):
+        assert np.array_equal(got, np.concatenate([row[k] for row in rows]))
+    for r in (0, 1, 517, 1023):
+        subset = [int(a) for a in np.flatnonzero(member[r]) + 1]
+        for a in subset:
+            if budget is None:
+                for i in range(inst.num_metrics):
+                    assert kappa(inst, subset, a, i) == batch[1][r, a - 1, i]
+            if a != star:
+                gap = (effective_gap(inst, subset, a) if budget is None
+                       else effective_gap_tilde(inst, subset, a, budget))
+                assert gap == math.sqrt(batch[0][r, a - 1])
 
 
 def test_h3_gap_doubling_quarters_complexity():
@@ -299,6 +444,37 @@ def test_h3_enumeration_cap():
     with pytest.raises(TooLargeError):
         h3_tilde(inst, 100.0, max_enumeration=5)
     assert h3(inst, max_enumeration=6).h3 > 0
+
+
+@pytest.mark.parametrize("subset, treatment, metric", [
+    ([1.5, 2], 2, 0), ([True, 2], 2, 0), ([1, 2], True, 0), ([1, 2], 1.5, 0),
+    ([1, 2], 2, True), ([1, 2], 2, 0.5), ([1, math.nan], 1, 0)])
+def test_treatment_ids_must_be_whole_numbers(subset, treatment, metric):
+    # int() used to truncate 1.5 and read True as treatment 1
+    inst = preset("exp1")
+    with pytest.raises(ValueError, match="whole number"):
+        kappa(inst, subset, treatment, metric)
+    if metric == 0:
+        with pytest.raises(ValueError, match="whole number"):
+            effective_gap(inst, subset, treatment)
+
+
+def test_whole_treatment_ids_of_any_numeric_type_are_accepted():
+    inst = preset("exp1")
+    want = kappa(inst, [1, 2], 2, 0)
+    assert kappa(inst, [np.int64(1), 2.0], np.int32(2), np.int64(0)) == want
+    assert effective_gap(inst, [1.0, np.int64(2)], 2.0) == effective_gap(inst, [1, 2], 2)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 20.5, True])
+def test_enumeration_cap_must_be_a_whole_number(cap):
+    # a NaN cap used to pass the size check and run
+    inst = single_metric_instance([0.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="max_enumeration"):
+        h3(inst, max_enumeration=cap)
+    with pytest.raises(ValueError, match="max_enumeration"):
+        h3_tilde(inst, 100.0, max_enumeration=cap)
+    assert h3(inst, max_enumeration=2.0).h3 == h3(inst).h3
 
 
 @pytest.mark.parametrize("budget", [math.nan, 1e-310, 0.0, -1.0])
@@ -473,3 +649,5 @@ def test_error_bound_flags_and_errors():
         error_bound(-1.0, 4, 1, 5.0)
     with pytest.raises(ValueError):
         error_bound(100.0, 4, 1, 0.0)
+    with pytest.raises(ValueError, match="budget"):  # was ErrorBound(nan, False)
+        error_bound(math.nan, 16, 3, 3000.0)
