@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.core import Instance, relative_variance
+from m3ab.core import Instance, _treatment_ids, _whole, relative_variance
 from m3ab.errors import InsufficientBudgetError
 
 @dataclass(frozen=True)
@@ -99,19 +99,6 @@ def gather(table: np.ndarray, active: np.ndarray) -> np.ndarray:
     return np.take(table.reshape(-1, *table.shape[2:]), active + rows, axis=0)
 
 
-def active_index(active, num_treatments: int | None = None) -> np.ndarray:
-    """The active set as an ascending index array, after checking that it is
-    nonempty and holds distinct treatments in 1..num_treatments (any count
-    when None)."""
-    arms = np.array(sorted(active))
-    if arms.size == 0 or arms.dtype.kind not in "iu" or arms[0] < 1 \
-            or (num_treatments is not None and arms[-1] > num_treatments) \
-            or np.any(arms[1:] == arms[:-1]):
-        raise ValueError(f"active set {arms.tolist()} must be nonempty and hold "
-                         f"distinct treatments in 1..{num_treatments or 'A'}")
-    return arms.astype(np.intp, copy=False)
-
-
 def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho_sigma, lambda_sigma) of every row of an (R, k) active array."""
     return (np.sqrt(gather(w.max_rho_sq, active).sum(axis=1)),
@@ -136,14 +123,13 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
     every row of an (R, k) active array; returns (R, k+1).
 
     Every rule is written here once, over the weights ``w`` (one belief row
-    or one per row; unread by the uniform rule) and rows from
-    ``active_index``.  Shares are floored, and ``_fund_starved`` funds the
-    zero counts of every row in one array pass.  Stage budgets above 2^40 are
-    refused: near 2^52 the float shares stop resolving single pulls.
+    or one per row; unread by the uniform rule) and rows as
+    ``core._treatment_ids`` returns them.  Shares are floored, and
+    ``_fund_starved`` funds the zero counts of every row in one array pass.
+    Stage budgets above 2^40 are refused: near 2^52 the float shares stop
+    resolving single pulls.
     """
-    if not isinstance(stage_budget, (int, np.integer)) or not 0 < stage_budget <= 2**40:
-        raise ValueError(f"stage_budget must be an integer in [1, 2^40], "
-                         f"got {stage_budget}")
+    stage_budget = _whole(stage_budget, "stage_budget", 1, 2**40)
     rows, k = active.shape
     if sampling == "uniform":
         counts = np.full((rows, k + 1), stage_budget // (k + 1))
@@ -162,11 +148,8 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
 def _allocation(sampling: str, instance: Instance | None, active,
                 stage_budget: int) -> StageAllocation:
     """The kernel's counts for a public call, keyed by arm."""
-    if instance is None:
-        w, arms = None, active_index(active)
-    else:
-        w = arm_weights(instance.stddevs[None])
-        arms = active_index(active, instance.num_treatments)
+    arms = _treatment_ids(active, getattr(instance, "num_treatments", None), "active set")
+    w = None if instance is None else arm_weights(instance.stddevs[None])
     control, *treated = stage_counts(sampling, w, arms[None],
                                      stage_budget)[0].tolist()
     return StageAllocation(control_pulls=control,

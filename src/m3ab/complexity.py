@@ -63,7 +63,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Instance, best_treatment, relative_variance, z_profile
+from .core import (Instance, _treatment_ids, _whole, best_treatment,
+                   relative_variance, z_profile)
 from .errors import TooLargeError
 
 __all__ = [
@@ -174,31 +175,13 @@ def _subset_kernel(instance: Instance, correction: float | None):
     return star, gaps, floor
 
 
-def _whole(value, what: str) -> int:
-    """value as an int; a bool, a fraction or a non-finite number is refused."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, not {value!r}")
-    return int(value)
-
-
-def _validate_subset(instance: Instance, subset) -> np.ndarray:
-    members = sorted(set(_whole(a, "treatment") for a in subset))
-    if not members:
-        raise ValueError("subset must not be empty")
-    for a in members:
-        if not 1 <= a <= instance.num_treatments:
-            raise ValueError(f"treatment {a} is not part of the instance")
-    return np.asarray(members, dtype=int)
-
-
 def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
     """Heterogeneity weight of (treatment, metric) within the candidate set."""
-    members = _validate_subset(instance, subset)
-    treatment, metric = _whole(treatment, "treatment"), _whole(metric, "metric")
+    members = _treatment_ids(subset, instance.num_treatments, "subset")
+    treatment = _whole(treatment, "treatment")
+    metric = _whole(metric, "metric", 0, instance.num_metrics - 1)
     if treatment not in members:
         raise ValueError(f"treatment {treatment} is not in the subset")
-    if not 0 <= metric < instance.num_metrics:
-        raise ValueError(f"metric {metric} out of range")
     _, gaps, _ = _subset_kernel(instance, None)
     _, kap, _, _ = gaps(np.isin(instance.treatments, members)[None])
     return float(kap[0, treatment - 1, metric])
@@ -216,7 +199,7 @@ def delta_min(instance: Instance) -> float:
 def _pair_gap_sq(instance: Instance, subset, treatment: int,
                  correction: float | None) -> float:
     """D(S, a)^2, optionally with the budget-corrected alternative term."""
-    members = _validate_subset(instance, subset)
+    members = _treatment_ids(subset, instance.num_treatments, "subset")
     star, treatment = best_treatment(instance), _whole(treatment, "treatment")
     if treatment == star:
         raise ValueError("the best treatment has no gap against itself")
@@ -369,8 +352,8 @@ def error_bound(budget: float, num_treatments: int, num_metrics: int,
         raise ValueError(f"variant must be one of {sorted(constants)}")
     if not budget >= 0:
         raise ValueError("budget must be nonnegative")
-    if num_treatments < 1 or num_metrics < 1:
-        raise ValueError("need at least one treatment and one metric")
+    num_treatments = _whole(num_treatments, "num_treatments", 1)
+    num_metrics = _whole(num_metrics, "num_metrics", 1)
     if not h > 0:
         raise ValueError("complexity h must be positive")
     log2a = math.log2(num_treatments)

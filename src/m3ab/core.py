@@ -57,6 +57,34 @@ class _ArrayFields:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+def _whole(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int: ints of any size (never through float: seeds are
+    multi-word), NumPy integers and whole floats.  A bool, a fraction, NaN,
+    +-inf, another type or a value outside [low, high] (either end optional; a
+    high end from 2^32 up is a power of two) is a ValueError naming ``what``."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer() \
+            or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        number = int(value)
+        if (low is None or low <= number) and (high is None or number <= high):
+            return number
+    top = f"2^{high.bit_length() - 1}" if high and high >= 2**32 else high
+    span = f" in [{low}, {top}]" if high is not None else "" if low is None else f" >= {low}"
+    raise ValueError(f"{what} must be a whole number{span}, got {value!r}")
+
+
+def _treatment_ids(values, num_treatments: int | None = None,
+                   what: str = "treatments") -> np.ndarray:
+    """The treatment ids in ``values`` as an ascending intp array, after
+    checking that they are nonempty, distinct and each ``_whole`` in
+    1..num_treatments (1..2^62, inside intp, when None)."""
+    ids = sorted(values)
+    for a in ids[:1] + ids[-1:] if set(map(type, ids)) == {int} else ids:  # ends suffice
+        _whole(a, f"treatment in {what}", 1, num_treatments or 2**62)
+    if not ids or len(set(ids)) < len(ids):
+        raise ValueError(f"{what} {ids} must be nonempty and distinct")
+    return np.array(ids, dtype=np.intp)
+
+
 def _as_prob_vector(x, m: int, name: str) -> np.ndarray:
     v = np.array(x, dtype=float).reshape(-1)
     if v.shape != (m,):
@@ -86,11 +114,9 @@ class ValidationConfig(_ArrayFields):
     def __post_init__(self):
         if self.variant not in (NON_BAYESIAN, BAYESIAN):
             raise ValueError(f"unknown validation variant {self.variant!r}")
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon <= 0:
-            raise ValueError("horizon must be a positive integer")
+        object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", 1))
         if self.horizon % 2 != 0:
             raise ValueError("horizon must be even (each side pulled t_v/2 times)")
-        object.__setattr__(self, "horizon", int(self.horizon))
         if self.variant == NON_BAYESIAN:
             if self.delta is None:
                 raise ValueError("non-Bayesian validation requires delta")
@@ -313,15 +339,12 @@ def pass_probability(instance: Instance, treatment: int, metric: int) -> float:
     shortcut, which the test suite uses as an independent cross-check).
     """
     probabilities = _pass_probabilities(instance, treatment)
-    if not 0 <= metric < instance.num_metrics:
-        raise ValueError(f"metric {metric} out of range")
-    return float(probabilities[metric])
+    return float(probabilities[_whole(metric, "metric", 0, instance.num_metrics - 1)])
 
 
 def _pass_probabilities(instance: Instance, treatment: int) -> np.ndarray:
     """(M,) vector of per-metric pass probabilities for one treatment."""
-    if not 1 <= treatment <= instance.num_treatments:
-        raise ValueError(f"treatment {treatment} out of range")
+    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
     return z_profile(instance).pass_probabilities[treatment - 1]
 
 

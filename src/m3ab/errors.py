@@ -21,9 +21,9 @@ class InsufficientBudgetError(M3ABError):
 
 
 class TooLargeError(M3ABError):
-    """Exhaustive subset enumeration was refused.  The closed-form h3_prime
-    is no stand-in for h3: it is a lower estimate, measured 2.0 to 2.5 times
-    below h3, so error bounds computed from it are too small."""
+    """h3's branch and bound refused more than max_enumeration treatments.
+    The closed-form h3_prime is no stand-in for h3: it is a lower estimate,
+    measured 2.0 to 2.5 times below h3, so error bounds from it are too small."""
 
 
 class DegenerateVarianceError(M3ABError):

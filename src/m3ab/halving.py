@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import active_index, arm_weights, fold, gather, stage_counts
-from m3ab.core import Instance, validation_terms
+from m3ab.alloc import arm_weights, fold, gather, stage_counts
+from m3ab.core import Instance, _treatment_ids, _whole, validation_terms
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
 SAMPLING_RULES = ("relative_variance", "uniform", "variance", "neyman")
@@ -245,7 +245,7 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
 
     A 1-D array is accepted for single-metric instances and read as n samples.
     """
-    arms = active_index(active, instance.num_treatments)
+    arms = _treatment_ids(active, instance.num_treatments, "active set")
     m = instance.num_metrics
     means, counts = [], []
     for arm in [0, *arms.tolist()]:
@@ -454,6 +454,7 @@ def run_exploration(instance: Instance, spec: AlgorithmSpec | str, budget: int,
     treatments ascending; ``total_pulls_used`` includes phase 0."""
     if isinstance(spec, str):
         spec = AlgorithmSpec.from_name(spec)
+    budget = _whole(budget, "budget", 0)
     source = get_reward_source(reward_source)
     if rng is None:
         rng = np.random.default_rng()

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from m3ab.alloc import fold
-from m3ab.core import Instance, best_treatment, z_profile
+from m3ab.core import Instance, _whole, best_treatment, z_profile
 from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,
@@ -97,12 +97,8 @@ def wilson_interval(successes: int, trials: int,
     endpoint is exactly 0, at successes == trials the upper endpoint is
     exactly 1.  trials must be >= 1.
     """
-    successes = int(successes)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must be in [0, {trials}], got {successes}")
+    trials = _whole(trials, "trials", 1)
+    successes = _whole(successes, "successes", 0, trials)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     z = float(ndtri(0.5 + level / 2.0))
@@ -117,19 +113,13 @@ def wilson_interval(successes: int, trials: int,
     return (lo, hi)
 
 
-def _is_whole(value) -> bool:
-    """A whole number of any size: not a fraction, an infinity or a NaN."""
-    return value == value and abs(value) != math.inf and int(value) == value
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """What to run: instance (or a callable producing one), algorithm menu,
-    budget grid, repetition count, and the master seed.
+    """What to run: instance, algorithm menu, budget grid, repetition count,
+    and the master seed.
 
-    ``instance`` may be an Instance, a zero-argument callable (resolved when
-    the experiment runs), or — for heterogeneity sweeps — a one-argument
-    callable mapping the swept parameter value to an Instance.
+    ``instance`` is an Instance or, for heterogeneity_l sweeps only, a
+    one-argument callable mapping the swept parameter value to an Instance.
 
     ``reward_source`` is "means" (sufficient statistics drawn from their
     exact laws; the fast default), "pulls" (every reward drawn individually),
@@ -145,8 +135,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.instance, Instance) and not callable(self.instance):
-            raise TypeError("instance must be an Instance or a callable "
-                            "returning one")
+            raise TypeError("instance must be an Instance or a one-argument "
+                            "callable returning one")
         specs = tuple(AlgorithmSpec.from_name(a) if isinstance(a, str) else a
                       for a in self.algorithms)
         if not specs:
@@ -155,22 +145,14 @@ class ExperimentConfig:
             if not isinstance(spec, AlgorithmSpec):
                 raise TypeError(f"not an algorithm name or spec: {spec!r}")
         object.__setattr__(self, "algorithms", specs)
-        if not all(map(_is_whole, self.budgets)):
-            raise ValueError("budgets must be integers")
-        budgets = tuple(int(b) for b in self.budgets)
+        budgets = tuple(_whole(b, "budgets", 1) for b in self.budgets)
         if not budgets:
             raise ValueError("budgets must be non-empty")
-        if any(b < 1 for b in budgets):
-            raise ValueError(f"budgets must be >= 1, got {budgets}")
         object.__setattr__(self, "budgets", budgets)
-        if not _is_whole(self.repetitions) or self.repetitions < 1:
-            raise ValueError(f"repetitions must be a positive integer, "
-                             f"got {self.repetitions}")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        if not _is_whole(self.master_seed) or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, "
-                             f"got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "repetitions",
+                           _whole(self.repetitions, "repetitions", 1))
+        object.__setattr__(self, "master_seed",
+                           _whole(self.master_seed, "master_seed", 0))
         get_reward_source(self.reward_source)  # rejects unknown names
 
 
@@ -191,9 +173,12 @@ class CellReport:
     seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        if self.validation_successes + self.type1_errors > self.repetitions:
-            raise ValueError("validation_successes + type1_errors cannot "
-                             "exceed repetitions")
+        reps = _whole(self.repetitions, "repetitions", 1)
+        left = reps - _whole(self.validation_successes, "validation_successes", 0, reps)
+        bounds = dict(budget=(1, None), repetitions=(1, None), type1_errors=(0, left),
+                      exploration_successes=(0, reps), validation_successes=(0, reps))
+        for name, (low, high) in bounds.items():
+            object.__setattr__(self, name, _whole(getattr(self, name), name, low, high))
 
     @property
     def joint_passes(self) -> int:
@@ -446,11 +431,12 @@ def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
     return tuple(cells)
 
 
-def _resolve_instance(obj) -> Instance:
-    inst = obj() if callable(obj) else obj
-    if not isinstance(inst, Instance):
-        raise TypeError(f"expected an Instance, got {type(inst).__name__}")
-    return inst
+def _instance(obj) -> Instance:
+    if not isinstance(obj, Instance):
+        raise TypeError(f"expected an Instance, got {type(obj).__name__}; a "
+                        "one-argument generator such as lambda l: "
+                        "preset('exp2', l=l) runs only in a heterogeneity_l sweep")
+    return obj
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloReport:
@@ -461,7 +447,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloRepo
     depend only on its own index).  InsufficientBudgetError is re-raised
     with the offending cell attached.
     """
-    instance = _resolve_instance(config.instance)
+    instance = _instance(config.instance)
     with _pool(threads, config.repetitions) as pool:
         cells = _run_cells(instance, config, 0, threads, pool)
     return MonteCarloReport(cells=cells)
@@ -487,27 +473,27 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
-    if parameter != "heterogeneity_l" and not all(map(_is_whole, values)):
-        raise ValueError(f"{parameter} values must be integers, got {values}")
+    if parameter != "heterogeneity_l":
+        base = _instance(config.instance)
+        for value in values:
+            _whole(value, f"{parameter} values", 1)
+    elif not callable(config.instance):
+        raise TypeError("a heterogeneity_l sweep needs a callable instance "
+                        "generator, e.g. lambda l: preset('exp2', l=l)")
     reports = []
     with _pool(threads, config.repetitions) as pool:
         for value_idx, value in enumerate(values):
             cfg = config
             if parameter == "budget":
-                cfg = dataclasses.replace(config, budgets=(int(value),))
-                instance = _resolve_instance(cfg.instance)
+                cfg = dataclasses.replace(config, budgets=(value,))
+                instance = base
             elif parameter == "heterogeneity_l":
-                if not callable(config.instance):
-                    raise TypeError("a heterogeneity_l sweep needs a callable "
-                                    "instance generator, e.g. "
-                                    "lambda l: preset('exp2', l=l)")
                 instance = config.instance(value)
                 if not isinstance(instance, Instance):
                     raise TypeError("instance generator must return an Instance")
             else:  # t_v
-                base = _resolve_instance(config.instance)
                 instance = dataclasses.replace(base, validation=dataclasses.replace(
-                    base.validation, horizon=int(value)))
+                    base.validation, horizon=value))
             cells = _run_cells(instance, cfg, value_idx, threads, pool)
             reports.append(MonteCarloReport(cells=cells, parameter=parameter,
                                             value=value))

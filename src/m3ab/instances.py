@@ -52,6 +52,7 @@ from m3ab.core import (
     NON_BAYESIAN,
     Instance,
     ValidationConfig,
+    _whole,
     validation_terms,
 )
 from m3ab.errors import SchemaError
@@ -157,8 +158,7 @@ _EXP3_RHO_SQ_BASE = (0.8, 0.5, 0.2)
 
 def _exp3_family(z_best, z_other, *, seed, num_treatments: int = 128,
                  delta=0.05, t_v: int = 2000) -> Instance:
-    if num_treatments < 2:
-        raise ValueError("need at least 2 treatments")
+    num_treatments = _whole(num_treatments, "num_treatments", 2)
     rng = np.random.default_rng(seed)
     rho_sq = np.asarray(_EXP3_RHO_SQ_BASE) + rng.uniform(
         -0.1, 0.1, size=(num_treatments, 3))
@@ -176,8 +176,7 @@ _exp3_null = functools.partial(_exp3_family, _EXP3_NULL_Z_BEST,
 def _neyman_gap(*, num_small: int = 20, sigma_big: float = 5.0,
                 sigma_small: float = 1.0, mean_gap: float = 1.0, delta=0.05,
                 t_v: int = 100) -> Instance:
-    if num_small < 1:
-        raise ValueError("need at least one small-variance arm for the control")
+    num_small = _whole(num_small, "num_small", 1)
     means = np.concatenate([[0.0, mean_gap, 0.0], np.zeros(num_small - 1)])
     stddevs = np.concatenate([
         [sigma_small, sigma_big, sigma_big],

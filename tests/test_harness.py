@@ -171,6 +171,28 @@ def test_cell_report_rejects_impossible_partition():
                    type1_errors=3)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((8000, 10, -1, 0, 0), "exploration_successes"),
+    ((8000, 10, 11, 0, 0), "exploration_successes"),  # accuracy read 1.1
+    ((8000, 0, 0, 0, 0), "repetitions"),  # rate raised ZeroDivisionError
+    ((8000, 10, 5, 2.5, 0), "validation_successes"),
+    ((8000, 10, 5, 0, True), "type1_errors"),
+    ((True, 10, 5, 0, 0), "budget"),
+    ((0, 10, 5, 0, 0), "budget"),
+])
+def test_cell_report_refuses_impossible_counts(counts, name):
+    with pytest.raises(ValueError, match=name):
+        CellReport("shrvar", *counts)
+
+
+def test_cell_report_stores_whole_counts_as_ints():
+    cell = CellReport("shrvar", np.int64(8000), 10.0, np.int32(5), 4.0, 0)
+    assert cell == CellReport("shrvar", 8000, 10, 5, 4, 0)
+    assert all(type(getattr(cell, name)) is int for name in
+               ("budget", "repetitions", "exploration_successes",
+                "validation_successes", "type1_errors"))
+
+
 def test_report_cell_lookup():
     report = run_experiment(small_config(algorithms=["shrvar", "sh-z"],
                                          budgets=[500, 800], repetitions=5))
@@ -625,13 +647,20 @@ def test_disjoint_seeds_agree_within_intervals():
     assert a_lo < b_hi and b_lo < a_hi
 
 
-def test_zero_arg_callable_instance():
-    cfg = small_config(instance=lambda: preset("exp2", l=1.0), repetitions=25)
-    direct = small_config(repetitions=25)
-    assert run_experiment(cfg) == run_experiment(direct)
-
-
 # --- sweep -------------------------------------------------------------------
+
+
+def test_callable_instance_runs_only_in_a_heterogeneity_l_sweep():
+    generator = small_config(instance=lambda l: preset("exp2", l=l))
+    for run in (lambda: run_experiment(generator),
+                lambda: sweep(generator, "budget", [500]),
+                lambda: sweep(generator, "t_v", [100]),
+                lambda: run_experiment(small_config(instance=lambda: preset("exp1")))):
+        with pytest.raises(TypeError, match="heterogeneity_l"):
+            run()
+    l_sweep, = sweep(small_config(instance=lambda l: preset("exp2", l=l),
+                                  repetitions=20), "heterogeneity_l", [1.0])
+    assert l_sweep.cells == run_experiment(small_config(repetitions=20)).cells
 
 
 def test_sweep_rejects_bad_arguments():
@@ -703,24 +732,24 @@ def test_sweep_validation_horizon():
 
 
 def test_sweep_rejects_non_integer_budget():
-    with pytest.raises(ValueError, match="budget values must be integers"):
+    with pytest.raises(ValueError, match="budget values must be a whole number"):
         sweep(small_config(), "budget", [8000.7])
 
 
 def test_sweep_rejects_non_integer_t_v():
-    with pytest.raises(ValueError, match="t_v values must be integers"):
+    with pytest.raises(ValueError, match="t_v values must be a whole number"):
         sweep(small_config(), "t_v", [1000.9])
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_counts_are_value_errors(value):
-    for field, message in (("budgets", "budgets must be integers"),
-                           ("repetitions", "repetitions must be a positive"),
-                           ("master_seed", "master_seed must be a non-negative")):
+    for field, message in (("budgets", "budgets must be a whole number"),
+                           ("repetitions", "repetitions must be a whole number >= 1"),
+                           ("master_seed", "master_seed must be a whole number >= 0")):
         with pytest.raises(ValueError, match=message):
             small_config(**{field: [value] if field == "budgets" else value})
     for parameter in ("budget", "t_v"):
-        with pytest.raises(ValueError, match=f"{parameter} values must be integers"):
+        with pytest.raises(ValueError, match=f"{parameter} values must be a whole number"):
             sweep(small_config(), parameter, [value])
 
 
