@@ -36,6 +36,8 @@ import numpy as np
 from m3ab.core import Instance, _treatment_ids, _whole, relative_variance
 from m3ab.errors import InsufficientBudgetError
 
+MAX_STAGE_BUDGET = 2**40  # near 2^52 the float shares stop resolving single pulls
+
 @dataclass(frozen=True)
 class StageAllocation:
     """Pull counts for one stage; treatment_pulls is keyed by treatment index."""
@@ -45,13 +47,16 @@ class StageAllocation:
     stage_budget: int
 
     def __post_init__(self):
+        object.__setattr__(self, "treatment_pulls", {
+            arm: _whole(n, "treatment_pulls", 0) for arm, n in self.treatment_pulls.items()})
+        object.__setattr__(self, "control_pulls", _whole(self.control_pulls, "control_pulls", 0))
+        object.__setattr__(self, "stage_budget",
+                           _whole(self.stage_budget, "stage_budget", 0, MAX_STAGE_BUDGET))
         total = self.control_pulls + sum(self.treatment_pulls.values())
         if total > self.stage_budget:
             raise ValueError(
                 f"allocation spends {total} pulls, stage budget is {self.stage_budget}"
             )
-        if self.control_pulls < 0 or any(n < 0 for n in self.treatment_pulls.values()):
-            raise ValueError("pull counts must be nonnegative")
 
     @property
     def total_pulls(self) -> int:
@@ -126,22 +131,18 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
     or one per row; unread by the uniform rule) and rows as
     ``core._treatment_ids`` returns them.  Shares are floored, and
     ``_fund_starved`` funds the zero counts of every row in one array pass.
-    Stage budgets above 2^40 are refused: near 2^52 the float shares stop
-    resolving single pulls.
+    The stage budget is an int in [1, MAX_STAGE_BUDGET] (the callers check).
     """
-    stage_budget = _whole(stage_budget, "stage_budget", 1, 2**40)
     rows, k = active.shape
     if sampling == "uniform":
         counts = np.full((rows, k + 1), stage_budget // (k + 1))
     elif sampling == "relative_variance":
         counts = np.floor(_shrvar_shares(w, active, stage_budget)).astype(int)
-    elif sampling in ("variance", "neyman"):
+    else:  # variance or neyman
         arms = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
         weights = gather(w.max_var if sampling == "variance" else w.max_sd, arms)
         counts = np.floor(weights / weights.sum(axis=1, keepdims=True)
                           * stage_budget).astype(int)
-    else:
-        raise ValueError(f"unknown sampling rule {sampling!r}")
     return _fund_starved(counts, active, stage_budget)
 
 
@@ -149,6 +150,7 @@ def _allocation(sampling: str, instance: Instance | None, active,
                 stage_budget: int) -> StageAllocation:
     """The kernel's counts for a public call, keyed by arm."""
     arms = _treatment_ids(active, getattr(instance, "num_treatments", None), "active set")
+    stage_budget = _whole(stage_budget, "stage_budget", 1, MAX_STAGE_BUDGET)
     w = None if instance is None else arm_weights(instance.stddevs[None])
     control, *treated = stage_counts(sampling, w, arms[None],
                                      stage_budget)[0].tolist()

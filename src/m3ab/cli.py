@@ -171,11 +171,9 @@ def _resolve_instance(args) -> Instance:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    value = os.environ.get("M3AB_THREADS", "1")
+    value = os.environ.get("M3AB_THREADS", "1") if args.threads is None else args.threads
     try:
-        return max(1, int(value))
+        return int(value)
     except ValueError:
         raise ValueError(f"M3AB_THREADS must be an integer, got {value!r}") from None
 
@@ -266,12 +264,8 @@ def _parse_values(args) -> list:
         number = float(item)
         if not math.isfinite(number):
             raise ValueError(f"--values must be finite numbers, got {item!r}")
-        if args.param != "l":
-            if number != int(number):
-                raise ValueError(
-                    f"--param {args.param} needs integer values, got {item!r}")
-            number = int(number)
-        values.append(number)
+        # ints keep the json bytes; sweep refuses fractions
+        values.append(int(number) if args.param != "l" and number.is_integer() else number)
     if not values:
         raise ValueError("--values must list at least one value")
     return values
@@ -287,7 +281,7 @@ def cmd_sweep(args) -> int:
             _progress("error: --budget conflicts with --param budget "
                       "(budgets come from --values)")
             return 2
-        budgets = (values[0],)  # placeholder; the sweep replaces it per value
+        budgets = (1,)  # placeholder; the sweep replaces it per value
     else:
         if not args.budget:
             _progress("error: at least one --budget is required")

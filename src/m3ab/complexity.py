@@ -119,9 +119,8 @@ def _subset_kernel(instance: Instance, correction: float | None):
     g = np.maximum(z[s][:, None, None] - z.T[None], 0.0) ** 2  # [i, j, a]
     rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
     lam2 = 1.0 - rho2
-    mr = rho2.max(axis=1)
-    ml2 = lam2.max(axis=1)
-    p = np.where(mr[:, None] > 0, rho2 / np.where(mr[:, None] > 0, mr[:, None], 1.0), 1.0)
+    mr, ml2 = rho2.max(axis=1), lam2.max(axis=1)
+    p = rho2 / mr[:, None]  # Instance keeps stddevs > 0, so mr > 0
     dm2 = delta_min(instance) ** 2 if correction is not None else None
 
     def scales(member: np.ndarray):
@@ -178,7 +177,7 @@ def _subset_kernel(instance: Instance, correction: float | None):
 def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
     """Heterogeneity weight of (treatment, metric) within the candidate set."""
     members = _treatment_ids(subset, instance.num_treatments, "subset")
-    treatment = _whole(treatment, "treatment")
+    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
     metric = _whole(metric, "metric", 0, instance.num_metrics - 1)
     if treatment not in members:
         raise ValueError(f"treatment {treatment} is not in the subset")
@@ -200,7 +199,8 @@ def _pair_gap_sq(instance: Instance, subset, treatment: int,
                  correction: float | None) -> float:
     """D(S, a)^2, optionally with the budget-corrected alternative term."""
     members = _treatment_ids(subset, instance.num_treatments, "subset")
-    star, treatment = best_treatment(instance), _whole(treatment, "treatment")
+    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
+    star = best_treatment(instance)
     if treatment == star:
         raise ValueError("the best treatment has no gap against itself")
     if treatment not in members or star not in members:

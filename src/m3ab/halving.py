@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import arm_weights, fold, gather, stage_counts
+from m3ab.alloc import MAX_STAGE_BUDGET, arm_weights, fold, gather, stage_counts
 from m3ab.core import Instance, _treatment_ids, _whole, validation_terms
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
@@ -269,11 +269,9 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
 # --- elimination ------------------------------------------------------------
 
 def _keep_largest(active: np.ndarray, key: np.ndarray, keep: int) -> np.ndarray:
-    """Row-wise, the `keep` treatments with the largest key, ascending; ties
-    -> lowest index.  Rows of ``active`` ascend, so a stable sort of -key
-    breaks ties by position, which is by index."""
-    if not 1 <= keep <= active.shape[-1]:
-        raise ValueError(f"keep must be in [1, {active.shape[-1]}]")
+    """Row-wise, the `keep` treatments (an int in [1, k]) with the largest
+    key, ascending; ties -> lowest index.  Rows of ``active`` ascend, so a
+    stable sort of -key breaks ties by position, which is by index."""
     ranked = np.argsort(-key, axis=-1, kind="stable")[..., :keep]
     return np.take_along_axis(active, np.sort(ranked, axis=-1), axis=-1)
 
@@ -289,6 +287,7 @@ def _elimination_key(rule: str, z: np.ndarray, z_var: np.ndarray,
 
 
 def _eliminate(rule: str, stats: StageStats, keep: int) -> list[int]:
+    keep = _whole(keep, "keep", 1, stats.active.size)
     key = _elimination_key(rule, stats.z, stats.z_var, stats.means)
     return _keep_largest(stats.active, key, keep).tolist()
 
@@ -372,7 +371,7 @@ class ExplorationResult:
 
 
 def num_stages(num_treatments: int) -> int:
-    return max(1, math.ceil(math.log2(num_treatments)))
+    return max(1, math.ceil(math.log2(_whole(num_treatments, "num_treatments", 1))))
 
 
 def _noise_rows(num_treatments: int) -> int:
@@ -395,6 +394,7 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
     if stage_budget < 1:
         raise InsufficientBudgetError(f"budget {budget} cannot fund {stages} stages",
                                       arm=0)
+    _whole(stage_budget, "stage_budget", 1, MAX_STAGE_BUDGET)
     active = np.tile(np.arange(1, instance.num_treatments + 1), (len(rngs), 1))
     offset, variance = 0, trail is not None or spec.elimination == "confidence"
     for _ in range(stages):
@@ -427,8 +427,12 @@ def _beliefs(instance: Instance, spec: AlgorithmSpec, budget: int, source,
     if spec.variance_knowledge == "known":
         return known or _belief_constants(instance.stddevs[None],
                                           instance.validation), budget
-    a_count = instance.num_treatments
-    n0 = budget // ((a_count + 1) * num_stages(a_count))
+    a_count, stages = instance.num_treatments, num_stages(instance.num_treatments)
+    if stages == 1:  # phase 0 would take all but budget mod (A+1) < A+1 pulls
+        raise InsufficientBudgetError(
+            f"budget {budget} cannot fund the adaptive engine at A = {a_count}: with "
+            f"one stage, phase 0 leaves {budget % (a_count + 1)} < A+1 pulls", arm=0)
+    n0 = budget // ((a_count + 1) * stages)
     if n0 < 2:
         raise InsufficientBudgetError(
             f"budget {budget} gives the variance-estimation round only {n0} "

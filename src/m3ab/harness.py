@@ -387,7 +387,7 @@ def _chunks(repetitions: int, parts: int) -> list[tuple[int, int]]:
 def _worker_count(threads: int, repetitions: int) -> int:
     """Worker processes for one experiment: one per chunk of repetitions,
     so a thread count above the repetition count starts no idle worker."""
-    return len(_chunks(repetitions, max(1, threads)))
+    return len(_chunks(repetitions, threads))
 
 
 def _cpu_count() -> int:
@@ -409,7 +409,7 @@ def _pool(threads: int, repetitions: int):
 
 def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
                threads: int, pool) -> tuple[CellReport, ...]:
-    chunks = _chunks(config.repetitions, max(1, threads))
+    chunks = _chunks(config.repetitions, threads)
     tasks = [(instance, config.algorithms, budget, config.reward_source,
               (config.master_seed, value_idx, budget_idx), lo, hi)
              for budget_idx, budget in enumerate(config.budgets)
@@ -445,9 +445,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloRepo
     Deterministic in config.master_seed and independent of ``threads``
     (repetitions are split across processes, but repetition r's streams
     depend only on its own index).  InsufficientBudgetError is re-raised
-    with the offending cell attached.
+    with the offending cell attached.  A ``threads`` of 0 or below means 1.
     """
     instance = _instance(config.instance)
+    threads = max(1, _whole(threads, "threads"))
     with _pool(threads, config.repetitions) as pool:
         cells = _run_cells(instance, config, 0, threads, pool)
     return MonteCarloReport(cells=cells)
@@ -467,6 +468,7 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     Each value gets its own seed substream (the value's index enters the
     derivation), so draws are never shared across different instances.
     """
+    threads = max(1, _whole(threads, "threads"))
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
                          f"expected one of {SWEEP_PARAMETERS}")

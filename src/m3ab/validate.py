@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from m3ab.core import BAYESIAN, Instance, z_profile
+from m3ab.core import BAYESIAN, Instance, _whole, z_profile
 from m3ab.halving import GaussianPullSource, _standard_normals, _stat_means
 
 
@@ -56,16 +56,8 @@ def _standardized(instance: Instance, treatments, rngs, reward_source: str,
     inflation * sqrt(2 var_sum / t_v); and the (M,) value that ratio must
     reach for the metric to pass.  Under "means" the draws are (R, 2, M)
     standard normals, one fill per generator, or ``noise`` when the caller
-    drew them ahead."""
+    drew them ahead.  The callers check the treatments and the source."""
     treatments = np.asarray(treatments)
-    if treatments.dtype.kind not in "iu":
-        raise ValueError(f"treatments must be integers, got {treatments.dtype}")
-    bad = treatments[(treatments < 1) | (treatments > instance.num_treatments)]
-    if bad.size:
-        raise ValueError(f"treatment {bad[0]} out of range")
-    if reward_source not in ("pulls", "means"):
-        raise ValueError(f"unknown reward source {reward_source!r}; "
-                         "expected 'pulls' or 'means'")
     cfg = instance.validation
     rows = np.zeros((treatments.size, 2), dtype=int)
     rows[:, 0] = treatments
@@ -91,6 +83,10 @@ def run_validation(instance: Instance, treatment: int,
     "pulls" or "means" (identically distributed outcomes; "means" keeps
     large validation horizons cheap).
     """
+    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
+    if reward_source not in ("pulls", "means"):
+        raise ValueError(f"unknown reward source {reward_source!r}; "
+                         "expected 'pulls' or 'means'")
     ate, ratio, critical = _standardized(instance, [treatment], [rng], reward_source)
     ate, ratio = ate[0], ratio[0]
     if instance.validation.variant != BAYESIAN:

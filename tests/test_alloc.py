@@ -360,14 +360,25 @@ def test_block_counts_equal_row_by_row_counts(monkeypatch):
     assert sum(starved) > 0
 
 
-def test_stage_counts_reject_stage_budgets_above_bound():
-    w = arm_weights(np.ones((1, 3, 1)))
-    for rule in SAMPLING_RULES:
-        with pytest.raises(ValueError, match="2\\^40"):
-            stage_counts(rule, w, np.array([[1, 2]]), 2**40 + 1)
-    with pytest.raises(ValueError, match="2\\^40"):
-        run_exploration(preset("exp1"), "shrvar", 2**62,
-                        rng=np.random.default_rng(0))
+def test_stage_budgets_above_bound_are_refused_where_they_enter():
+    # The public allocations check their stage budget, the stage loop the
+    # budget / stages of each run; the stage_counts kernel checks nothing.
+    inst = preset("exp1")
+    for call in (lambda b: shrvar_allocation(inst, [1, 2], b),
+                 lambda b: uniform_allocation([1, 2], b),
+                 lambda b: variance_allocation(inst, [1, 2], b),
+                 lambda b: neyman_allocation(inst, [1, 2], b)):
+        with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
+            call(2**40 + 1)
+        assert call(2**40).stage_budget == 2**40
+    with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
+        StageAllocation(0, {}, 2**40 + 1)
+    assert StageAllocation(0, {}, 2**40).stage_budget == 2**40
+    with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
+        run_exploration(inst, "shrvar", 2**62, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
+        run_experiment(ExperimentConfig(instance=inst, algorithms=["sh-z"],
+                                        budgets=[2**62], repetitions=1))
 
 
 _ENTRY_POINTS = {

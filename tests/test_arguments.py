@@ -7,6 +7,7 @@ range is a ValueError that names the argument."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,26 +15,34 @@ import pytest
 from m3ab import (
     ExperimentConfig,
     ValidationConfig,
+    confidence_eliminate,
     effective_gap,
     empirical_z,
     error_bound,
     h3,
     joint_pass_probability,
     kappa,
+    mean_eliminate,
+    minz_eliminate,
+    num_stages,
     pass_probability,
     preset,
     run_experiment,
     run_exploration,
+    run_validation,
     shrvar_allocation,
     sweep,
+    table1,
     uniform_allocation,
     wilson_interval,
 )
-from m3ab.alloc import stage_counts
+from m3ab.alloc import StageAllocation
 
 EXP1 = preset("exp1")  # 16 treatments, 3 metrics
 SMALL = preset("exp3", num_treatments=4)
-SAMPLES = {0: np.zeros((2, 3)), 1: np.ones((2, 3)), 2: np.ones((3, 3))}
+SAMPLES = {0: np.zeros((2, 3)), 1: np.ones((2, 3)), 2: np.ones((3, 3)),
+           3: np.full((2, 3), 2.0)}
+STATS = empirical_z(SAMPLES, EXP1, [1, 2, 3])
 
 
 def _config(**overrides):
@@ -49,6 +58,12 @@ def _explore(algorithm):
         return (result.recommended, result.total_pulls_used,
                 [stats.counts.tolist() for stats in result.trail])
     return run
+
+
+def _validate(treatment):
+    out = run_validation(table1(), treatment, np.random.default_rng(0), "means")
+    return (out.per_metric_pass.tolist(), out.ate_estimates.tolist(),
+            out.posterior, out.p.tolist())
 
 
 # (id, call with the argument under test, name in the message, a valid int,
@@ -76,9 +91,14 @@ ENTRY_POINTS = [
      "active set", 1, 0),
     ("empirical_z.active",
      lambda v: empirical_z(SAMPLES, EXP1, [v, 2]).z.tolist(), "active set", 1, 0),
-    ("stage_counts.stage_budget",
-     lambda v: stage_counts("uniform", None, np.array([[1, 2]]), v).tolist(),
+    ("uniform_allocation.stage_budget", lambda v: uniform_allocation([1, 2], v),
      "stage_budget", 30, 2**40 + 1),
+    ("StageAllocation.control_pulls",
+     lambda v: repr(StageAllocation(v, {1: 2}, 10)), "control_pulls", 3, -1),
+    ("StageAllocation.treatment_pulls",
+     lambda v: repr(StageAllocation(3, {1: v}, 10)), "treatment_pulls", 2, -1),
+    ("StageAllocation.stage_budget",
+     lambda v: repr(StageAllocation(3, {1: 2}, v)), "stage_budget", 10, -1),
     ("ValidationConfig.horizon",
      lambda v: ValidationConfig.non_bayesian([0.05], v), "horizon", 100, 0),
     ("wilson_interval.successes", lambda v: wilson_interval(v, 10), "successes",
@@ -101,6 +121,16 @@ ENTRY_POINTS = [
     ("run_exploration.budget", _explore("shrvar"), "budget", 8000, -1),
     ("run_exploration.budget (adaptive)", _explore("shrvar-ada"), "budget", 8000,
      -1),
+    ("run_validation.treatment", _validate, "treatment", 2, 3),
+    ("minz_eliminate.keep", lambda v: minz_eliminate(STATS, v), "keep", 2, 4),
+    ("mean_eliminate.keep", lambda v: mean_eliminate(STATS, v), "keep", 2, 0),
+    ("confidence_eliminate.keep", lambda v: confidence_eliminate(STATS, v), "keep",
+     2, 4),
+    ("run_experiment.threads", lambda v: run_experiment(_config(), threads=v),
+     "threads", 1, None),
+    ("sweep.threads", lambda v: sweep(_config(), "budget", [500], threads=v),
+     "threads", 1, None),
+    ("num_stages.num_treatments", num_stages, "num_treatments", 16, 0),
 ]
 BAD_VALUES = {"bool": True, "fraction": 1.5, "nan": math.nan, "inf": math.inf,
               "-inf": -math.inf}
@@ -112,10 +142,12 @@ ROWS = [pytest.param(call, name, bad, id=f"{entry}-{kind}")
 
 @pytest.mark.parametrize("call, name, bad", ROWS)
 def test_bad_whole_number_is_a_value_error_naming_the_argument(call, name, bad):
-    # At the parent, budgets=[True] ran at budget 1, wilson_interval(1.5, 2)
-    # truncated, run_exploration(..., 8000.0) failed inside stage_counts or
-    # with a TypeError, and pass_probability(exp1, 1.5, 0) an IndexError.
-    with pytest.raises(ValueError, match=name):
+    # Once budgets=[True] ran at budget 1, wilson_interval(1.5, 2) truncated,
+    # run_exploration(..., 8000.0) failed inside stage_counts or with a
+    # TypeError, pass_probability(exp1, 1.5, 0) with an IndexError,
+    # minz_eliminate(stats, True) kept one arm, run_experiment(cfg,
+    # threads=2.5) started a pool and num_stages(0) raised "math domain error".
+    with pytest.raises(ValueError, match=re.escape(name) + " must be a whole number"):
         call(bad)
 
 

@@ -248,7 +248,11 @@ def test_sweep_non_integer_budget_value_is_flag_error(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--preset", "exp2", "--l", "1", "--param", "budget",
         "--values", "400.5", "--algo", "shrvar", "--reps", "5")
-    assert code == 2 and "integer" in err
+    assert code == 2 and "budget values must be a whole number >= 1, got 400.5" in err
+    code, _, err = run_cli(
+        capsys, "sweep", "--preset", "exp2", "--l", "1", "--param", "t_v",
+        "--values", "100,101.5", "--budget", "500", "--algo", "shrvar", "--reps", "5")
+    assert code == 2 and "t_v values must be a whole number >= 1, got 101.5" in err
 
 
 @pytest.mark.parametrize("param", ["budget", "t_v"])

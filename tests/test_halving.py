@@ -48,7 +48,7 @@ from m3ab.halving import (
     run_exploration,
     run_exploration_adaptive,
 )
-from m3ab.instances import preset
+from m3ab.instances import preset, table1
 
 
 def explore_block(instance, name, budget, rngs, reward_source="pulls"):
@@ -709,10 +709,21 @@ def test_adaptive_runs_with_stat_source():
 
 
 def test_adaptive_two_treatments_starves_engine():
-    # one halving stage: phase 0 consumes the entire budget by construction
-    inst = unit_instance(2)
-    with pytest.raises(InsufficientBudgetError):
-        run_exploration_adaptive(inst, 999, rng=np.random.default_rng(0))
+    # With one stage (A <= 2), phase 0 leaves budget mod (A+1) < A+1 pulls at
+    # every budget: refused before drawing, naming the caller's budget.  The
+    # budgets are those that failed elsewhere before (phase 0's pulls per arm,
+    # the leftover stage, a stage too small for the arms).
+    for inst in (unit_instance(1), table1()):
+        a_count = inst.num_treatments
+        for budget in (5, 6000, 6001):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(InsufficientBudgetError,
+                               match=rf"^budget {budget} cannot fund the adaptive engine "
+                                     rf"at A = {a_count}: .* leaves "
+                                     rf"{budget % (a_count + 1)} "):
+                run_exploration_adaptive(inst, budget, rng, "means")
+            assert rng.bit_generator.state == state
 
 
 # --- reward-source agreement ------------------------------------------------

@@ -561,7 +561,7 @@ def test_multi_word_master_seeds_equal_reference(master_seed):
 
 
 @pytest.mark.parametrize("threads,repetitions,workers", [
-    (1, 100, 1), (2, 500, 2), (4, 1, 1), (3, 7, 3), (4, 6, 3), (0, 10, 1),
+    (1, 100, 1), (2, 500, 2), (4, 1, 1), (3, 7, 3), (4, 6, 3),
 ])
 def test_worker_count_never_exceeds_chunks(threads, repetitions, workers):
     assert harness._worker_count(threads, repetitions) == workers
@@ -610,6 +610,19 @@ def test_pool_workers_stop_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     assert run_experiment(cfg, threads=5000) == run_experiment(cfg, threads=1)
     assert _SerialPool.sizes == [2]  # one CPU: no pool at all
+
+
+def test_threads_of_zero_or_below_mean_one(monkeypatch):
+    # run_experiment and sweep normalise threads once; the helpers below
+    # them take a positive count.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
+    cfg = small_config(repetitions=10)
+    for threads in (0, -3, np.int64(0), -2.0):
+        assert run_experiment(cfg, threads=threads) == run_experiment(cfg)
+        assert sweep(cfg, "budget", [500], threads=threads) == sweep(cfg, "budget", [500])
+    assert _SerialPool.sizes == []
 
 
 def test_cpu_count_is_positive():
