@@ -109,7 +109,7 @@ def _harness_flags() -> argparse.ArgumentParser:
                              "(breaks byte-identical reruns)")
     parent.add_argument("--threads", type=int, default=None,
                         help="worker processes per experiment, at most "
-                             "one per repetition and one per CPU (default: "
+                             "one per task and one per CPU (default: "
                              "M3AB_THREADS or 1); results are identical for "
                              "any value")
     return parent

@@ -383,7 +383,8 @@ def _noise_rows(num_treatments: int) -> int:
 
 def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
            source, rngs, trail: list | None = None, noise=None) -> np.ndarray:
-    """The stage loop: one halving run per generator in ``rngs``, with
+    """The stage loop: one halving run per generator in ``rngs`` (per row of
+    ``noise`` when given, and then ``rngs`` is not read), with
     (R, k_s) active index arrays, every row ascending, on the belief tables
     ``constants``.  Returns the R recommended treatments; with ``trail``,
     appends row 0's StageStats of every stage to it.  Each stage calls the
@@ -395,7 +396,8 @@ def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
         raise InsufficientBudgetError(f"budget {budget} cannot fund {stages} stages",
                                       arm=0)
     _whole(stage_budget, "stage_budget", 1, MAX_STAGE_BUDGET)
-    active = np.tile(np.arange(1, instance.num_treatments + 1), (len(rngs), 1))
+    active = np.tile(np.arange(1, instance.num_treatments + 1),
+                     (len(rngs if noise is None else noise), 1))
     offset, variance = 0, trail is not None or spec.elimination == "confidence"
     for _ in range(stages):
         counts = stage_counts(spec.sampling, constants[0], active, stage_budget)

@@ -29,11 +29,13 @@ validation stream.  The derivation does not involve the algorithm identity,
 so all algorithms in one experiment see identical reward randomness per
 repetition (paired comparisons), and results are independent of the thread
 count.  Repetitions run in blocks of BLOCK as arrays: each block derives its
-streams' PCG64 start states at once (NumPy's SeedSequence hash and PCG64
-seeding, redone over the repetition axis) into generators that each thread
-reuses, draws once the normals every algorithm reads alike, and only an
-algorithm that draws from a stream itself restarts it (see ``_streams``,
-``_count_range`` and the README's "How repetitions run").
+streams' seed words at once (NumPy's SeedSequence hash, redone over the
+repetition axis), from which PCG64 seeds itself in C; it draws once the
+normals every algorithm reads alike, and only an algorithm that draws from
+a stream itself gets that stream's generators, rebuilt from the words (see
+``_streams``, ``_count_range`` and the README's "How repetitions run").
+A call maps all its (value, budget) units, split into repetition chunks
+only as far as it takes to fill every worker equally, over one process pool.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ import dataclasses
 import itertools
 import math
 import os
-import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from m3ab.alloc import fold
@@ -241,10 +243,6 @@ class MonteCarloReport:
 BLOCK = 512
 
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG step
-_LOCAL = threading.local()  # each thread's generators, reused block to block
-
-
 def _seed_words(words: list) -> np.ndarray:
     """(R, 4) uint64 SeedSequence(entropy).generate_state(4, np.uint64) of
     every row of the assembled entropy ``words`` (uint32 scalars or (R,)
@@ -274,42 +272,44 @@ def _seed_words(words: list) -> np.ndarray:
     return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
 
 
-def _restart(gens: list, states: list) -> list:
-    for gen, state in zip(gens, states):
-        gen.bit_generator.state = state
-    return gens
+class _Words(ISeedSequence):
+    """One stream's seed: asked for generate_state(4, np.uint64), it returns
+    its row of _seed_words, the words SeedSequence would return, so PCG64
+    seeds itself from them in C.  The row is C-contiguous uint64, as PCG64
+    reads its buffer directly."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words give generate_state(4, uint64) only, "
+                             f"not ({n_words}, {np.dtype(dtype)})")
+        return self.row
 
 
-def _streams(key: tuple, reps: range) -> tuple[list, list]:
-    """This thread's reused generators for every repetition's exploration
-    and validation streams, not yet started, and their start states: those
-    of default_rng(SeedSequence([*key, rep], spawn_key=(i,))), which is
-    SeedSequence([*key, rep]).spawn(2)[i], i = 0 and 1.  The words of key,
+def _streams(key: tuple, reps: range) -> list[list]:
+    """For i = 0 (exploration) and 1 (validation), one seed per repetition
+    from which PCG64 starts as default_rng(SeedSequence([*key, rep],
+    spawn_key=(i,))) does, SeedSequence([*key, rep]).spawn(2)[i] of the
+    contract.  The words of key,
     (master_seed, value_idx, budget_idx) of any size, and the repetitions go
     through _seed_words as arrays (at least four words before the spawn
     word, so SeedSequence's zero padding never applies); repetition indices
-    of 2**32 or more take SeedSequence itself.  PCG64 then seeds in Python
-    integers: inc = 2 initseq + 1, state = (inc + initstate) * MULT + inc."""
+    of 2**32 or more take SeedSequence itself."""
     prefix = [np.uint32(k >> bit & 0xFFFFFFFF) for k in key
               for bit in range(0, max(k.bit_length(), 1), 32)]
-    states = []
-    for child in (0, 1):
-        if reps.stop > 1 << 32:
-            words = np.array([np.random.SeedSequence([*key, rep], spawn_key=(
-                child,)).generate_state(4, np.uint64) for rep in reps])
-        else:
-            words = _seed_words([*prefix, np.arange(reps.start, reps.stop,
-                                dtype=np.uint32), np.uint32(child)])
-        s0, s1, s2, s3 = words.astype(object).T
-        inc = ((s2 << 64 | s3) << 1 | 1) % (1 << 128)
-        seeded = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) % (1 << 128)
-        states.append([{"bit_generator": "PCG64", "has_uint32": 0,
-                        "uinteger": 0, "state": {"state": s, "inc": i}}
-                       for s, i in zip(seeded, inc)])
-    pool = _LOCAL.__dict__.setdefault("generators", [])
-    pool.extend(np.random.Generator(np.random.PCG64(0))
-                for _ in range(2 * len(reps) - len(pool)))
-    return [pool[:len(reps)], pool[len(reps):2 * len(reps)]], states
+    if reps.stop > 1 << 32:
+        return [[np.random.SeedSequence([*key, rep], spawn_key=(child,))
+                 for rep in reps] for child in (0, 1)]
+    return [list(map(_Words, _seed_words([*prefix, np.arange(
+        reps.start, reps.stop, dtype=np.uint32), np.uint32(child)])))
+        for child in (0, 1)]
+
+
+def _generators(seeds: list) -> list:
+    """Generators at the start of the given streams."""
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
 
 
 def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
@@ -319,12 +319,12 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     (len(specs),) of every algorithm over repetitions [start, stop), in
     blocks of BLOCK repetitions.
 
-    Each block derives its generators once and draws once what the whole
+    Each block derives its streams' seeds once and draws once what the whole
     menu reads alike: the (R, sum of k_s + 1, M) normals of every
     known-variance run under the "means" law, and the (R, 2, M) of a
     "means" validation.  An algorithm that draws from a stream itself (the
-    adaptive engine, any "pulls" draw or source object) restarts that
-    stream's generators from their start states; under "means" the
+    adaptive engine, any "pulls" draw or source object) gets that stream's
+    generators rebuilt from the seeds, at their start; under "means" the
     adaptive engine draws its own exploration normals right after phase 0.
     Derivation and shared-draw time is split evenly over the menu.
     """
@@ -344,30 +344,30 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     seconds = np.zeros(len(specs))
     for lo in range(start, stop, BLOCK):
         started = time.perf_counter()
-        gens, states = _streams(key, range(lo, min(lo + BLOCK, stop)))
+        seeds = _streams(key, range(lo, min(lo + BLOCK, stop)))
         shared = [None if shape is None
-                  else _standard_normals(_restart(child, child_states), shape)
-                  for child, child_states, shape in zip(gens, states, shapes)]
+                  else _standard_normals(_generators(child), shape)
+                  for child, shape in zip(seeds, shapes)]
         seconds += (time.perf_counter() - started) / len(specs)
         for idx, spec in enumerate(specs):
             started = time.perf_counter()
             noise = [shared[0] if spec.variance_knowledge == "known" else None,
                      shared[1]]
-            for child, child_states, drawn in zip(gens, states, noise):
-                if drawn is None:
-                    _restart(child, child_states)
+            # a stream read from the shared draws needs no generators
+            explore, check = (_generators(child) if drawn is None else None
+                              for child, drawn in zip(seeds, noise))
             try:
                 constants, loop_budget = _beliefs(instance, spec, budget,
-                                                  source, gens[0], beliefs)
+                                                  source, explore, beliefs)
                 if noise[0] is None and tape is not None:
-                    noise[0] = _standard_normals(gens[0], tape)
+                    noise[0] = _standard_normals(explore, tape)
                 recommended = _halve(instance, constants, spec, loop_budget,
-                                     source, gens[0], noise=noise[0])
+                                     source, explore, noise=noise[0])
             except InsufficientBudgetError as exc:
                 raise InsufficientBudgetError(
                     f"cell (algorithm={spec.name}, budget={budget}): {exc}",
                     arm=exc.arm, cell=(spec.name, budget)) from exc
-            _, ratio, critical = _standardized(instance, recommended, gens[1],
+            _, ratio, critical = _standardized(instance, recommended, check,
                                                validation_source, noise[1])
             passed = fold(np.logical_and, ratio >= critical)
             positive = positive_min_z[recommended - 1]
@@ -384,12 +384,6 @@ def _chunks(repetitions: int, parts: int) -> list[tuple[int, int]]:
             for lo in range(0, repetitions, size)]
 
 
-def _worker_count(threads: int, repetitions: int) -> int:
-    """Worker processes for one experiment: one per chunk of repetitions,
-    so a thread count above the repetition count starts no idle worker."""
-    return len(_chunks(repetitions, threads))
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -397,38 +391,49 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(threads: int, repetitions: int):
+def _pool(threads: int, tasks: int):
     """One process pool for a whole experiment or sweep, or none when the
-    work fits one process.  Chunks follow ``threads``; workers stop at the
-    CPU count, so a large ``threads`` queues chunks instead of processes."""
-    workers = min(_worker_count(threads, repetitions), _cpu_count())
+    work fits one process: min(threads, tasks, CPUs) workers, so a large
+    ``threads`` queues tasks instead of processes."""
+    workers = min(threads, tasks, _cpu_count())
     if workers <= 1:
         return contextlib.nullcontext()
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_cells(instance: Instance, config: ExperimentConfig, value_idx: int,
-               threads: int, pool) -> tuple[CellReport, ...]:
-    chunks = _chunks(config.repetitions, threads)
+def _run(config: ExperimentConfig, points: list,
+         threads: int) -> list[tuple[CellReport, ...]]:
+    """The cells of every (instance, budgets) point, one tuple per point:
+    budget b of point v runs on the seed key (master_seed, v, b).
+    With w = min(threads, CPUs) workers, each (v, b) unit splits into
+    w / gcd(units, w) repetition chunks (fewer if the repetitions run out),
+    so the tasks fill every worker equally and a unit stays whole when the
+    units divide evenly over the workers.  All tasks go through one map,
+    and the first failing task raises."""
+    units = [(v, instance, b, budget)
+             for v, (instance, budgets) in enumerate(points)
+             for b, budget in enumerate(budgets)]
+    workers = min(threads, _cpu_count())
+    chunks = _chunks(config.repetitions, workers // math.gcd(len(units), workers))
     tasks = [(instance, config.algorithms, budget, config.reward_source,
-              (config.master_seed, value_idx, budget_idx), lo, hi)
-             for budget_idx, budget in enumerate(config.budgets)
-             for lo, hi in chunks]
+              (config.master_seed, v, b), lo, hi)
+             for v, instance, b, budget in units for lo, hi in chunks]
     columns = zip(*tasks)
-    parts = list(map(_count_range, *columns) if pool is None
-                 else pool.map(_count_range, *columns))
-    cells = []
-    for budget_idx, budget in enumerate(config.budgets):
-        own = parts[budget_idx * len(chunks):(budget_idx + 1) * len(chunks)]
+    with _pool(threads, len(tasks)) as pool:
+        parts = list(map(_count_range, *columns) if pool is None
+                     else pool.map(_count_range, *columns))
+    cells = [[] for _ in points]
+    for at, (v, _, _, budget) in enumerate(units):
+        own = parts[at * len(chunks):(at + 1) * len(chunks)]
         counts, seconds = (sum(part) for part in zip(*own))
         for spec, (explore, vs, t1), secs in zip(config.algorithms,
                                                  counts.tolist(),
                                                  seconds.tolist()):
-            cells.append(CellReport(
+            cells[v].append(CellReport(
                 algorithm=spec.name, budget=budget,
                 repetitions=config.repetitions, exploration_successes=explore,
                 validation_successes=vs, type1_errors=t1, seconds=secs))
-    return tuple(cells)
+    return [tuple(own) for own in cells]
 
 
 def _instance(obj) -> Instance:
@@ -443,14 +448,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MonteCarloRepo
     """Run every (algorithm, budget) cell for config.repetitions repetitions.
 
     Deterministic in config.master_seed and independent of ``threads``
-    (repetitions are split across processes, but repetition r's streams
-    depend only on its own index).  InsufficientBudgetError is re-raised
-    with the offending cell attached.  A ``threads`` of 0 or below means 1.
+    (budgets and repetitions are spread over processes, but repetition r's
+    streams depend only on its own indices).  InsufficientBudgetError is
+    re-raised with the offending cell attached.  A ``threads`` of 0 or below
+    means 1.
     """
     instance = _instance(config.instance)
     threads = max(1, _whole(threads, "threads"))
-    with _pool(threads, config.repetitions) as pool:
-        cells = _run_cells(instance, config, 0, threads, pool)
+    cells, = _run(config, [(instance, config.budgets)], threads)
     return MonteCarloReport(cells=cells)
 
 
@@ -475,28 +480,20 @@ def sweep(config: ExperimentConfig, parameter: str, values: Iterable,
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
-    if parameter != "heterogeneity_l":
+    if parameter == "heterogeneity_l":
+        if not callable(config.instance):
+            raise TypeError("a heterogeneity_l sweep needs a callable instance "
+                            "generator, e.g. lambda l: preset('exp2', l=l)")
+        points = [(config.instance(value), config.budgets) for value in values]
+        if not all(isinstance(instance, Instance) for instance, _ in points):
+            raise TypeError("instance generator must return an Instance")
+    else:
         base = _instance(config.instance)
-        for value in values:
-            _whole(value, f"{parameter} values", 1)
-    elif not callable(config.instance):
-        raise TypeError("a heterogeneity_l sweep needs a callable instance "
-                        "generator, e.g. lambda l: preset('exp2', l=l)")
-    reports = []
-    with _pool(threads, config.repetitions) as pool:
-        for value_idx, value in enumerate(values):
-            cfg = config
-            if parameter == "budget":
-                cfg = dataclasses.replace(config, budgets=(value,))
-                instance = base
-            elif parameter == "heterogeneity_l":
-                instance = config.instance(value)
-                if not isinstance(instance, Instance):
-                    raise TypeError("instance generator must return an Instance")
-            else:  # t_v
-                instance = dataclasses.replace(base, validation=dataclasses.replace(
-                    base.validation, horizon=value))
-            cells = _run_cells(instance, cfg, value_idx, threads, pool)
-            reports.append(MonteCarloReport(cells=cells, parameter=parameter,
-                                            value=value))
-    return reports
+        whole = [_whole(value, f"{parameter} values", 1) for value in values]
+    if parameter == "budget":
+        points = [(base, (value,)) for value in whole]
+    elif parameter == "t_v":
+        points = [(dataclasses.replace(base, validation=dataclasses.replace(
+            base.validation, horizon=value)), config.budgets) for value in whole]
+    return [MonteCarloReport(cells=cells, parameter=parameter, value=value)
+            for cells, value in zip(_run(config, points, threads), values)]

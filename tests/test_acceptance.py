@@ -17,8 +17,10 @@ are stated inline next to each assertion.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from m3ab import (
 )
 from m3ab.alloc import shrvar_allocation
 from m3ab.cli import main
+from m3ab.harness import _cpu_count
 from m3ab.validate import run_validation
 
 
@@ -187,33 +190,39 @@ def test_04_allocation_matches_minmax_oracle():
     )
 
 
-def _reference_validation_success(inst, budget: int, reps: int, seed: int):
-    """Predicted shrvar validation success on `inst` from the scalar reference.
+def _reference_picks(pool, inst, budget: int, reps: int, seed: int):
+    """Submit to `pool` the scalar reference's `reps` SHRVar runs on `inst`;
+    each call seeds its own Random(seed), so a worker returns the picks it
+    would return in this process."""
+    xi = [[xi_value("non_bayesian", inst.validation.horizon, delta=float(d))
+           for d in inst.validation.delta] for _ in inst.treatments]
+    return pool.submit(shrvar_reference_picks, inst.means.tolist(),
+                       inst.stddevs.tolist(), xi, budget, reps, seed)
 
-    Each of the reference's `reps` picks a_hat scores
-    joint_pass_probability(a_hat) * 1[min z(a_hat) > 0], the chance that
-    validating it counts as a success; the prediction is their mean.
-    Returns (prediction, its standard error, the ceiling max_a of the score,
-    whether the reference's stage count and stage-1 pulls equal the
-    package's num_stages and shrvar_allocation).
+
+def _reference_validation_success(inst, budget: int, picks: list[int]):
+    """Predicted shrvar validation success on `inst` from the scalar
+    reference's picks.
+
+    Each pick a_hat scores joint_pass_probability(a_hat) * 1[min z(a_hat) > 0],
+    the chance that validating it counts as a success; the prediction is
+    their mean.  Returns (prediction, its standard error, the ceiling max_a of
+    the score, whether the reference's stage count and stage-1 pulls equal
+    the package's num_stages and shrvar_allocation).
     """
-    means, stddevs = inst.means.tolist(), inst.stddevs.tolist()
-    cfg = inst.validation
-    xi = [[xi_value("non_bayesian", cfg.horizon, delta=float(d)) for d in cfg.delta]
-          for _ in inst.treatments]
     stages = halving_stage_count(inst.num_treatments)
     engine = shrvar_allocation(inst, inst.treatments, budget // stages)
     in_step = (
         stages == num_stages(inst.num_treatments)
-        and shrvar_reference_counts(stddevs, inst.treatments, budget // stages)
+        and shrvar_reference_counts(inst.stddevs.tolist(), inst.treatments,
+                                    budget // stages)
         == [engine.control_pulls] + [engine.treatment_pulls[a] for a in inst.treatments]
     )
     min_z = z_profile(inst).min_z
     score = {a: joint_pass_probability(inst, a) * float(min_z[a - 1] > 0.0)
              for a in inst.treatments}
-    picks = shrvar_reference_picks(means, stddevs, xi, budget, reps, seed)
     values = [score[a] for a in picks]
-    se = statistics.stdev(values) / math.sqrt(reps)
+    se = statistics.stdev(values) / math.sqrt(len(picks))
     return statistics.fmean(values), se, max(score.values()), in_step
 
 
@@ -236,20 +245,27 @@ def test_05_heterogeneity_sweep_validation_success():
     results: dict[int, dict[str, tuple[float, float, float]]] = {}
     reference: dict[int, tuple[float, float, float, bool]] = {}
     start = time.perf_counter()
-    for level in levels:
-        inst = preset("exp2", l=level)
-        config = ExperimentConfig(
-            instance=inst, algorithms=algos, budgets=(500,),
-            repetitions=reps, master_seed=72,
-        )
-        report = run_experiment(config)
-        results[level] = {}
-        for algo in algos:
-            cell = report.cell(algo, 500)
-            lo, hi = cell.interval("validation_success")
-            results[level][algo] = (cell.validation_success, lo, hi)
-        reference[level] = _reference_validation_success(
-            inst, 500, reps, reference_seed)
+    instances = {level: preset("exp2", l=level) for level in levels}
+    # The pure-Python references run in worker processes while the engine
+    # runs here; the pool is shut down before the verdict.
+    with ProcessPoolExecutor(min(len(levels), _cpu_count()),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        picks = {level: _reference_picks(pool, inst, 500, reps, reference_seed)
+                 for level, inst in instances.items()}
+        for level, inst in instances.items():
+            config = ExperimentConfig(
+                instance=inst, algorithms=algos, budgets=(500,),
+                repetitions=reps, master_seed=72,
+            )
+            report = run_experiment(config)
+            results[level] = {}
+            for algo in algos:
+                cell = report.cell(algo, 500)
+                lo, hi = cell.interval("validation_success")
+                results[level][algo] = (cell.validation_success, lo, hi)
+        for level, inst in instances.items():
+            reference[level] = _reference_validation_success(
+                inst, 500, picks[level].result())
     elapsed = time.perf_counter() - start
 
     gaps = []

@@ -19,6 +19,7 @@ from m3ab import (
     save,
     z_profile,
 )
+from m3ab import harness
 from m3ab.cli import RUN_COLUMNS, SWEEP_COLUMNS, main
 from m3ab.instances import table1
 
@@ -284,6 +285,27 @@ def test_non_integer_thread_env_names_the_variable(capsys, monkeypatch, command)
         "--budget", "2000", "--reps", "2", *sweep)
     assert code == 2 and out == ""
     assert "M3AB_THREADS must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("param,values,budgets", [
+    ("l", "2", ["500"]),  # one unit: split over the threads
+    ("l", "1,4", ["500"]),  # two units: whole at 2 threads, split at 3
+    ("l", "0,3", ["500", "700"]),  # four units: whole at 2, split at 3
+    ("budget", "500,600,700", []),  # three units: split at 2, whole at 3
+])
+def test_sweep_thread_count_does_not_change_output(monkeypatch, capsys, param,
+                                                   values, budgets):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)  # chunks follow CPUs
+    args = ["sweep", "--preset", "exp2", "--param", param, "--values", values,
+            "--algo", "shrvar", "--algo", "sh", "--reps", "9", "--seed", "11"]
+    if param != "l":
+        args += ["--l", "2"]
+    for budget in budgets:
+        args += ["--budget", budget]
+    outputs = [run_cli(capsys, *args, "--threads", threads)
+               for threads in ("1", "2", "3")]
+    assert outputs[0][0] == 0 and outputs[0][1].count("\n") > 2
+    assert [out for _, out, _ in outputs] == [outputs[0][1]] * 3
 
 
 def test_sweep_deterministic(capsys):

@@ -494,16 +494,33 @@ def test_streams_equal_numpy_seed_sequence(key, start, count):
     # The array derivation against NumPy itself: a NumPy release that changes
     # SeedSequence or PCG64 seeding fails here, not silently in the counts.
     reps = range(start, start + count)
-    gens, states = harness._streams(key, reps)
+    seeds = harness._streams(key, reps)
     for child in (0, 1):
-        harness._restart(gens[child], states[child])
-        for rep, gen, state in zip(reps, gens[child], states[child]):
+        gens = harness._generators(seeds[child])
+        assert len(gens) == count
+        for rep, gen in zip(reps, gens):
             want = np.random.default_rng(
                 np.random.SeedSequence([*key, rep], spawn_key=(child,)))
-            assert state == want.bit_generator.state
+            assert gen.bit_generator.state == want.bit_generator.state
             assert gen.standard_normal(3).tobytes() \
                 == want.standard_normal(3).tobytes()
             assert gen.integers(2**63) == want.integers(2**63)
+
+
+@pytest.mark.parametrize("n_words,dtype", [
+    (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64),
+])
+def test_seed_words_serve_only_pcg64s_request(n_words, dtype):
+    # A seed derived for PCG64 cannot stand in for a SeedSequence elsewhere:
+    # any other request than PCG64's (4, uint64) is refused, not answered
+    # with words that would seed a different generator.
+    seed = harness._streams((1, 2, 3), range(5, 6))[0][0]
+    assert seed.generate_state(4, np.uint64).tobytes() == np.random.SeedSequence(
+        [1, 2, 3, 5], spawn_key=(0,)).generate_state(4, np.uint64).tobytes()
+    with pytest.raises(ValueError, match="generate_state"):
+        seed.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="generate_state"):
+        np.random.Philox(seed)
 
 
 _FRESH_RUN = ("import pickle, sys; from m3ab.harness import run_experiment; "
@@ -512,7 +529,7 @@ _FRESH_RUN = ("import pickle, sys; from m3ab.harness import run_experiment; "
 
 
 def test_generator_pool_isolation():
-    # The reused generators carry nothing from one run or thread to another.
+    # Nothing carries over from one run or thread to another.
     cfg = small_config(algorithms=["shrvar", "shrvar-ada", "sh"],
                        budgets=[500, 1500], repetitions=30, master_seed=21)
     other = small_config(algorithms=["sh-z", "shrvar-ada"], repetitions=60,
@@ -526,7 +543,7 @@ def test_generator_pool_isolation():
                           input=pickle.dumps(cfg), capture_output=True,
                           env=env, check=True)
     assert pickle.loads(proc.stdout) == serial
-    # right after runs that grow the pool past one block and draw from it
+    # right after runs of more than one block that draw from their streams
     for source, algorithms in (("means", ["shrvar-ada"]), ("pulls", ["sh"])):
         run_experiment(small_config(algorithms=algorithms, reward_source=source,
                                     repetitions=harness.BLOCK + 3))
@@ -560,13 +577,6 @@ def test_multi_word_master_seeds_equal_reference(master_seed):
 # --- process pools ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("threads,repetitions,workers", [
-    (1, 100, 1), (2, 500, 2), (4, 1, 1), (3, 7, 3), (4, 6, 3),
-])
-def test_worker_count_never_exceeds_chunks(threads, repetitions, workers):
-    assert harness._worker_count(threads, repetitions) == workers
-
-
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
@@ -591,11 +601,49 @@ def test_one_pool_per_call_sized_by_the_work(monkeypatch):
     monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
     cfg = small_config(instance=lambda l: preset("exp2", l=l), repetitions=3)
     sweep(cfg, "heterogeneity_l", [0, 1, 2], threads=8)
-    assert _SerialPool.sizes == [3]  # one pool for three values, 3 chunks
+    assert _SerialPool.sizes == [8]  # one pool for three values, 9 tasks
     run_experiment(small_config(repetitions=1), threads=4)
-    assert _SerialPool.sizes == [3]  # one repetition: no pool at all
+    assert _SerialPool.sizes == [8]  # one repetition: no pool at all
     run_experiment(small_config(budgets=[500, 600], repetitions=4), threads=2)
-    assert _SerialPool.sizes == [3, 2]
+    assert _SerialPool.sizes == [8, 2]
+
+
+class _TaskPool(_SerialPool):
+    """A _SerialPool that also records each task's repetition range."""
+
+    ranges: list[tuple[int, int]] = []
+
+    def map(self, fn, *iterables):
+        columns = [list(column) for column in iterables]
+        self.ranges.extend(zip(columns[-2], columns[-1]))  # start, stop
+        return super().map(fn, *columns)
+
+
+@pytest.mark.parametrize("threads,budgets,repetitions,workers,chunks", [
+    (1, 1, 100, 1, 1), (2, 1, 500, 2, 2), (4, 1, 1, 1, 1), (3, 1, 7, 3, 3),
+    (4, 1, 6, 3, 3), (2, 6, 500, 2, 1), (8, 3, 3, 8, 3), (3, 2, 1, 2, 1),
+    (5, 2, 10, 5, 5), (2, 3, 10, 2, 2), (4, 5, 8, 4, 4), (4, 6, 12, 4, 2),
+    (16, 2, 40, 8, 4),
+])
+def test_worker_count_never_exceeds_chunks(monkeypatch, threads, budgets,
+                                           repetitions, workers, chunks):
+    # With w = min(threads, CPUs), each (value, budget) unit splits into
+    # w / gcd(units, w) chunks of repetitions, so the task count is a
+    # multiple of w: 3 units on 2 threads run as 6 half units, not as 3
+    # whole ones of which one worker gets two.  Units stay whole when they
+    # divide evenly over w.  The pool has min(threads, tasks, CPUs) workers,
+    # and none is made for one.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _TaskPool)
+    monkeypatch.setattr(_TaskPool, "sizes", [])
+    monkeypatch.setattr(_TaskPool, "ranges", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
+    cfg = small_config(budgets=[500 + 50 * b for b in range(budgets)],
+                       repetitions=repetitions)
+    assert run_experiment(cfg, threads=threads) == run_experiment(cfg)
+    assert _TaskPool.sizes == ([workers] if workers > 1 else [])
+    if workers > 1:
+        assert len(_TaskPool.ranges) == budgets * chunks
+        assert _TaskPool.ranges[:chunks] == harness._chunks(repetitions, chunks)
 
 
 def test_pool_workers_stop_at_the_cpu_count(monkeypatch):
@@ -780,10 +828,28 @@ def test_sweep_t_v_equals_freshly_built_instances():
                          validation=type(old)(old.variant, t_v, delta=old.delta,
                                               q=old.q, tau=old.tau))
         direct = dataclasses.replace(cfg, instance=fresh)
-        want = (run_experiment(direct).cells if value_idx == 0
-                else harness._run_cells(fresh, direct, value_idx, 1, None))
+        want = harness._run(direct, [(fresh, direct.budgets)] * 2, 1)[value_idx]
+        if value_idx == 0:
+            assert want == run_experiment(direct).cells
         assert report.cells == want
     assert reports[0].cells != reports[1].cells
+
+
+def test_pooled_sweep_equals_per_value_runs():
+    # One map over every (value, budget) unit, here in a process pool with
+    # whole units, gives each value the counts it gets run on its own.
+    levels = [1, 4, 0]
+    cfg = small_config(instance=lambda l: preset("exp2", l=l),
+                       algorithms=["shrvar", "sh"], budgets=[500, 700],
+                       repetitions=10, master_seed=9)
+    reports = sweep(cfg, "heterogeneity_l", levels, threads=3)
+    assert [r.value for r in reports] == levels
+    for value_idx, (report, level) in enumerate(zip(reports, levels)):
+        alone = dataclasses.replace(cfg, instance=preset("exp2", l=level))
+        assert _cell_counts(report) == _reference_cells(alone, alone.instance,
+                                                        value_idx)
+        if value_idx == 0:
+            assert report.cells == run_experiment(alone).cells
 
 
 def test_sweep_t_v_rejects_odd_horizon():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +28,12 @@ from m3ab import (
     preset,
     run_experiment,
     run_validation,
+    save,
+    table1,
     z_profile,
 )
 from m3ab.alloc import arm_weights, stage_counts
+from m3ab.cli import main
 
 Z_RANKED = ["shrvar", "shrvar-c", "shrvar-ada", "sh-z", "sh-c"]
 VARIANCE_BLIND = ["sh", "shvar", "shvar-z", "neyman-z"]
@@ -109,3 +113,22 @@ def test_scaling_one_metric_moves_the_variance_blind_rules():
     assert before == [0, 0] and min(after) > 0
     assert _counts(scaled, Z_RANKED, "means", 0) == _counts(inst, Z_RANKED,
                                                             "means", 0)
+
+
+@pytest.mark.parametrize("name", ["exp1", "exp3", "table1"])
+def test_complexity_command_prints_the_same_for_scaled_instances(tmp_path, capsys,
+                                                                 name):
+    # The saved file round-trips every float, so the command reads the scaled
+    # instance exactly; exp3 (A = 128) is above the enumeration cap and
+    # table1 scales its Bayesian prior tau too.
+    inst = table1() if name == "table1" else preset(name, seed=7)
+    last = inst.num_metrics - 1
+    outputs = []
+    for metrics, k in (((), 0), ((0,), -2), ((last,), 5), (range(last + 1), 3)):
+        path = tmp_path / f"{name}-{k}.json"
+        save(_scaled(inst, metrics, k), str(path))
+        code = main(["complexity", "--instance", str(path),
+                     "--budget", "8000", "--budget", "64000"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0][0] == 0 and "H3" in outputs[0][1]
+    assert outputs == [outputs[0]] * 4
