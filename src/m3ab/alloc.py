@@ -66,7 +66,7 @@ class StageAllocation:
 @dataclass(frozen=True)
 class ArmWeights:
     """Per-arm weights of the sampling rules: (B, A+1) tables of metric
-    maxima and the (B, A+1, M) rho_sq/lambda_sq split of z noise against
+    maxima and the (M, B, A+1) rho_sq/lambda_sq split of z noise against
     the control (no rule reads arm 0); B = 1 or one belief per repetition."""
 
     rho_sq: np.ndarray
@@ -79,7 +79,8 @@ class ArmWeights:
 
 def arm_weights(stddevs: np.ndarray) -> ArmWeights:
     """The weights of (B, A+1, M) stddevs."""
-    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[:, :1])
+    stddevs = np.ascontiguousarray(stddevs.transpose(2, 0, 1))
+    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[..., :1])
     return ArmWeights(
         rho_sq=rho_sq, lambda_sq=lambda_sq,
         max_rho_sq=fold(np.maximum, rho_sq), max_lambda_sq=fold(np.maximum, lambda_sq),
@@ -88,11 +89,11 @@ def arm_weights(stddevs: np.ndarray) -> ArmWeights:
 
 
 def fold(ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(x, axis=-1) as a left fold over the short metric axis:
+    """ufunc.reduce(x, axis=0) as a left fold over the short metric axis:
     the same values for exact ufuncs (minimum, maximum, logical_and), faster."""
-    out = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        ufunc(out, x[..., j], out=out)
+    out = x[0].copy()
+    for plane in x[1:]:
+        ufunc(out, plane, out=out)
     return out
 
 
@@ -104,20 +105,21 @@ def gather(table: np.ndarray, active: np.ndarray) -> np.ndarray:
     return np.take(table.reshape(-1, *table.shape[2:]), active + rows, axis=0)
 
 
-def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_sigma, lambda_sigma) of every row of an (R, k) active array."""
-    return (np.sqrt(gather(w.max_rho_sq, active).sum(axis=1)),
+def _set_scales(w: ArmWeights, active: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(max rho2 at the active arms, rho_sigma, lambda_sigma) of (R, k) rows."""
+    max_rho_sq = gather(w.max_rho_sq, active)
+    return (max_rho_sq, np.sqrt(max_rho_sq.sum(axis=1)),
             np.sqrt(gather(w.max_lambda_sq, active).max(axis=1)))
 
 
 def _shrvar_shares(w: ArmWeights, active: np.ndarray, stage_budget: int) -> np.ndarray:
     """Unrounded relative-variance shares [control, *active] per row; each
     row sums to B."""
-    rho_sigma, lambda_sigma = _set_scales(w, active)
+    max_rho_sq, rho_sigma, lambda_sigma = _set_scales(w, active)
     denom = rho_sigma + lambda_sigma
     return np.concatenate(
         ((lambda_sigma / denom * stage_budget)[:, None],
-         gather(w.max_rho_sq, active) / (rho_sigma * denom)[:, None] * stage_budget),
+         max_rho_sq / (rho_sigma * denom)[:, None] * stage_budget),
         axis=1,
     )
 
@@ -187,9 +189,9 @@ def _fund_starved(counts: np.ndarray, active: np.ndarray,
                   stage_budget: int) -> np.ndarray:
     """Fund, in place, the zero counts of every starved row of an (R, k+1)
     block at once, by the closed form of the module docstring."""
-    starved = np.flatnonzero((counts == 0).any(axis=1))
-    if starved.size == 0:
+    if counts.all():
         return counts
+    starved = np.flatnonzero((counts == 0).any(axis=1))
     if stage_budget < counts.shape[1]:
         row = starved[0]
         arm = np.concatenate(([0], active[row]))[np.argmin(counts[row])]

@@ -179,21 +179,12 @@ def _threads(args) -> int:
 
 
 def _cell_row(cell, timing: bool) -> dict:
-    acc = cell.interval("exploration_accuracy")
-    vs = cell.interval("validation_success")
-    t1 = cell.interval("type1_error")
-    return {
-        "algo": cell.algorithm,
-        "budget": cell.budget,
-        "reps": cell.repetitions,
-        "exploration_accuracy": cell.exploration_accuracy,
-        "acc_ci_lo": acc[0], "acc_ci_hi": acc[1],
-        "validation_success": cell.validation_success,
-        "vs_ci_lo": vs[0], "vs_ci_hi": vs[1],
-        "type1_error": cell.type1_error,
-        "t1_ci_lo": t1[0], "t1_ci_hi": t1[1],
-        "seconds": cell.seconds if timing else 0.0,
-    }
+    row = {"algo": cell.algorithm, "budget": cell.budget, "reps": cell.repetitions}
+    for metric, ci in (("exploration_accuracy", "acc"), ("validation_success", "vs"),
+                       ("type1_error", "t1")):
+        row[metric] = cell.rate(metric)
+        row[f"{ci}_ci_lo"], row[f"{ci}_ci_hi"] = cell.interval(metric)
+    return {**row, "seconds": cell.seconds if timing else 0.0}
 
 
 def _format_value(column: str, value) -> str:
@@ -295,12 +286,8 @@ def cmd_sweep(args) -> int:
         if args.l is not None:
             _progress("error: --l conflicts with --param l")
             return 2
-        seed = args.instance_seed
-
-        def generator(l, _name=args.preset, _seed=seed):
-            return preset(_name, seed=_seed, l=l)
-
-        config = _config(args, generator, budgets)
+        config = _config(args, lambda l, name=args.preset, seed=args.instance_seed:
+                         preset(name, seed=seed, l=l), budgets)
     else:
         config = _config(args, _resolve_instance(args), budgets)
     reports = sweep(config, _SWEEP_PARAMS[args.param], values,

@@ -15,15 +15,16 @@ noisy treatment is to validate).  The adaptive-variance engine first spends
 a uniform round estimating every stddev, then runs the relative-variance
 engine on the estimates.
 
-Each stage is one array pipeline over a leading repetition axis: halving
-sizes do not depend on the data, so R repetitions of one algorithm run as
-arrays, and ``run_exploration`` is the one-row call of the same loop.
-``alloc.stage_counts`` gives the pull counts [control, *active] of every
-row, the reward source draws the stage means, and a StageStats holds one
-row's stage as arrays: ``active`` (k,), the treatments ascending; ``means``
-(k+1, M) and ``counts`` (k+1,), rows [control, *active]; ``z`` and
-``z_var`` (k, M), where z_var[a,i] = rho2[a,i]/N(a) + lambda2[a,i]/N(0) is
-the exact variance of zhat[a,i], formed only for confidence elimination or trails.
+Each stage is one array pipeline: halving sizes do not depend on the data,
+so R repetitions of one algorithm run as arrays, metric-major with the
+repetitions innermost ((k, R) active arms, every column ascending, and
+(M, k+1, R) stage means), and ``run_exploration`` is the one-repetition call
+of the same loop.  ``alloc.stage_counts`` gives the pull counts [control,
+*active] as (R, k+1) rows, and a StageStats holds one repetition's stage:
+``active`` (k,), the treatments ascending; ``means`` (k+1, M) and ``counts``
+(k+1,), rows [control, *active]; ``z`` and ``z_var`` (k, M), where z_var[a,i]
+= rho2[a,i]/N(a) + lambda2[a,i]/N(0) is the exact variance of zhat[a,i],
+formed only for confidence elimination or trails.
 
 Reward sources decouple "what the algorithm sees" from "how it is sampled".
 A source's ``stage_means_batch(mu_rows, sigma_rows, counts, rngs)`` takes
@@ -43,7 +44,7 @@ validation A/B test (``validate``) draws through the same two laws.  Under
 counts, so a run reads sum_s (k_s + 1) * M of them; the harness draws them
 as one tape per repetition, and the stage loop handed a tape reads stage s
 at row offset sum over t < s of k_t + 1 instead of calling the source.
-The believed sigma comes as tables with a leading belief axis: one row for
+The believed sigma comes as (M, B, A+1) tables: one belief row (B = 1) for
 the known-variance engines, one per repetition for the adaptive engine.
 """
 
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.alloc import MAX_STAGE_BUDGET, arm_weights, fold, gather, stage_counts
+from m3ab.alloc import MAX_STAGE_BUDGET, arm_weights, fold, stage_counts
 from m3ab.core import Instance, _treatment_ids, _whole, validation_terms
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 
@@ -152,14 +153,14 @@ def _standard_normals(rngs, shape) -> np.ndarray:
 def _stat_means(mu_rows, sigma_rows, counts, noise):
     """The "means" law: rng.normal(mu, sd / sqrt(n)) is mu + sd / sqrt(n) *
     standard_normal bit for bit, one normal per arm and metric whatever n."""
-    return mu_rows + sigma_rows / np.sqrt(counts)[..., None] * noise
+    return mu_rows + sigma_rows / np.sqrt(counts) * noise
 
 
 class GaussianStatSource:
     """Draws per-stage means (and phase-0 variances) from their exact laws."""
 
     def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
-        return _stat_means(mu_rows, sigma_rows, counts,
+        return _stat_means(mu_rows, sigma_rows, counts[..., None],
                            _standard_normals(rngs, mu_rows.shape[1:]))
 
     def mean_and_variance(self, mu, sigma, n, rngs):
@@ -217,26 +218,27 @@ class StageStats:
 
 
 def _belief_constants(stddevs: np.ndarray, validation):
-    """What the stage pipeline derives once from believed stddevs
-    (B, A+1, M), B = 1 or one belief per repetition: the allocation weights,
-    xi and the zhat scale sqrt(sigma_a^2 + sigma_0^2), as (B, A+1, ...)
-    tables indexed by arm (row 0 unread).  A non-Bayesian xi does not
-    depend on sigma and stays an (M,) vector."""
-    var_sum = stddevs**2 + stddevs[:, :1] ** 2
-    return (arm_weights(stddevs), validation_terms(validation, var_sum)[0],
-            np.sqrt(var_sum))
+    """The allocation weights, xi and the zhat scale sqrt(sigma_a^2 +
+    sigma_0^2) of believed stddevs (B, A+1, M), B = 1 or one belief per
+    repetition, as (M, B, A+1) tables (arm 0 unread); a non-Bayesian xi does
+    not depend on sigma and stays an (M,) vector."""
+    var_sum = np.ascontiguousarray((stddevs**2 + stddevs[:, :1] ** 2).transpose(2, 0, 1))
+    xi = validation_terms(validation, var_sum.T)[0]
+    return arm_weights(stddevs), np.ascontiguousarray(xi.T), np.sqrt(var_sum)
 
 
-def _z_stats(constants, active: np.ndarray, means: np.ndarray,
+def _z_stats(constants, at: np.ndarray, means: np.ndarray,
              counts: np.ndarray, variance: bool = True):
-    """zhat and its variance (R, k, M), or None unless asked for, from an
-    (R, k) active array and the mean rows and counts [control, *active]."""
+    """zhat and its variance (M, k, R), or None unless asked for, from the
+    mean rows (M, k+1, R) and counts (k+1, R) [control, *active], reading
+    the (M, B, A+1) tables at the flat offsets ``at`` = arm + b (A+1) (k, R)."""
+    def planes(table):
+        return np.take(table.reshape(len(table), -1), at, axis=1)
+
     weights, xi, scale = constants
-    if xi.ndim > 1:  # a Bayesian xi depends on the believed sigma
-        xi = gather(xi, active)
-    z = (means[:, 1:] - means[:, :1]) / gather(scale, active) + xi
-    return z, (gather(weights.rho_sq, active) / counts[:, 1:, None]
-               + gather(weights.lambda_sq, active) / counts[:, :1, None]
+    xi = planes(xi) if xi.ndim > 1 else xi[:, None, None]
+    z = (means[:, 1:] - means[:, :1]) / planes(scale) + xi
+    return z, (planes(weights.rho_sq) / counts[1:] + planes(weights.lambda_sq) / counts[:1]
                if variance else None)
 
 
@@ -262,34 +264,35 @@ def empirical_z(samples: dict[int, np.ndarray], instance: Instance, active) -> S
         means.append(arr.mean(axis=0))
     means, counts = np.stack(means), np.array(counts)
     constants = _belief_constants(instance.stddevs[None], instance.validation)
-    z, z_var = _z_stats(constants, arms[None], means[None], counts[None])
-    return StageStats(active=arms, means=means, counts=counts, z=z[0], z_var=z_var[0])
+    z, z_var = _z_stats(constants, arms[:, None], means.T[..., None], counts[:, None])
+    return StageStats(active=arms, means=means, counts=counts, z=z[..., 0].T,
+                      z_var=z_var[..., 0].T)
 
 
 # --- elimination ------------------------------------------------------------
 
 def _keep_largest(active: np.ndarray, key: np.ndarray, keep: int) -> np.ndarray:
-    """Row-wise, the `keep` treatments (an int in [1, k]) with the largest
-    key, ascending; ties -> lowest index.  Rows of ``active`` ascend, so a
-    stable sort of -key breaks ties by position, which is by index."""
-    ranked = np.argsort(-key, axis=-1, kind="stable")[..., :keep]
-    return np.take_along_axis(active, np.sort(ranked, axis=-1), axis=-1)
+    """Per column, the `keep` treatments (an int in [1, k]) with the largest
+    key, ascending; ties -> lowest index: ``active``'s columns (one serves
+    all) ascend, so a stable sort of -key breaks ties by position."""
+    ranked = np.sort(np.argsort(-key, axis=0, kind="stable")[:keep], axis=0)
+    return active[ranked, np.arange(active.shape[1])]
 
 
 def _elimination_key(rule: str, z: np.ndarray, z_var: np.ndarray,
                      means: np.ndarray) -> np.ndarray:
-    """The ranking key (..., k) of every active treatment under a rule."""
+    """The key (k, ...) of every active treatment from (M, k, ...) arrays."""
     if rule == "min_z":
         return fold(np.minimum, z)
     if rule == "mean":
-        return fold(np.minimum, means[..., 1:, :])
+        return fold(np.minimum, means[:, 1:])
     return _confidence_levels(z, z_var)
 
 
 def _eliminate(rule: str, stats: StageStats, keep: int) -> list[int]:
     keep = _whole(keep, "keep", 1, stats.active.size)
-    key = _elimination_key(rule, stats.z, stats.z_var, stats.means)
-    return _keep_largest(stats.active, key, keep).tolist()
+    key = _elimination_key(rule, stats.z.T, stats.z_var.T, stats.means.T)
+    return _keep_largest(stats.active[:, None], key[:, None], keep)[:, 0].tolist()
 
 
 def minz_eliminate(stats: StageStats, keep: int) -> list[int]:
@@ -307,14 +310,14 @@ def mean_eliminate(stats: StageStats, keep: int) -> list[int]:
     return _eliminate("mean", stats, keep)
 
 
-# Cells of one (rows, k, k) crossing plane (2 MB; about five are live at once):
-# blocks are split into row chunks that fit, down to single rows, computed whole.
-_CROSSING_CELLS = 2**18
+# Cells of one (k, k, reps) crossing plane (128 KB; about five are live at once):
+# blocks split into repetition chunks that fit, down to single repetitions.
+_CROSSING_CELLS = 2**14
 
 
 def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
-    """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment, over
-    any leading repetition axes of z and z_var (..., k, M).
+    """delta_s(a) = |A_s| M exp(-c*_a^2) for every active treatment, from z
+    and z_var (M, k) or (M, k, R); a z_var repetition axis of 1 broadcasts.
 
     With c = sqrt(log(|A_s|M/delta)) and s = 2 sqrt(v), arm a's UCB
     min_i(zhat[a,i] + c s[a,i]) and a rival's LCB min_j(zhat[a',j] - c s[a',j])
@@ -330,25 +333,24 @@ def _confidence_levels(z: np.ndarray, z_var: np.ndarray) -> np.ndarray:
     with no clip, and the empirical-best arm (and any arm tied with it)
     gets c* = 0, hence the cap.
 
-    The crossings are (..., k, k) planes over (a, a'), one per metric pair
+    The crossings are (k, k, ...) planes over (a, a'), one per metric pair
     (i, j), folded by min over j, then max over i: a few planes in memory.
     """
-    k, m = z.shape[-2:]
-    if z.ndim == 3 and len(z) > 1 and len(z) * k * k > _CROSSING_CELLS:
-        step = max(1, _CROSSING_CELLS // k**2)
-        return np.concatenate([
-            _confidence_levels(z[lo:lo + step], z_var[lo:lo + step])
-            for lo in range(0, len(z), step)])
+    m, k = z.shape[:2]
+    step = max(1, _CROSSING_CELLS // k**2)
+    if z.ndim == 3 and z.shape[2] > step:
+        z_var = np.broadcast_to(z_var, z.shape)
+        return np.concatenate([_confidence_levels(z[..., lo:lo + step], z_var[..., lo:lo + step])
+                               for lo in range(0, z.shape[2], step)], axis=-1)
     s = 2.0 * np.sqrt(z_var)
     c_star = None
     for i in range(m):
         fold = None
         for j in range(m):
-            plane = (z[..., None, :, j] - z[..., :, None, i]) \
-                / (s[..., :, None, i] + s[..., None, :, j])
+            plane = (z[j][None] - z[i][:, None]) / (s[i][:, None] + s[j][None])
             fold = plane if fold is None else np.minimum(fold, plane, out=fold)
         c_star = fold if c_star is None else np.maximum(c_star, fold, out=c_star)
-    c_star = c_star.max(axis=-1)
+    c_star = c_star.max(axis=1)
     return k * m * np.exp(-c_star**2)  # k * m = |A_s| * M, the cap
 
 
@@ -383,41 +385,46 @@ def _noise_rows(num_treatments: int) -> int:
 
 def _halve(instance: Instance, constants, spec: AlgorithmSpec, budget: int,
            source, rngs, trail: list | None = None, noise=None) -> np.ndarray:
-    """The stage loop: one halving run per generator in ``rngs`` (per row of
-    ``noise`` when given, and then ``rngs`` is not read), with
-    (R, k_s) active index arrays, every row ascending, on the belief tables
-    ``constants``.  Returns the R recommended treatments; with ``trail``,
-    appends row 0's StageStats of every stage to it.  Each stage calls the
-    source once, or, handed a "means" tape ``noise`` of shape
-    (R, _noise_rows(A), M), reads rows offset_s .. offset_s + k_s of it."""
+    """The stage loop: one halving run per generator in ``rngs`` (per
+    repetition of ``noise`` when given; then ``rngs`` is unread) on the
+    belief tables ``constants``; with one belief row, stage 1 runs on one
+    column broadcast over the repetitions.  Returns the R picks; ``trail``
+    gets repetition 0's StageStats.  A stage calls the source once on
+    (R, k_s+1, M) rows, or reads rows offset_s .. offset_s + k_s of a "means"
+    tape ``noise`` (M, _noise_rows(A), R).  Against the (R, k, M) loop kept
+    in tests/_oracles.py, this layout cut the engine from 3.5 to 2.2 us per
+    cell-repetition on exp1 (B=8000, six min-z and mean algorithms) and from
+    32 to 21 on exp3's shrvar (blocks of 512, 2-vCPU VM, numpy 2.4.6)."""
     stages = num_stages(instance.num_treatments)
     stage_budget = budget // stages
     if stage_budget < 1:
         raise InsufficientBudgetError(f"budget {budget} cannot fund {stages} stages",
                                       arm=0)
     _whole(stage_budget, "stage_budget", 1, MAX_STAGE_BUDGET)
-    active = np.tile(np.arange(1, instance.num_treatments + 1),
-                     (len(rngs if noise is None else noise), 1))
+    beliefs, arms = len(constants[0].max_var), instance.num_treatments + 1
+    active = np.tile(np.arange(1, arms)[:, None], beliefs)
+    shift = np.arange(beliefs) * arms  # each repetition's belief row
+    arm_laws = np.stack((instance.means.T, instance.stddevs.T))  # (2, M, A+1)
     offset, variance = 0, trail is not None or spec.elimination == "confidence"
     for _ in range(stages):
-        counts = stage_counts(spec.sampling, constants[0], active, stage_budget)
-        rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
-        mu_rows = np.take(instance.means, rows, axis=0)
-        sigma_rows = np.take(instance.stddevs, rows, axis=0)
+        counts = stage_counts(spec.sampling, constants[0], active.T, stage_budget).T
+        rows = np.concatenate((np.zeros_like(active[:1]), active))
+        mu, sd = np.take(arm_laws, rows, axis=2)
         if noise is None:
-            means = source.stage_means_batch(mu_rows, sigma_rows, counts, rngs)
+            means = source.stage_means_batch(*(np.broadcast_to(x.T, (len(rngs), *x.T.shape[1:]))
+                                               for x in (mu, sd, counts)), rngs).T
         else:
-            means = _stat_means(mu_rows, sigma_rows, counts,
-                                noise[:, offset:offset + rows.shape[1]])
-        offset += rows.shape[1]
-        z, z_var = _z_stats(constants, active, means, counts, variance)
+            means = _stat_means(mu, sd, counts, noise[:, offset:offset + len(rows)])
+        offset += len(rows)
+        z, z_var = _z_stats(constants, active + shift, means, counts, variance)
         if trail is not None:
-            trail.append(StageStats(active=active[0], means=means[0],
-                                    counts=counts[0], z=z[0], z_var=z_var[0]))
+            trail.append(StageStats(active=active[:, 0], means=means[..., 0].T,
+                                    counts=counts[:, 0], z=z[..., 0].T,
+                                    z_var=z_var[..., 0].T))
         key = _elimination_key(spec.elimination, z, z_var, means)
-        active = _keep_largest(active, key, math.ceil(active.shape[1] / 2))
-    assert active.shape[1] == 1, "halving must end with a single survivor"
-    return active[:, 0]
+        active = _keep_largest(active, key, math.ceil(len(active) / 2))
+    assert len(active) == 1, "halving must end with a single survivor"
+    return active[0]
 
 
 def _beliefs(instance: Instance, spec: AlgorithmSpec, budget: int, source,
@@ -440,7 +447,7 @@ def _beliefs(instance: Instance, spec: AlgorithmSpec, budget: int, source,
             f"budget {budget} gives the variance-estimation round only {n0} "
             f"pulls per arm (need >= 2)", arm=0)
     _, var = source.mean_and_variance(instance.means, instance.stddevs, n0, rngs)
-    bad = ~fold(np.logical_and, np.isfinite(var) & (var > 0.0))
+    bad = ~fold(np.logical_and, (np.isfinite(var) & (var > 0.0)).transpose(2, 0, 1))
     if bad.any():
         row, arm = np.argwhere(bad)[0]
         kind = "non-finite" if not np.isfinite(var[row, arm]).all() else "zero"

@@ -40,7 +40,6 @@ only as far as it takes to fill every worker equally, over one process pool.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -292,11 +291,10 @@ def _streams(key: tuple, reps: range) -> list[list]:
     """For i = 0 (exploration) and 1 (validation), one seed per repetition
     from which PCG64 starts as default_rng(SeedSequence([*key, rep],
     spawn_key=(i,))) does, SeedSequence([*key, rep]).spawn(2)[i] of the
-    contract.  The words of key,
-    (master_seed, value_idx, budget_idx) of any size, and the repetitions go
-    through _seed_words as arrays (at least four words before the spawn
-    word, so SeedSequence's zero padding never applies); repetition indices
-    of 2**32 or more take SeedSequence itself."""
+    contract.  The words of key, (master_seed, value_idx, budget_idx) of any
+    size, and the repetitions go through _seed_words as arrays (at least four
+    words before the spawn word, so SeedSequence's zero padding never
+    applies); repetition indices of 2**32 or more take SeedSequence itself."""
     prefix = [np.uint32(k >> bit & 0xFFFFFFFF) for k in key
               for bit in range(0, max(k.bit_length(), 1), 32)]
     if reps.stop > 1 << 32:
@@ -320,13 +318,14 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
     blocks of BLOCK repetitions.
 
     Each block derives its streams' seeds once and draws once what the whole
-    menu reads alike: the (R, sum of k_s + 1, M) normals of every
-    known-variance run under the "means" law, and the (R, 2, M) of a
-    "means" validation.  An algorithm that draws from a stream itself (the
-    adaptive engine, any "pulls" draw or source object) gets that stream's
-    generators rebuilt from the seeds, at their start; under "means" the
-    adaptive engine draws its own exploration normals right after phase 0.
-    Derivation and shared-draw time is split evenly over the menu.
+    menu reads alike: the normals of every known-variance run under the
+    "means" law, transposed once to the stage loop's (M, sum of k_s + 1, R),
+    and the (R, 2, M) of a "means" validation.  An algorithm that draws from
+    a stream itself (the adaptive engine, any "pulls" draw or source object)
+    gets that stream's generators rebuilt from the seeds, at their start;
+    under "means" the adaptive engine draws its own exploration normals right
+    after phase 0.  Derivation and shared-draw time is split evenly over the
+    menu.
     """
     source = get_reward_source(reward_source)
     star = best_treatment(instance)
@@ -348,6 +347,8 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
         shared = [None if shape is None
                   else _standard_normals(_generators(child), shape)
                   for child, shape in zip(seeds, shapes)]
+        if shared[0] is not None:
+            shared[0] = np.ascontiguousarray(shared[0].T)
         seconds += (time.perf_counter() - started) / len(specs)
         for idx, spec in enumerate(specs):
             started = time.perf_counter()
@@ -360,7 +361,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                 constants, loop_budget = _beliefs(instance, spec, budget,
                                                   source, explore, beliefs)
                 if noise[0] is None and tape is not None:
-                    noise[0] = _standard_normals(explore, tape)
+                    noise[0] = np.ascontiguousarray(_standard_normals(explore, tape).T)
                 recommended = _halve(instance, constants, spec, loop_budget,
                                      source, explore, noise=noise[0])
             except InsufficientBudgetError as exc:
@@ -369,7 +370,7 @@ def _count_range(instance: Instance, specs: Sequence[AlgorithmSpec],
                     arm=exc.arm, cell=(spec.name, budget)) from exc
             _, ratio, critical = _standardized(instance, recommended, check,
                                                validation_source, noise[1])
-            passed = fold(np.logical_and, ratio >= critical)
+            passed = fold(np.logical_and, (ratio >= critical).T)
             positive = positive_min_z[recommended - 1]
             counts[idx] += (np.count_nonzero(recommended == star),
                             np.count_nonzero(passed & positive),
@@ -396,9 +397,7 @@ def _pool(threads: int, tasks: int):
     work fits one process: min(threads, tasks, CPUs) workers, so a large
     ``threads`` queues tasks instead of processes."""
     workers = min(threads, tasks, _cpu_count())
-    if workers <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
 
 def _run(config: ExperimentConfig, points: list,
@@ -408,8 +407,8 @@ def _run(config: ExperimentConfig, points: list,
     With w = min(threads, CPUs) workers, each (v, b) unit splits into
     w / gcd(units, w) repetition chunks (fewer if the repetitions run out),
     so the tasks fill every worker equally and a unit stays whole when the
-    units divide evenly over the workers.  All tasks go through one map,
-    and the first failing task raises."""
+    units divide evenly over the workers.  All tasks go through one map;
+    the first failing task raises at once, awaiting no task in flight."""
     units = [(v, instance, b, budget)
              for v, (instance, budgets) in enumerate(points)
              for b, budget in enumerate(budgets)]
@@ -419,9 +418,13 @@ def _run(config: ExperimentConfig, points: list,
               (config.master_seed, v, b), lo, hi)
              for v, instance, b, budget in units for lo, hi in chunks]
     columns = zip(*tasks)
-    with _pool(threads, len(tasks)) as pool:
+    pool, parts = _pool(threads, len(tasks)), None
+    try:
         parts = list(map(_count_range, *columns) if pool is None
                      else pool.map(_count_range, *columns))
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=parts is not None, cancel_futures=True)
     cells = [[] for _ in points]
     for at, (v, _, _, budget) in enumerate(units):
         own = parts[at * len(chunks):(at + 1) * len(chunks)]

@@ -14,7 +14,7 @@ def set_scales(inst, active) -> SimpleNamespace:
     """rho_sigma = sqrt(sum of per-treatment max rho2) and lambda_sigma =
     max lambda of one active set."""
     arms = _treatment_ids(active, inst.num_treatments)
-    rho_sigma, lambda_sigma = _set_scales(arm_weights(inst.stddevs[None]), arms[None])
+    _, rho_sigma, lambda_sigma = _set_scales(arm_weights(inst.stddevs[None]), arms[None])
     return SimpleNamespace(rho_sigma=float(rho_sigma[0]),
                            lambda_sigma=float(lambda_sigma[0]))
 

@@ -446,8 +446,9 @@ def drop_smallest_gaps_ranked(gap_sq, member, star):
 # --- metric-axis kernels ----------------------------------------------------
 
 def metric_reduce_reference(name: str, x):
-    """NumPy's reduction x.min(axis=-1), x.max(axis=-1) or x.all(axis=-1)."""
-    return getattr(x, name)(axis=-1)
+    """NumPy's reduction x.min(axis=0), x.max(axis=0) or x.all(axis=0) over
+    a leading metric axis."""
+    return getattr(x, name)(axis=0)
 
 
 def gather_reference(table, active):
@@ -457,6 +458,78 @@ def gather_reference(table, active):
 
     rows = np.arange(len(active))[:, None] if len(table) > 1 else 0
     return table[rows, active]
+
+
+# --- the stage loop in its first array layout --------------------------------
+# The halving engine as it ran with repetition-major arrays: (R, k) active
+# rows, (R, k+1, M) stage means and (R, k, M) z and z_var, gathered by fancy
+# indexing and reduced with NumPy's own reductions.  The package's loop is
+# metric-major with the repetitions innermost and must pick the same arms.
+# The count kernel (alloc.stage_counts, whose (R, k) rows both layouts call)
+# and core.validation_terms are passed in, so this module still imports
+# nothing from m3ab.
+
+def halving_reference(instance, spec, budget: int, source, rngs, *,
+                      stage_counts, validation_terms, tape: bool = False,
+                      trail: list | None = None):
+    """The recommended treatment of one run per generator: for the adaptive
+    engine, phase 0 (one source call, N0 = floor(T / ((A+1) stages)) pulls
+    per arm) and the remaining budget; then, with ``tape``, one
+    (sum of k_s + 1, M) standard-normal fill per generator, read stage by
+    stage under the "means" law, else one source call per stage.  With
+    ``trail``, appends row 0's (active, means, counts, z, z_var) per stage."""
+    import numpy as np  # local import: only the array oracles use numpy
+    from types import SimpleNamespace
+
+    a_count, m = instance.num_treatments, instance.num_metrics
+    stages = halving_stage_count(a_count)
+    stddevs = instance.stddevs[None]
+    if spec.variance_knowledge == "adaptive":
+        n0 = budget // ((a_count + 1) * stages)
+        _, var = source.mean_and_variance(instance.means, instance.stddevs, n0, rngs)
+        stddevs, budget = np.sqrt(var), budget - (a_count + 1) * n0
+    var_sum = stddevs**2 + stddevs[:, :1] ** 2
+    rho_sq, lambda_sq = stddevs**2 / var_sum, stddevs[:, :1] ** 2 / var_sum
+    weights = SimpleNamespace(max_rho_sq=rho_sq.max(axis=-1),
+                              max_lambda_sq=lambda_sq.max(axis=-1),
+                              max_var=(stddevs**2).max(axis=-1),
+                              max_sd=stddevs.max(axis=-1))
+    xi, scale = validation_terms(instance.validation, var_sum)[0], np.sqrt(var_sum)
+    belief = np.arange(len(rngs))[:, None] if len(stddevs) > 1 else 0
+    noise = None
+    if tape:
+        sizes = [math.ceil(a_count / 2**s) + 1 for s in range(stages)]
+        noise = np.stack([rng.standard_normal((sum(sizes), m)) for rng in rngs])
+    active = np.tile(np.arange(1, a_count + 1), (len(rngs), 1))
+    offset = 0
+    for _ in range(stages):
+        counts = stage_counts(spec.sampling, weights, active, budget // stages)
+        rows = np.concatenate((np.zeros_like(active[:, :1]), active), axis=1)
+        mu, sd = instance.means[rows], instance.stddevs[rows]
+        if noise is None:
+            means = source.stage_means_batch(mu, sd, counts, rngs)
+        else:
+            means = mu + sd / np.sqrt(counts)[..., None] \
+                * noise[:, offset:offset + rows.shape[1]]
+        offset += rows.shape[1]
+        z = (means[:, 1:] - means[:, :1]) / scale[belief, active] \
+            + (xi[belief, active] if xi.ndim > 1 else xi)
+        z_var = rho_sq[belief, active] / counts[:, 1:, None] \
+            + lambda_sq[belief, active] / counts[:, :1, None]
+        if trail is not None:
+            trail.append((active[0], means[0], counts[0], z[0], z_var[0]))
+        if spec.elimination == "min_z":
+            key = z.min(axis=-1)
+        elif spec.elimination == "mean":
+            key = means[:, 1:].min(axis=-1)
+        else:  # row chunks of at most about 2^21 crossings
+            step = max(1, 2**21 // (active.shape[1] * m) ** 2)
+            key = np.concatenate([confidence_levels_broadcast(
+                z[lo:lo + step], z_var[lo:lo + step])
+                for lo in range(0, len(z), step)])
+        ranked = np.argsort(-key, axis=-1, kind="stable")[:, :(active.shape[1] + 1) // 2]
+        active = np.take_along_axis(active, np.sort(ranked, axis=-1), axis=-1)
+    return active[:, 0]
 
 
 # --- per-repetition harness loop --------------------------------------------

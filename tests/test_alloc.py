@@ -437,8 +437,9 @@ def test_folds_and_gathers_equal_numpy_reference(block):
     indexing: NaN in the same places, zeros of the same sign, and gathers
     bit for bit."""
     table, active = block
-    for ufunc, name, x in ((np.minimum, "min", table), (np.maximum, "max", table),
-                           (np.logical_and, "all", table > 0.0)):
+    planes = np.moveaxis(table, -1, 0)  # metric-major, as the stage loop folds
+    for ufunc, name, x in ((np.minimum, "min", planes), (np.maximum, "max", planes),
+                           (np.logical_and, "all", planes > 0.0)):
         got, want = alloc.fold(ufunc, x), oracle.metric_reduce_reference(name, x)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=x.dtype.kind == "f")

@@ -17,17 +17,26 @@ from _oracles import (
     confidence_bonus,
     confidence_level_bisection,
     confidence_levels_broadcast,
+    halving_reference,
     halving_stage_count,
     phase0_reference,
 )
 from m3ab import halving
 from m3ab.alloc import (
+    arm_weights,
     neyman_allocation,
     shrvar_allocation,
+    stage_counts,
     uniform_allocation,
     variance_allocation,
 )
-from m3ab.core import Instance, ValidationConfig, best_treatment, z_profile
+from m3ab.core import (
+    Instance,
+    ValidationConfig,
+    best_treatment,
+    validation_terms,
+    z_profile,
+)
 from m3ab.errors import DegenerateVarianceError, InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,
@@ -39,6 +48,8 @@ from m3ab.halving import (
     _beliefs,
     _confidence_levels,
     _halve,
+    _noise_rows,
+    _standard_normals,
     confidence_eliminate,
     empirical_z,
     get_reward_source,
@@ -51,16 +62,20 @@ from m3ab.halving import (
 from m3ab.instances import preset, table1
 
 
-def explore_block(instance, name, budget, rngs, reward_source="pulls"):
-    """One run per generator, called the way the harness calls the engine."""
+def explore_block(instance, name, budget, rngs, reward_source="pulls", tape=False):
+    """One run per generator, called the way the harness calls the engine:
+    with ``tape``, on a "means" tape drawn after phase 0, one C-order fill
+    per generator, transposed to (M, rows, R)."""
     spec, source = ALGORITHMS[name], get_reward_source(reward_source)
     constants, loop_budget = _beliefs(instance, spec, budget, source, rngs)
-    return _halve(instance, constants, spec, loop_budget, source, rngs)
+    noise = np.ascontiguousarray(_standard_normals(rngs, (
+        _noise_rows(instance.num_treatments), instance.num_metrics)).T) if tape else None
+    return _halve(instance, constants, spec, loop_budget, source, rngs, noise=noise)
 
 
 def confidence_level(stats, treatment):
     """delta_s(a) of one active treatment, read off the stage's levels."""
-    levels = _confidence_levels(stats.z, stats.z_var)
+    levels = _confidence_levels(stats.z.T, stats.z_var.T)
     return float(levels[stats.active == treatment][0])
 
 
@@ -369,10 +384,14 @@ def test_confidence_levels_equal_broadcast_oracle_bit_for_bit(block):
     with pytest.MonkeyPatch.context() as patch:
         if cells is not None:
             patch.setattr(halving, "_CROSSING_CELLS", cells)
-        got = _confidence_levels(z, z_var)
-    assert np.array_equal(got, want)
+        got = _confidence_levels(z.T, z_var.T)  # metric-major (M, k, R)
+        # a repetition-free z_var broadcasts over the repetitions
+        shared = _confidence_levels(z.T, z_var[:1].T)
+    assert np.array_equal(got.T, want)
+    assert np.array_equal(shared.T, confidence_levels_broadcast(
+        z, np.broadcast_to(z_var[:1], z.shape)))
     for row in range(len(z)):  # one stage, no repetition axis
-        assert np.array_equal(_confidence_levels(z[row], z_var[row]), want[row])
+        assert np.array_equal(_confidence_levels(z[row].T, z_var[row].T), want[row])
 
 
 def test_confidence_level_monotone_in_own_z():
@@ -472,6 +491,115 @@ def test_trail_carries_z_variance_under_ranking_rules(name):
                 total = var[arm, i] + var[0, i]
                 want = var[arm, i] / total / n_a + var[0, i] / total / stats.counts[0]
                 assert stats.z_var[row, i] == pytest.approx(want, rel=1e-12)
+
+
+# --- the stage loop against its repetition-major reference ---------------------
+
+class OwnStageSource(GaussianStatSource):
+    """A source object: the "means" law through a stage method of its own,
+    which asserts the (R, k+1, M) rows of the source protocol."""
+
+    def stage_means_batch(self, mu_rows, sigma_rows, counts, rngs):
+        assert mu_rows.shape == sigma_rows.shape == (*counts.shape, mu_rows.shape[2])
+        assert len(counts) == len(rngs)
+        return super().stage_means_batch(mu_rows, sigma_rows, counts, rngs)
+
+
+LOOP_INSTANCES = {  # budgets: exp2 at l=5 starves stage-1 arms; table1 is Bayesian
+    "exp1": (lambda: preset("exp1"), 8000),
+    "exp2-l5": (lambda: preset("exp2", l=5), 500),
+    "exp3": (lambda: preset("exp3", seed=7), 120000),
+    "table1": (table1, 400),
+}
+
+
+# Every algorithm on every instance and source in blocks of 1, 4 and 512
+# repetitions, except at 512: "pulls" only on table1 (elsewhere its per-arm
+# draws take seconds; blocks of 4 cover them), and no confidence rule on
+# exp3 (the reference's crossing array would be 512 x 128^2 x 9).
+@pytest.mark.parametrize("name,source,reps", [
+    (name, source, reps) for name in LOOP_INSTANCES
+    for source in ("tape", "pulls", "fixed", "object") for reps in (1, 4, 512)
+    if not (source == "pulls" and reps == 512 and name != "table1")])
+def test_stage_loop_equals_repetition_major_reference(name, source, reps):
+    instance, budget = LOOP_INSTANCES[name][0](), LOOP_INSTANCES[name][1]
+    law = {"tape": "means", "object": OwnStageSource()}.get(source, source)
+    for algo, spec in sorted(ALGORITHMS.items()):
+        if instance.num_treatments <= 2 and spec.variance_knowledge == "adaptive":
+            continue  # phase 0 leaves a single stage less than one pull per arm
+        if reps == 512 and name == "exp3" and spec.elimination == "confidence":
+            continue
+        got = explore_block(instance, algo, budget,
+                            [np.random.default_rng([reps, r]) for r in range(reps)],
+                            law, tape=source == "tape")
+        want = halving_reference(
+            instance, spec, budget, get_reward_source(law),
+            [np.random.default_rng([reps, r]) for r in range(reps)],
+            stage_counts=stage_counts, validation_terms=validation_terms,
+            tape=source == "tape")
+        assert got.tolist() == want.tolist(), algo
+
+
+@pytest.mark.parametrize("reps", [1, 4])
+def test_stage_loop_breaks_exact_ties_like_reference(reps):
+    # 128 treatments in three repeating groups of equal rows: under the
+    # "fixed" source every key ties within its group, and the halving cuts
+    # straddle groups, so every stage's survivors follow the lowest-index
+    # rule (an unstable sort keeps other arms).
+    levels = np.array([[0.1, 0.2, 0.3], [0.2, 0.3, 0.25], [0.3, 0.35, 0.4]])
+    rows = levels[np.arange(128) % 3]
+    instance = Instance(means=np.vstack([np.zeros(3), rows]),
+                        stddevs=np.vstack([np.ones(3), 1.0 + rows]),
+                        validation=ValidationConfig.non_bayesian([0.05] * 3, 2000))
+    for algo, spec in sorted(ALGORITHMS.items()):
+        rngs, source = [np.random.default_rng(r) for r in range(reps)], FixedMeanSource()
+        constants, loop_budget = _beliefs(instance, spec, 120000, source, rngs)
+        trail, want = [], []
+        got = _halve(instance, constants, spec, loop_budget, source, rngs, trail)
+        assert got.tolist() == halving_reference(
+            instance, spec, 120000, source, rngs, stage_counts=stage_counts,
+            validation_terms=validation_terms, trail=want).tolist(), algo
+        assert [stats.active.tolist() for stats in trail] \
+            == [fields[0].tolist() for fields in want], algo
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_INSTANCES))
+def test_trail_equals_reference_field_by_field(name):
+    instance, budget = LOOP_INSTANCES[name][0](), LOOP_INSTANCES[name][1]
+    for algo, spec in sorted(ALGORITHMS.items()):
+        if instance.num_treatments <= 2 and spec.variance_knowledge == "adaptive":
+            continue
+        for source in ("means", "pulls"):
+            result = run_exploration(instance, algo, budget, reward_source=source,
+                                     rng=np.random.default_rng(11))
+            want: list = []
+            recommended = halving_reference(
+                instance, spec, budget, get_reward_source(source),
+                [np.random.default_rng(11)], stage_counts=stage_counts,
+                validation_terms=validation_terms, trail=want)
+            assert result.recommended == recommended[0]
+            assert len(result.trail) == len(want)
+            for stats, fields in zip(result.trail, want):
+                for field, value in zip(("active", "means", "counts", "z", "z_var"),
+                                        fields):
+                    got = getattr(stats, field)
+                    assert got.shape == value.shape and got.dtype == value.dtype
+                    assert got.tobytes() == value.tobytes(), (algo, source, field)
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_INSTANCES))
+def test_stage_one_counts_from_one_row_equal_every_row(name):
+    # With one belief row, stage 1's active set is 1..A in every repetition,
+    # so the loop funds one row and broadcasts it.
+    instance, budget = LOOP_INSTANCES[name][0](), LOOP_INSTANCES[name][1]
+    weights = arm_weights(instance.stddevs[None])
+    arms = np.arange(1, instance.num_treatments + 1)
+    stage_budget = budget // num_stages(instance.num_treatments)
+    for rule in halving.SAMPLING_RULES:
+        one = stage_counts(rule, weights, arms[None], stage_budget)
+        every = stage_counts(rule, weights, np.tile(arms, (512, 1)), stage_budget)
+        assert one.shape == (1, arms.size + 1)
+        assert np.array_equal(every, np.broadcast_to(one, every.shape)), rule
 
 
 def test_stage_structure_and_budget_accounting():

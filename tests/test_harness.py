@@ -594,6 +594,9 @@ class _SerialPool:
     def map(self, fn, *iterables):
         return list(map(fn, *iterables))
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
 
 def test_one_pool_per_call_sized_by_the_work(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
@@ -683,6 +686,42 @@ def test_insufficient_budget_identifies_cell():
         run_experiment(cfg)
     assert excinfo.value.cell == ("shrvar", 3)
     assert "shrvar" in str(excinfo.value) and "budget=3" in str(excinfo.value)
+
+
+def test_first_failing_task_raises_without_waiting_for_tasks_in_flight(monkeypatch):
+    # A budget sweep on two workers whose first unit fails at once while the
+    # next ones run: the first unit's error comes out before any other task
+    # ends, and tasks not yet started never start.  Threads stand in for the
+    # worker processes, so the patched task function reaches them.
+    pools, started, finished, release = [], [], [], threading.Event()
+
+    def pool(max_workers):
+        pools.append(ThreadPoolExecutor(max_workers))
+        return pools[-1]
+
+    def task(instance, specs, budget, source, key, start, stop):
+        if budget == 3:
+            raise InsufficientBudgetError("cell (algorithm=shrvar, budget=3): too small",
+                                          arm=0, cell=("shrvar", 3))
+        started.append(budget)
+        release.wait(5.0)
+        finished.append(budget)
+        return np.zeros((len(specs), 3), dtype=np.int64), np.zeros(len(specs))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "_count_range", task)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    try:
+        with pytest.raises(InsufficientBudgetError) as excinfo:
+            sweep(small_config(), "budget", [3, 500, 600, 700, 800, 900], threads=2)
+        assert finished == []
+    finally:
+        release.set()
+        for executor in pools:
+            executor.shutdown()
+    assert (excinfo.value.arm, excinfo.value.cell) == (0, ("shrvar", 3))
+    assert str(excinfo.value) == "cell (algorithm=shrvar, budget=3): too small"
+    assert len(pools) == 1 and len(started) <= 2 and set(started) <= {500, 600}
 
 
 def test_starved_stage_error_names_arm_and_cell():
