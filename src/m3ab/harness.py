@@ -35,18 +35,21 @@ normals every algorithm reads alike, and only an algorithm that draws from
 a stream itself gets that stream's generators, rebuilt from the words (see
 ``_streams``, ``_count_range`` and the README's "How repetitions run").
 A call maps all its (value, budget) units, split into repetition chunks
-only as far as it takes to fill every worker equally, over one process pool.
+only as far as it takes to fill every worker equally, over a warm process pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
+import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -392,12 +395,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# The pool kept for the next pooled call: ((pid, factory, workers), executor).
+_warm, _warm_lock = None, threading.Lock()
+
+
+@contextlib.contextmanager
 def _pool(threads: int, tasks: int):
-    """One process pool for a whole experiment or sweep, or none when the
-    work fits one process: min(threads, tasks, CPUs) workers, so a large
-    ``threads`` queues tasks instead of processes."""
+    """The process pool for a whole experiment or sweep, or None when the
+    work fits one process: min(threads, tasks, CPUs) workers.  It stays warm
+    for this process's next call with the same factory and size; calls from
+    several threads take turns.  Another size joins it before forking; a
+    forked child drops it untouched.  A task's error keeps it; a broken pool
+    or an interrupt discards it.  Idle workers keep their memory until exit,
+    where concurrent.futures joins them."""
+    global _warm
     workers = min(threads, tasks, _cpu_count())
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    if workers < 2:
+        yield None
+        return
+    with _warm_lock:
+        key = (os.getpid(), ProcessPoolExecutor, workers)
+        if _warm is None or _warm[0] != key:
+            old, _warm = _warm, None
+            if old is not None and old[0][0] == key[0]:
+                old[1].shutdown()
+            _warm = (key, ProcessPoolExecutor(max_workers=workers))
+        try:
+            yield _warm[1]
+        except BaseException as exc:
+            if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
+                _warm[1].shutdown(wait=False, cancel_futures=True)
+                _warm = None
+            raise
 
 
 def _run(config: ExperimentConfig, points: list,
@@ -408,7 +437,7 @@ def _run(config: ExperimentConfig, points: list,
     w / gcd(units, w) repetition chunks (fewer if the repetitions run out),
     so the tasks fill every worker equally and a unit stays whole when the
     units divide evenly over the workers.  All tasks go through one map;
-    the first failing task raises at once, awaiting no task in flight."""
+    the first failing task raises at once; its tasks in flight delay the next."""
     units = [(v, instance, b, budget)
              for v, (instance, budgets) in enumerate(points)
              for b, budget in enumerate(budgets)]
@@ -418,13 +447,9 @@ def _run(config: ExperimentConfig, points: list,
               (config.master_seed, v, b), lo, hi)
              for v, instance, b, budget in units for lo, hi in chunks]
     columns = zip(*tasks)
-    pool, parts = _pool(threads, len(tasks)), None
-    try:
+    with _pool(threads, len(tasks)) as pool:
         parts = list(map(_count_range, *columns) if pool is None
                      else pool.map(_count_range, *columns))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=parts is not None, cancel_futures=True)
     cells = [[] for _ in points]
     for at, (v, _, _, budget) in enumerate(units):
         own = parts[at * len(chunks):(at + 1) * len(chunks)]

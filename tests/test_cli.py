@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -470,3 +472,47 @@ def test_module_invocation_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.4409" in proc.stdout
+
+
+# Runs the m3ab command as its entry point does, then names on stderr the
+# workers of the pool the harness kept, which are still running here.
+_SWEEP_NAMING_WORKERS = (
+    "import sys; from m3ab import cli, harness; code = cli.main(sys.argv[1:]); "
+    "pool = harness._warm; print('workers:', *(sorted(pool[1]._processes) "
+    "if pool else ()), file=sys.stderr); sys.exit(code)")
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process other than a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pooled_sweep_command_exits_and_leaves_no_worker(tmp_path):
+    # The pool kept after the sweep holds live workers until the command
+    # exits; the exit must join them, and the output is the one-process one.
+    # Output goes to files, which a leftover worker cannot hold open.
+    argv = ["sweep", "--preset", "exp2", "--param", "l", "--values", "0,1",
+            "--budget", "500", "--algo", "shrvar", "--reps", "20"]
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = {}
+    for threads in ("2", "1"):
+        out, err = tmp_path / f"out{threads}", tmp_path / f"err{threads}"
+        with open(out, "wb") as stdout, open(err, "wb") as stderr:
+            code = subprocess.run([sys.executable, "-c", _SWEEP_NAMING_WORKERS,
+                                   *argv, "--threads", threads], stdout=stdout,
+                                  stderr=stderr, env=env, timeout=120).returncode
+        runs[threads] = code, out.read_bytes(), err.read_text()
+    workers = [int(pid) for pid in runs["2"][2].splitlines()[-1].split()[1:]]
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert runs["2"][0] == runs["1"][0] == 0, runs["2"][2]
+    assert runs["2"][1] == runs["1"][1]
+    assert len(workers) == (2 if harness._cpu_count() > 1 else 0)
+    assert left == []

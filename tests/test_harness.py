@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -577,12 +578,30 @@ def test_multi_word_master_seeds_equal_reference(master_seed):
 # --- process pools ------------------------------------------------------------
 
 
+def _drop_warm_pool():
+    if harness._warm is not None:
+        harness._warm[1].shutdown()
+    harness._warm = None
+
+
+@pytest.fixture(autouse=True)
+def _cold_pool():
+    """Every test here starts and ends with no pool kept by the harness, so
+    the pools a test counts are its own and none outlives it."""
+    _drop_warm_pool()
+    yield
+    _drop_warm_pool()
+
+
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and its
+    shutdowns (size, wait, cancel_futures), maps in-process."""
 
     sizes: list[int] = []
+    shutdowns: list[tuple[int, bool, bool]] = []
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -595,20 +614,137 @@ class _SerialPool:
         return list(map(fn, *iterables))
 
     def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
+        self.shutdowns.append((self.max_workers, wait, cancel_futures))
 
 
-def test_one_pool_per_call_sized_by_the_work(monkeypatch):
+def test_one_pool_per_process_and_size(monkeypatch):
+    # A pool is sized by the work and kept for the next call of the same
+    # size; a call of another size shuts it down, joining it, first.
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "shutdowns", [])
     monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
     cfg = small_config(instance=lambda l: preset("exp2", l=l), repetitions=3)
     sweep(cfg, "heterogeneity_l", [0, 1, 2], threads=8)
     assert _SerialPool.sizes == [8]  # one pool for three values, 9 tasks
     run_experiment(small_config(repetitions=1), threads=4)
     assert _SerialPool.sizes == [8]  # one repetition: no pool at all
+    sweep(cfg, "heterogeneity_l", [3, 4, 5], threads=8)
+    assert _SerialPool.sizes == [8] and _SerialPool.shutdowns == []
     run_experiment(small_config(budgets=[500, 600], repetitions=4), threads=2)
     assert _SerialPool.sizes == [8, 2]
+    assert _SerialPool.shutdowns == [(8, True, False)]
+    run_experiment(small_config(budgets=[700, 800], repetitions=6), threads=2)
+    assert _SerialPool.sizes == [8, 2] and _SerialPool.shutdowns == [(8, True, False)]
+
+
+def test_warm_pool_keeps_its_workers(monkeypatch):
+    # Two real two-worker calls run on the same worker processes, and each
+    # gives the counts of its one-process run.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    first = small_config(algorithms=["shrvar", "sh"], budgets=[500, 600],
+                         repetitions=20)
+    second = small_config(instance=preset("exp2", l=3.0), budgets=[700],
+                          repetitions=30, master_seed=5)
+    assert run_experiment(first, threads=2) == run_experiment(first)
+    executor = harness._warm[1]
+    workers = sorted(executor._processes)
+    assert len(workers) == 2
+    assert run_experiment(second, threads=2) == run_experiment(second)
+    assert harness._warm[1] is executor and sorted(executor._processes) == workers
+
+
+def test_warm_pool_outlives_a_failing_task(monkeypatch):
+    # A task's own error keeps the pool: the next call runs on it and still
+    # gives its one-process counts, behind any task left in flight.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    with pytest.raises(InsufficientBudgetError):
+        sweep(small_config(), "budget", [3, 500, 600, 700], threads=2)
+    executor = harness._warm[1]
+    cfg = small_config(algorithms=["shrvar", "sh"], budgets=[500, 600],
+                       repetitions=40)
+    assert run_experiment(cfg, threads=2) == run_experiment(cfg)
+    assert harness._warm[1] is executor
+
+
+@pytest.mark.parametrize("error", [BrokenProcessPool("a worker died"),
+                                   KeyboardInterrupt()])
+def test_broken_or_interrupted_pool_is_discarded(monkeypatch, error):
+    # A pool that broke, or was interrupted with tasks in flight, is shut
+    # down without waiting, its queued tasks cancelled; the next call makes
+    # a new one.
+    class Pool(_SerialPool):
+        def map(self, fn, *iterables):
+            if len(self.sizes) == 1:
+                raise error
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "shutdowns", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    cfg = small_config(repetitions=10)
+    with pytest.raises(type(error)):
+        run_experiment(cfg, threads=2)
+    assert harness._warm is None and _SerialPool.shutdowns == [(2, False, True)]
+    assert run_experiment(cfg, threads=2) == run_experiment(cfg)
+    assert _SerialPool.sizes == [2, 2] and len(_SerialPool.shutdowns) == 1
+
+
+def test_forked_child_drops_the_inherited_pool(monkeypatch):
+    # In a forked child (another pid) the parent's pool is neither reused
+    # nor shut down: its workers and queues belong to the parent.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "shutdowns", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    cfg = small_config(repetitions=10)
+    run_experiment(cfg, threads=2)
+    inherited, parent = harness._warm[1], os.getpid()
+    monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+    assert run_experiment(cfg, threads=2) == run_experiment(cfg)
+    assert _SerialPool.sizes == [2, 2] and harness._warm[1] is not inherited
+    assert _SerialPool.shutdowns == []
+
+
+def test_pooled_calls_from_threads_take_turns(monkeypatch):
+    # A call that needs another pool size waits for the call mapping on the
+    # kept pool to end, instead of shutting that pool down under it.
+    mapping, other_done = threading.Event(), threading.Event()
+
+    class Pool(_SerialPool):
+        closed = False
+
+        def map(self, fn, *iterables):
+            if self.max_workers == 2:
+                mapping.set()
+                other_done.wait(0.3)  # set only if the other call got in
+            if self.closed:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            return super().map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.closed = True
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "shutdowns", [])
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    two, three = (small_config(budgets=[500 + 100 * b for b in range(units)],
+                               repetitions=6) for units in (2, 3))
+
+    def other():
+        mapping.wait(60)
+        report = run_experiment(three, threads=3)
+        other_done.set()
+        return report
+
+    with ThreadPoolExecutor(1) as thread:
+        later = thread.submit(other)
+        assert run_experiment(two, threads=2) == run_experiment(two)
+        assert later.result() == run_experiment(three)
+    assert _SerialPool.sizes == [2, 3] and _SerialPool.shutdowns == [(2, True, False)]
 
 
 class _TaskPool(_SerialPool):
