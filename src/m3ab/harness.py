@@ -45,11 +45,11 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,38 +395,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# The pool kept for the next pooled call: ((pid, factory, workers), executor).
-_warm, _warm_lock = None, threading.Lock()
+_warm, _warm_lock = [], threading.Lock()  # [key, pool, values pinning key's ids]
 
 
 @contextlib.contextmanager
-def _pool(threads: int, tasks: int):
-    """The process pool for a whole experiment or sweep, or None when the
-    work fits one process: min(threads, tasks, CPUs) workers.  It stays warm
-    for this process's next call with the same factory and size; calls from
-    several threads take turns.  Another size joins it before forking; a
-    forked child drops it untouched.  A task's error keeps it; a broken pool
-    or an interrupt discards it.  Idle workers keep their memory until exit,
-    where concurrent.futures joins them."""
-    global _warm
+def _pool(threads: int, tasks: int, ours: bool):
+    """min(threads, tasks, CPUs) workers for a call, or None; kept for the next
+    such call while only m3ab objects cross and the tasks' modules stay put."""
     workers = min(threads, tasks, _cpu_count())
     if workers < 2:
         yield None
         return
-    with _warm_lock:
-        key = (os.getpid(), ProcessPoolExecutor, workers)
-        if _warm is None or _warm[0] != key:
-            old, _warm = _warm, None
-            if old is not None and old[0][0] == key[0]:
-                old[1].shutdown()
-            _warm = (key, ProcessPoolExecutor(max_workers=workers))
-        try:
-            yield _warm[1]
-        except BaseException as exc:
-            if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
-                _warm[1].shutdown(wait=False, cancel_futures=True)
-                _warm = None
-            raise
+    values = [v for name, m in sys.modules.copy().items() if ours and
+              name.startswith("m3ab.") and name != "m3ab.cli" for v in vars(m).values()]
+    key = (os.getpid(), workers, tuple(map(id, values)))
+    with _warm_lock:  # held only to take the pool: calls run side by side
+        kept, _warm[:] = _warm[:], []
+    if kept and kept[0][0] == key[0] and kept[0] != key:
+        kept[1].shutdown()  # a forked child leaves its parent's pool alone
+    pool = kept[1] if kept and kept[0] == key else ProcessPoolExecutor(max_workers=workers)
+    done = keep = False
+    try:
+        yield pool
+        done = keep = True
+    except Exception as exc:  # a task's own error keeps the pool
+        keep = not isinstance(exc, BrokenExecutor)
+        raise
+    finally:
+        with _warm_lock:  # a pool put back first by another call stays
+            if ours and keep and not _warm:
+                _warm[:], pool = [key, pool, values], None
+        if pool is not None:
+            pool.shutdown(wait=done, cancel_futures=True)
 
 
 def _run(config: ExperimentConfig, points: list,
@@ -446,10 +446,10 @@ def _run(config: ExperimentConfig, points: list,
     tasks = [(instance, config.algorithms, budget, config.reward_source,
               (config.master_seed, v, b), lo, hi)
              for v, instance, b, budget in units for lo, hi in chunks]
-    columns = zip(*tasks)
-    with _pool(threads, len(tasks)) as pool:
-        parts = list(map(_count_range, *columns) if pool is None
-                     else pool.map(_count_range, *columns))
+    ours = all(isinstance(o, str) or type(o).__module__.startswith("m3ab.") for o in
+               (config.reward_source, *config.algorithms, *(p for p, _ in points)))
+    with _pool(threads, len(tasks), ours) as pool:
+        parts = list((map if pool is None else pool.map)(_count_range, *zip(*tasks)))
     cells = [[] for _ in points]
     for at, (v, _, _, budget) in enumerate(units):
         own = parts[at * len(chunks):(at + 1) * len(chunks)]

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -29,7 +30,7 @@ from m3ab import (
     z_profile,
 )
 from m3ab import harness
-from m3ab.halving import ALGORITHMS, GaussianStatSource
+from m3ab.halving import ALGORITHMS, FixedMeanSource, GaussianStatSource
 from m3ab.harness import (
     METRICS,
     SWEEP_PARAMETERS,
@@ -578,21 +579,6 @@ def test_multi_word_master_seeds_equal_reference(master_seed):
 # --- process pools ------------------------------------------------------------
 
 
-def _drop_warm_pool():
-    if harness._warm is not None:
-        harness._warm[1].shutdown()
-    harness._warm = None
-
-
-@pytest.fixture(autouse=True)
-def _cold_pool():
-    """Every test here starts and ends with no pool kept by the harness, so
-    the pools a test counts are its own and none outlives it."""
-    _drop_warm_pool()
-    yield
-    _drop_warm_pool()
-
-
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size and its
     shutdowns (size, wait, cancel_futures), maps in-process."""
@@ -686,7 +672,7 @@ def test_broken_or_interrupted_pool_is_discarded(monkeypatch, error):
     cfg = small_config(repetitions=10)
     with pytest.raises(type(error)):
         run_experiment(cfg, threads=2)
-    assert harness._warm is None and _SerialPool.shutdowns == [(2, False, True)]
+    assert harness._warm == [] and _SerialPool.shutdowns == [(2, False, True)]
     assert run_experiment(cfg, threads=2) == run_experiment(cfg)
     assert _SerialPool.sizes == [2, 2] and len(_SerialPool.shutdowns) == 1
 
@@ -707,25 +693,58 @@ def test_forked_child_drops_the_inherited_pool(monkeypatch):
     assert _SerialPool.shutdowns == []
 
 
-def test_pooled_calls_from_threads_take_turns(monkeypatch):
-    # A call that needs another pool size waits for the call mapping on the
-    # kept pool to end, instead of shutting that pool down under it.
+def test_a_rebound_module_value_reaches_the_workers(monkeypatch):
+    # Workers hold the m3ab module values of their fork.  A value rebound
+    # after the pool was kept (here a patched function the tasks call) makes
+    # the next call fork a fresh pool, so threads=2 still equals threads=1.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    cfg = small_config(algorithms=["shrvar", "sh"], budgets=[500, 600],
+                       repetitions=40)
+    plain = run_experiment(cfg, threads=2)
+    shifted = run_experiment(dataclasses.replace(cfg, master_seed=124))
+    assert plain == run_experiment(cfg) and plain != shifted
+    kept, streams = harness._warm[1], harness._streams
+    monkeypatch.setattr(harness, "_streams", lambda key, reps: streams(
+        (key[0] + 1, *key[1:]), reps))
+    assert run_experiment(cfg, threads=2) == shifted
+    assert harness._warm[1] is not kept
+
+
+def test_user_source_runs_as_last_defined(monkeypatch):
+    # A source class from a user's namespace crosses to the workers by
+    # reference, so its call joins the kept pool and runs on one forked
+    # after the class's latest definition: a class defined after an earlier
+    # pooled call, and then redefined, runs as threads=1 runs it.
+    module = types.ModuleType("_user_sources")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    cfg = small_config(algorithms=["shrvar", "sh"], budgets=[500, 600],
+                       repetitions=40)
+    assert run_experiment(cfg, threads=2) == run_experiment(cfg)
+    reports = []
+    for base in (FixedMeanSource, GaussianStatSource):
+        module.Source = type("Source", (base,), {"__module__": module.__name__})
+        user = dataclasses.replace(cfg, reward_source=module.Source())
+        reports.append(run_experiment(user, threads=2))
+        assert reports[-1] == run_experiment(user)
+        assert harness._warm == []
+    assert reports[0] != reports[1]
+
+
+def test_pooled_calls_from_threads_run_side_by_side(monkeypatch):
+    # The kept pool is taken for a call and put back after it.  A call from
+    # another thread that finds none kept makes its own and maps at the
+    # same time; the pool put back first stays, and the later one is shut
+    # down.
     mapping, other_done = threading.Event(), threading.Event()
+    overlapped = []
 
     class Pool(_SerialPool):
-        closed = False
-
         def map(self, fn, *iterables):
             if self.max_workers == 2:
                 mapping.set()
-                other_done.wait(0.3)  # set only if the other call got in
-            if self.closed:
-                raise RuntimeError("cannot schedule new futures after shutdown")
+                overlapped.append(other_done.wait(60))
             return super().map(fn, *iterables)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            self.closed = True
-            super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
@@ -744,7 +763,9 @@ def test_pooled_calls_from_threads_take_turns(monkeypatch):
         later = thread.submit(other)
         assert run_experiment(two, threads=2) == run_experiment(two)
         assert later.result() == run_experiment(three)
-    assert _SerialPool.sizes == [2, 3] and _SerialPool.shutdowns == [(2, True, False)]
+    assert overlapped == [True] and _SerialPool.sizes == [2, 3]
+    assert _SerialPool.shutdowns == [(2, True, True)]
+    assert harness._warm[1].max_workers == 3
 
 
 class _TaskPool(_SerialPool):
