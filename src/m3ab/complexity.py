@@ -1,8 +1,9 @@
 """Instance-hardness diagnostics for the staged exploration engines.
 
 Everything here is a function of the true z-value matrix and the relative
-variances; nothing is estimated.  For a candidate set S of treatments
-containing the best one, define
+variances rho2 = sa^2/(sa^2+s0^2) and lambda2 = s0^2/(sa^2+s0^2), read from
+the stage allocator's tables (alloc.arm_weights); nothing is estimated.  For
+a candidate set S of treatments containing the best one, define
 
     rho_sigma(S)    = sqrt(sum_{a in S} max_i rho2[a, i]),
     lambda_sigma(S) = sqrt(max_{a in S, i} lambda2[a, i]),
@@ -63,8 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Instance, _treatment_ids, _whole, best_treatment,
-                   relative_variance, z_profile)
+from .alloc import arm_weights
+from .core import Instance, _treatment_ids, _whole, best_treatment, z_profile
 from .errors import TooLargeError
 
 __all__ = [
@@ -117,10 +118,9 @@ def _subset_kernel(instance: Instance, correction: float | None):
     s = star - 1
     z = z_profile(instance).z
     g = np.maximum(z[s][:, None, None] - z.T[None], 0.0) ** 2  # [i, j, a]
-    rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
-    lam2 = 1.0 - rho2
-    mr, ml2 = rho2.max(axis=1), lam2.max(axis=1)
-    p = rho2 / mr[:, None]  # Instance keeps stddevs > 0, so mr > 0
+    w = arm_weights(instance.stddevs[None])
+    lam2, mr, ml2 = w.lambda_sq[:, 0, 1:], w.max_rho_sq[0, 1:], w.max_lambda_sq[0, 1:]
+    p = w.rho_sq[:, 0, 1:] / mr  # [i, a]; Instance keeps stddevs > 0, so mr > 0
     dm2 = delta_min(instance) ** 2 if correction is not None else None
 
     def scales(member: np.ndarray):
@@ -148,7 +148,7 @@ def _subset_kernel(instance: Instance, correction: float | None):
 
     def gaps(member: np.ndarray):
         rho_sigma, lambda_sigma = scales(member)
-        k = (p.T[:, None] * rho_sigma[:, None] + lam2.T[:, None] / lambda_sigma[:, None]
+        k = (p[:, None] * rho_sigma[:, None] + lam2[:, None] / lambda_sigma[:, None]
              ) / (rho_sigma + lambda_sigma)[:, None]  # [j, c, a]
         gap_sq = fold(lambda i, j: k[j] + k[i, :, s, None],
                       None if correction is None else lambda i, j: k[j] - k[i, :, s, None],
@@ -156,8 +156,8 @@ def _subset_kernel(instance: Instance, correction: float | None):
         return gap_sq, k.transpose(1, 2, 0), rho_sigma, lambda_sigma
 
     # [i, j, 1, a] sums and differences of arm a's metric j and star's metric i
-    pa, ps = p.T[None, :, None], p[s, :, None, None, None]
-    la, ls = lam2.T[None, :, None], lam2[s, :, None, None, None]
+    pa, ps = p[None, :, None], p[:, s, None, None, None]
+    la, ls = lam2[None, :, None], lam2[:, s, None, None, None]
     p_sum, p_diff, l_sum, l_diff = pa + ps, pa - ps, la + ls, la - ls
 
     def floor(inside: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -264,12 +264,14 @@ def _best_over_subsets(instance: Instance, correction: float | None,
     bit[np.arange(a_count) != star_idx] = 1 << np.arange(a_count - 1)
     best = [math.inf, math.inf, None, math.nan, math.nan]  # value, mask, row, scales
 
+    def kept_min(values, member, inside):  # star: never a drop slot, never counted
+        values = np.where(member, values, np.inf)
+        values[:, star_idx] = np.inf
+        return values, np.sort(values, axis=1)[np.arange(len(values)), inside.sum(axis=1) // 4]
+
     def evaluate(member: np.ndarray) -> None:
         gap_sq, _, rho_sigma, lambda_sigma = gaps(member)
-        values = np.where(member, gap_sq, np.inf)
-        values[:, star_idx] = np.inf  # never a drop slot, never counted
-        numerator = np.sort(values, axis=1)[np.arange(len(member)), member.sum(axis=1) // 4]
-        candidate = numerator / (rho_sigma + lambda_sigma)**2
+        candidate = kept_min(gap_sq, member, member)[1] / (rho_sigma + lambda_sigma)**2
         tied = np.flatnonzero(candidate == candidate.min())
         j = tied[np.argmin(member[tied] @ bit)]
         if (candidate[j], member[j] @ bit) < (best[0], best[1]):
@@ -290,9 +292,7 @@ def _best_over_subsets(instance: Instance, correction: float | None,
         nodes, rest = fill(inside[None], free[:cut]), free[cut:]
         reach = nodes.copy()
         reach[:, rest] = True
-        node_floors = np.where(reach, floor(nodes, reach), np.inf)
-        node_floors[:, star_idx] = np.inf
-        bound = np.sort(node_floors, axis=1)[np.arange(len(nodes)), nodes.sum(axis=1) // 4]
+        node_floors, bound = kept_min(floor(nodes, reach), reach, nodes)
         keep = bound <= best[0] * (1.0 + _MARGIN)
         if best[0] == 0:  # nothing beats 0; h3 alone reports the lowest mask
             keep &= (nodes @ bit < best[1]) & (correction is None)
@@ -317,11 +317,9 @@ def h3_prime(instance: Instance) -> float:
     instance checked (exp1; exp3 at A = 12, 14, 16, 20) it lies 2.0 to 2.5
     times below h3, so an error bound computed from it understates h3's."""
     dm = delta_min(instance)
-    rho2, _ = relative_variance(instance.stddevs[1:], instance.stddevs[0])
-    total = float(rho2.max(axis=1).sum() + (1.0 - rho2).max())
-    if dm == 0.0:
-        return math.inf
-    return total / dm**2
+    w = arm_weights(instance.stddevs[None])
+    total = float(w.max_rho_sq[0, 1:].sum() + w.max_lambda_sq[0, 1:].max())
+    return total / dm**2 if dm != 0.0 else math.inf
 
 
 def h3(instance: Instance,

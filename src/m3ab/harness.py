@@ -398,11 +398,23 @@ def _cpu_count() -> int:
 _warm, _warm_lock = [], threading.Lock()  # [key, pool, values pinning key's ids]
 
 
+def _end_with_parent() -> None:
+    """Worker initializer: end the worker once the process that forked it is
+    gone (a parent killed by a signal never shuts its pool down)."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @contextlib.contextmanager
-def _pool(threads: int, tasks: int, ours: bool):
-    """min(threads, tasks, CPUs) workers for a call, or None; kept for the next
-    such call while only m3ab objects cross and the tasks' modules stay put."""
-    workers = min(threads, tasks, _cpu_count())
+def _pool(workers: int, ours: bool):
+    """A pool of that many workers for a call, or None below two; kept for the
+    next such call while only m3ab objects cross and the tasks' modules stay put."""
     if workers < 2:
         yield None
         return
@@ -413,7 +425,8 @@ def _pool(threads: int, tasks: int, ours: bool):
         kept, _warm[:] = _warm[:], []
     if kept and kept[0][0] == key[0] and kept[0] != key:
         kept[1].shutdown()  # a forked child leaves its parent's pool alone
-    pool = kept[1] if kept and kept[0] == key else ProcessPoolExecutor(max_workers=workers)
+    pool = kept[1] if kept and kept[0] == key else ProcessPoolExecutor(
+        max_workers=workers, initializer=_end_with_parent)
     done = keep = False
     try:
         yield pool
@@ -433,11 +446,12 @@ def _run(config: ExperimentConfig, points: list,
          threads: int) -> list[tuple[CellReport, ...]]:
     """The cells of every (instance, budgets) point, one tuple per point:
     budget b of point v runs on the seed key (master_seed, v, b).
-    With w = min(threads, CPUs) workers, each (v, b) unit splits into
+    With w = min(threads, CPUs), each (v, b) unit splits into
     w / gcd(units, w) repetition chunks (fewer if the repetitions run out),
-    so the tasks fill every worker equally and a unit stays whole when the
-    units divide evenly over the workers.  All tasks go through one map;
-    the first failing task raises at once; its tasks in flight delay the next."""
+    so the tasks fill w workers equally and a unit stays whole when the
+    units divide evenly over them; the pool has min(w, tasks) workers.  All
+    tasks go through one map; the first failing task raises at once; its
+    tasks in flight delay the next."""
     units = [(v, instance, b, budget)
              for v, (instance, budgets) in enumerate(points)
              for b, budget in enumerate(budgets)]
@@ -448,7 +462,7 @@ def _run(config: ExperimentConfig, points: list,
              for v, instance, b, budget in units for lo, hi in chunks]
     ours = all(isinstance(o, str) or type(o).__module__.startswith("m3ab.") for o in
                (config.reward_source, *config.algorithms, *(p for p, _ in points)))
-    with _pool(threads, len(tasks), ours) as pool:
+    with _pool(min(workers, len(tasks)), ours) as pool:
         parts = list((map if pool is None else pool.map)(_count_range, *zip(*tasks)))
     cells = [[] for _ in points]
     for at, (v, _, _, budget) in enumerate(units):

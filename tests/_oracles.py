@@ -5,7 +5,8 @@ than the package: the normal CDF/quantile come from the stdlib
 (statistics.NormalDist, Wichura's AS241 under the hood), the allocation
 oracle solves the min-max program numerically instead of using the closed
 form, the confidence level is bisected instead of taken from the closed-form
-crossing point, and the halving reference is a scalar loop over plain floats
+crossing point, kappa and the gaps are evaluated exactly in mpmath interval
+arithmetic, and the halving reference is a scalar loop over plain floats
 driven by the stdlib generator (random.Random) instead of numpy's.  The
 harness reference runs one repetition at a time where the harness runs
 blocks of repetitions as arrays.  Two oracles share the package's
@@ -382,6 +383,88 @@ def h3_reference(z, rho2, budget=None):
             if value < best:
                 best, best_subset = value, subset
     return (1.0 / best if best > 0 else math.inf), best_subset
+
+
+# --- exact gap kernel -----------------------------------------------------------
+# kappa, D(S, a)^2 and the corrected gap in mpmath interval arithmetic at
+# EXACT_PREC bits, on the float inputs the package reads (z, stddevs,
+# delta_min^2, correction), with the relative variances exact:
+# rho2 = s_a^2 / (s_a^2 + s_0^2) and lambda2 = s_0^2 / (s_a^2 + s_0^2).
+# With rounding = 0 an interval is the exact value to EXACT_PREC bits.  With
+# rounding = UNIT it holds every float evaluation of the cell whose kappas lie
+# within KAPPA_UNITS units of roundoff of the exact ones and whose own steps
+# (the z difference and its square, the kappa sum or difference and its
+# square, the division, the two offset terms) each round once.  Its relative
+# width is then the cell's condition number times that rounding: about 20
+# UNIT where the cell is well conditioned, 10^8 to 10^11 UNIT where the
+# corrected term cancels against the budget correction.
+# The float kappa takes about 20 rounded steps, so its first-order worst case
+# is (|S| + 18) UNIT; over 428,500 kappas of random instances with up to six
+# treatments the package's was at most 5.3 UNIT off.  KAPPA_UNITS = 8 holds it
+# to that accuracy: a kernel whose kappa is 4 ulps off fails.
+
+EXACT_PREC = 200
+UNIT = 2.0 ** -53  # unit roundoff of a float64
+KAPPA_UNITS = 8
+
+
+def _extreme(fn, intervals):
+    """min or max (fn) of values known to lie in the given intervals."""
+    from mpmath import iv  # local import: test-only dependency
+
+    return iv.mpf([fn(x.a for x in intervals), fn(x.b for x in intervals)])
+
+
+def exact_kappas(stddevs, subset) -> dict:
+    """{(a, i): kappa(S, a, i)} for the 0-based treatment indices a of subset;
+    row 0 of stddevs is the control's."""
+    from mpmath import iv  # local import: test-only dependency
+
+    iv.prec = EXACT_PREC
+    var_0 = [iv.mpf(float(s)) ** 2 for s in stddevs[0]]
+    split = {}  # a -> ([rho2 per metric], [lambda2 per metric])
+    for a in subset:
+        var_a = [iv.mpf(float(s)) ** 2 for s in stddevs[a + 1]]
+        split[a] = ([v / (v + v0) for v, v0 in zip(var_a, var_0)],
+                    [v0 / (v + v0) for v, v0 in zip(var_a, var_0)])
+    rho_sigma = iv.sqrt(sum(_extreme(max, rho2) for rho2, _ in split.values()))
+    lambda_sigma = iv.sqrt(_extreme(max, [x for _, lam2 in split.values() for x in lam2]))
+    return {(a, i): (rho2[i] / _extreme(max, rho2) * rho_sigma + lam2[i] / lambda_sigma)
+            / (rho_sigma + lambda_sigma)
+            for a, (rho2, lam2) in split.items() for i in range(len(rho2))}
+
+
+def exact_gap_sq(z, kappas, star, arm, *, delta_min_sq=None, correction=None,
+                 rounding=0.0):
+    """D(S, arm)^2, or the corrected gap given delta_min_sq and correction, as
+    an interval (see above); kappas from exact_kappas, 0-based indices, z the
+    (A, M) rows of the treatments."""
+    from mpmath import iv  # local import: test-only dependency
+
+    iv.prec = EXACT_PREC
+
+    def rnd(x, units=1):
+        return x * iv.mpf([1 - units * rounding, 1 + units * rounding])
+
+    m = len(z[0])
+    rows = []
+    for i in range(m):
+        cells = []
+        for j in range(m):
+            diff = rnd(iv.mpf(float(z[star][i])) - iv.mpf(float(z[arm][j])))
+            g = rnd(_extreme(max, [diff, iv.mpf(0)]) ** 2)
+            k_a, k_s = (rnd(kappas[a, c], KAPPA_UNITS) for a, c in ((arm, j), (star, i)))
+            cell = rnd(g / rnd(rnd(k_a + k_s) ** 2))
+            d = rnd(k_a - k_s)
+            if correction is not None and d.b > 0:  # the float difference may be > 0
+                # off zero, every value of d; else its largest bounds the term below
+                alt = rnd(rnd(rnd(g / rnd((d if d.a > 0 else d.b) ** 2)) + delta_min_sq)
+                          - correction)
+                cell = iv.mpf([min(cell.a, alt.a), min(cell.b, alt.b) if d.a > 0 else cell.b])
+            cells.append(cell)
+        rows.append(_extreme(max, cells))
+    gap = _extreme(min, rows)
+    return gap if correction is None else _extreme(max, [gap, iv.mpf(0)])
 
 
 def subset_sweep(star, gaps, a_count, chunk=1024):

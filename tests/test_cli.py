@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -491,15 +493,19 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _env_with_src() -> dict:
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_pooled_sweep_command_exits_and_leaves_no_worker(tmp_path):
     # The pool kept after the sweep holds live workers until the command
     # exits; the exit must join them, and the output is the one-process one.
     # Output goes to files, which a leftover worker cannot hold open.
     argv = ["sweep", "--preset", "exp2", "--param", "l", "--values", "0,1",
             "--budget", "500", "--algo", "shrvar", "--reps", "20"]
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _env_with_src()
     runs = {}
     for threads in ("2", "1"):
         out, err = tmp_path / f"out{threads}", tmp_path / f"err{threads}"
@@ -516,3 +522,33 @@ def test_pooled_sweep_command_exits_and_leaves_no_worker(tmp_path):
     assert runs["2"][1] == runs["1"][1]
     assert len(workers) == (2 if harness._cpu_count() > 1 else 0)
     assert left == []
+
+
+# Keeps a two-worker pool, names its workers on stdout and waits to be killed.
+_KEEPS_A_POOL = (
+    "import time; from m3ab import ExperimentConfig, harness, preset, run_experiment; "
+    "harness._cpu_count = lambda: 2; "
+    "run_experiment(ExperimentConfig(instance=preset('exp2', l=3.0), algorithms=['shrvar'], "
+    "budgets=[500, 600], repetitions=20), threads=2); "
+    "print(*sorted(harness._warm[1]._processes), flush=True); time.sleep(120)")
+
+
+def test_killed_process_leaves_no_running_worker():
+    # A process killed by SIGKILL never shuts its kept pool down; the idle
+    # workers, reparented, must notice the lost parent and end by themselves.
+    proc = subprocess.Popen([sys.executable, "-c", _KEEPS_A_POOL],
+                            stdout=subprocess.PIPE, env=_env_with_src(), text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 120)
+        workers = [int(pid) for pid in proc.stdout.readline().split()] if ready else []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2 and left == []

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from _gen import homogeneous_single_metric, random_instance
 from _oracles import (
+    KAPPA_UNITS,
+    UNIT,
     drop_smallest_gaps_ranked,
-    effective_gap_sq_reference,
+    exact_gap_sq,
+    exact_kappas,
     h3_reference,
     kappa_reference,
     subset_sweep,
@@ -560,28 +564,45 @@ def test_tilde_equals_plain_when_best_has_largest_weights():
         assert h3_tilde(inst, budget) == report.h3
 
 
+def _assert_encloses(got: float, exact, bound, what: str) -> None:
+    """got lies in the rounding enclosure bound of the exact value."""
+    assert bound.a <= got <= bound.b, (
+        f"{what}: {got!r} outside [{float(bound.a)!r}, {float(bound.b)!r}], "
+        f"exact {float(exact.mid)!r}")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=0.05, max_value=0.95),
 )
+# corrected cells that cancel: a one-ulp change in how kappa rounds moves the
+# gap by about 10^-9 (the first) to 10^-6 (the last) relative
+@example(2019, 0.125)
+@example(1649, 0.5)
+@example(1036045502, 0.24238666703758593)
 def test_tilde_oracle_found_gap_reference_agreement(seed, frac):
-    """One-mask calls of the subset kernel against the scalar oracles: both
-    gaps on a random subset that holds the best arm, and kappa on a random
-    subset that omits it."""
+    """One-mask calls of the subset kernel against the exact oracle: kappa on
+    a random subset that omits the best arm, and both gaps on a random subset
+    that holds it, each inside the enclosure of its float evaluation around
+    the exact value (tests/_oracles.py), whose width follows the cell's
+    condition number."""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, max_treatments=6, max_metrics=3)
     a_count, star = inst.num_treatments, best_treatment(inst)
     z, rho2 = _z_rows(inst), _rho2_rows(inst)
     others = [a for a in inst.treatments if a != star]
+    if not others:
+        return
     without_best = [a for a in others if rng.random() < 0.5] or others[:1]
+    kappas = exact_kappas(inst.stddevs, [a - 1 for a in without_best])
     for a in without_best:
         for i in range(inst.num_metrics):
-            want = kappa_reference(rho2, [s - 1 for s in without_best], a - 1, i)
-            assert kappa(inst, without_best, a, i) == pytest.approx(want, rel=1e-12)
+            want = kappas[a - 1, i]
+            _assert_encloses(kappa(inst, without_best, a, i), want,
+                             want * iv.mpf([1 - KAPPA_UNITS * UNIT, 1 + KAPPA_UNITS * UNIT]),
+                             f"kappa({without_best}, {a}, {i})")
     picked = [a for a in others if rng.random() < 0.5] or others[:1]
-    if not picked:
-        return
     members = sorted(s - 1 for s in [star, *picked])
     minz = [min(r) for r in z]
     dm2 = (minz[star - 1] - max(m for i, m in enumerate(minz)
@@ -598,16 +619,17 @@ def test_tilde_oracle_found_gap_reference_agreement(seed, frac):
     budget = 8.0 * a_count * math.log2(a_count) ** 2 / target
     corr = 8.0 * a_count * math.log2(a_count) ** 2 / budget
     subset = [m + 1 for m in members]
+    kappas = exact_kappas(inst.stddevs, members)
     for a in picked:
-        want = effective_gap_sq_reference(z, rho2, members, star - 1, a - 1)
-        assert effective_gap(inst, subset, a) ** 2 == pytest.approx(
-            want, rel=1e-9, abs=1e-12)
-        want = effective_gap_sq_reference(
-            z, rho2, members, star - 1, a - 1,
-            delta_min_sq=dm2, correction=corr,
-        )
-        got = effective_gap_tilde(inst, subset, a, budget)
-        assert got**2 == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for name, got, terms in (
+                ("D^2", effective_gap(inst, subset, a), {}),
+                ("corrected D^2", effective_gap_tilde(inst, subset, a, budget),
+                 {"delta_min_sq": dm2, "correction": corr})):
+            exact, bound = (exact_gap_sq(z, kappas, star - 1, a - 1, rounding=r, **terms)
+                            for r in (0.0, UNIT))
+            # the package's gap is the float root of its D^2
+            root = iv.sqrt(bound) * iv.mpf([1 - UNIT, 1 + UNIT])
+            _assert_encloses(got, iv.sqrt(exact), root, f"{name}({subset}, {a})")
 
 
 # --- error bound ---------------------------------------------------------------

@@ -581,12 +581,13 @@ def test_multi_word_master_seeds_equal_reference(master_seed):
 
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size and its
-    shutdowns (size, wait, cancel_futures), maps in-process."""
+    shutdowns (size, wait, cancel_futures), maps in-process and runs no
+    worker initializer."""
 
     sizes: list[int] = []
     shutdowns: list[tuple[int, bool, bool]] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.max_workers = max_workers
         self.sizes.append(max_workers)
 
@@ -852,7 +853,7 @@ def test_first_failing_task_raises_without_waiting_for_tasks_in_flight(monkeypat
     # worker processes, so the patched task function reaches them.
     pools, started, finished, release = [], [], [], threading.Event()
 
-    def pool(max_workers):
+    def pool(max_workers, initializer=None):  # a thread has no parent to watch
         pools.append(ThreadPoolExecutor(max_workers))
         return pools[-1]
 
