@@ -15,13 +15,10 @@ from m3ab.alloc import (
 from m3ab.complexity import (
     ComplexityReport,
     ErrorBound,
-    effective_gap,
-    effective_gap_tilde,
     error_bound,
     h3,
     h3_prime,
     h3_tilde,
-    kappa,
 )
 from m3ab.core import (
     BAYESIAN,
@@ -32,7 +29,6 @@ from m3ab.core import (
     best_treatment,
     joint_pass_probability,
     pass_probability,
-    relative_variance,
     z_profile,
 )
 from m3ab.errors import (
@@ -85,7 +81,6 @@ __all__ = [
     "best_treatment",
     "joint_pass_probability",
     "pass_probability",
-    "relative_variance",
     "z_profile",
     "M3ABError",
     "InsufficientBudgetError",
@@ -118,9 +113,6 @@ __all__ = [
     "wilson_interval",
     "ComplexityReport",
     "ErrorBound",
-    "kappa",
-    "effective_gap",
-    "effective_gap_tilde",
     "h3",
     "h3_prime",
     "h3_tilde",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from m3ab.core import Instance, _treatment_ids, _whole, relative_variance
+from m3ab.core import Instance, _treatment_ids, _whole
 from m3ab.errors import InsufficientBudgetError
 
 MAX_STAGE_BUDGET = 2**40  # near 2^52 the float shares stop resolving single pulls
@@ -78,13 +78,16 @@ class ArmWeights:
 
 
 def arm_weights(stddevs: np.ndarray) -> ArmWeights:
-    """The weights of (B, A+1, M) stddevs."""
+    """The weights of (B, A+1, M) stddevs, checked where they enter (Instance,
+    phase-0 beliefs): rho_sq = sa^2/(sa^2+s0^2), lambda_sq = s0^2/(sa^2+s0^2)."""
     stddevs = np.ascontiguousarray(stddevs.transpose(2, 0, 1))
-    rho_sq, lambda_sq = relative_variance(stddevs, stddevs[..., :1])
+    var = stddevs**2
+    total = var + var[..., :1]
+    rho_sq, lambda_sq = var / total, var[..., :1] / total
     return ArmWeights(
         rho_sq=rho_sq, lambda_sq=lambda_sq,
         max_rho_sq=fold(np.maximum, rho_sq), max_lambda_sq=fold(np.maximum, lambda_sq),
-        max_var=fold(np.maximum, stddevs**2), max_sd=fold(np.maximum, stddevs),
+        max_var=fold(np.maximum, var), max_sd=fold(np.maximum, stddevs),
     )
 
 

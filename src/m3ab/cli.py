@@ -144,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               default=DEFAULT_MAX_ENUMERATION,
                               help="refuse exhaustive subset enumeration "
                                    "beyond this many treatments (default "
-                                   f"{DEFAULT_MAX_ENUMERATION})")
+                                   f"{DEFAULT_MAX_ENUMERATION}; never above "
+                                   "64, the 63-bit subset mask)")
 
     gen_p = sub.add_parser("gen", help="write a preset instance as JSON")
     gen_p.add_argument("--preset", choices=PRESET_NAMES, required=True)

@@ -48,7 +48,8 @@ in lambda_sigma.  The corrected alternative undercuts a cell only when
 delta_min^2 is below the budget term, and its difference is linear in both
 rho_sigma and 1/lambda_sigma.  So a box of scales bounds every subset
 between two sets from below.  The result is exact, ties go to the lowest
-bitmask over the sub-optimal treatments, and max_enumeration caps A.
+bitmask over the sub-optimal treatments, and max_enumeration caps A.  The
+bitmask is an int64 of 63 usable bits, so A > 64 is refused whatever the cap.
 
 The error_bound helper evaluates 6 M log2(A) exp(-T / (c h log2 A)) with
 c = 2 ("theorem1") or c = 8 ("theorem2" — its source states 2 but concludes
@@ -65,23 +66,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .alloc import arm_weights
-from .core import Instance, _treatment_ids, _whole, best_treatment, z_profile
+from .core import Instance, _whole, best_treatment, z_profile
 from .errors import TooLargeError
 
 __all__ = [
     "ComplexityReport",
     "ErrorBound",
     "delta_min",
-    "effective_gap",
-    "effective_gap_tilde",
     "error_bound",
     "h3",
     "h3_prime",
     "h3_tilde",
-    "kappa",
 ]
 
 DEFAULT_MAX_ENUMERATION = 20
+_MAX_ARMS = 64  # the best treatment plus one int64 mask bit per other treatment
 _LEAF = 6  # free arms a leaf node leaves to the kernel: 2^6 masks
 _SPLIT = 4  # branchings a block decides at once: 2^4 leaves
 _MARGIN = 1e-9  # relative slack for the bound's rounding against the kernel's
@@ -174,18 +173,6 @@ def _subset_kernel(instance: Instance, correction: float | None):
     return star, gaps, floor
 
 
-def kappa(instance: Instance, subset, treatment: int, metric: int) -> float:
-    """Heterogeneity weight of (treatment, metric) within the candidate set."""
-    members = _treatment_ids(subset, instance.num_treatments, "subset")
-    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
-    metric = _whole(metric, "metric", 0, instance.num_metrics - 1)
-    if treatment not in members:
-        raise ValueError(f"treatment {treatment} is not in the subset")
-    _, gaps, _ = _subset_kernel(instance, None)
-    _, kap, _, _ = gaps(np.isin(instance.treatments, members)[None])
-    return float(kap[0, treatment - 1, metric])
-
-
 def delta_min(instance: Instance) -> float:
     """Smallest gap in bottleneck z-values between the best treatment and
     any other."""
@@ -193,36 +180,6 @@ def delta_min(instance: Instance) -> float:
         raise ValueError("need at least two treatments for a gap")
     minz, star = z_profile(instance).min_z, best_treatment(instance)
     return float(minz[star - 1] - np.delete(minz, star - 1).max())
-
-
-def _pair_gap_sq(instance: Instance, subset, treatment: int,
-                 correction: float | None) -> float:
-    """D(S, a)^2, optionally with the budget-corrected alternative term."""
-    members = _treatment_ids(subset, instance.num_treatments, "subset")
-    treatment = _whole(treatment, "treatment", 1, instance.num_treatments)
-    star = best_treatment(instance)
-    if treatment == star:
-        raise ValueError("the best treatment has no gap against itself")
-    if treatment not in members or star not in members:
-        raise ValueError(
-            f"subset must contain both treatment {treatment} and the best "
-            f"treatment {star}"
-        )
-    _, gaps, _ = _subset_kernel(instance, correction)
-    gap_sq, _, _, _ = gaps(np.isin(instance.treatments, members)[None])
-    return float(gap_sq[0, treatment - 1])
-
-
-def effective_gap(instance: Instance, subset, treatment: int) -> float:
-    """The gap D(S, a) >= 0 separating one sub-optimal treatment in S."""
-    return math.sqrt(_pair_gap_sq(instance, subset, treatment, None))
-
-
-def effective_gap_tilde(instance: Instance, subset, treatment: int,
-                        budget: float) -> float:
-    """The budget-corrected gap; never exceeds effective_gap."""
-    return math.sqrt(_pair_gap_sq(instance, subset, treatment,
-                                  _correction(instance, budget)))
 
 
 def _correction(instance: Instance, budget: float) -> float:
@@ -257,6 +214,11 @@ def _best_over_subsets(instance: Instance, correction: float | None,
         raise TooLargeError(
             f"{a_count} treatments means 2^{a_count - 1} subsets; raise "
             f"max_enumeration (currently {max_enumeration})"
+        )
+    if a_count > _MAX_ARMS:
+        raise TooLargeError(
+            f"{a_count} treatments exceed the 63-bit subset mask, which takes "
+            f"at most {_MAX_ARMS} treatments (the best one needs no bit)"
         )
     star, gaps, floor = _subset_kernel(instance, correction)
     star_idx = star - 1

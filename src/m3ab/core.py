@@ -253,31 +253,6 @@ class ZProfile(_ArrayFields):
                 value.setflags(write=False)
 
 
-def relative_variance(sigma_a, sigma_0):
-    """Split of z-estimator noise between a treatment and the control.
-
-    Args:
-        sigma_a: treatment reward stddev(s), >= 0.
-        sigma_0: control reward stddev(s), > 0.
-
-    Returns:
-        (rho_sq, lambda_sq) with rho_sq = sigma_a^2/(sigma_a^2+sigma_0^2) and
-        lambda_sq = 1 - rho_sq; elementwise for array inputs.
-    """
-    sa = np.asarray(sigma_a, dtype=float)
-    s0 = np.asarray(sigma_0, dtype=float)
-    if not (np.all(np.isfinite(sa)) and np.all(np.isfinite(s0))):
-        raise ValueError("stddevs must be finite")
-    if np.any(sa < 0.0) or np.any(s0 <= 0.0):
-        raise ValueError("need sigma_a >= 0 and sigma_0 > 0")
-    total = sa**2 + s0**2
-    rho_sq = sa**2 / total
-    lambda_sq = s0**2 / total
-    if np.isscalar(sigma_a) and np.isscalar(sigma_0):
-        return float(rho_sq), float(lambda_sq)
-    return rho_sq, lambda_sq
-
-
 def validation_terms(config: ValidationConfig,
                      var_sum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-metric terms (xi, critical, inflation) of the validation test

@@ -36,6 +36,43 @@ def instance_from_stddevs(stddevs) -> Instance:
     return Instance(means=np.zeros_like(sd), stddevs=sd, validation=cfg)
 
 
+# --- relative variances ----------------------------------------------------
+
+def _split(stddevs) -> tuple[np.ndarray, np.ndarray]:
+    """arm_weights' (M, B, A+1) rho_sq and lambda_sq of (B, A+1, M) stddevs."""
+    w = arm_weights(np.asarray(stddevs, dtype=float))
+    return w.rho_sq, w.lambda_sq
+
+
+def test_relative_variance_equal_split():
+    rho, lam = _split([[[1.0], [1.0]]])
+    assert rho.tolist() == lam.tolist() == [[[0.5, 0.5]]]
+
+
+def test_relative_variance_ratio():
+    rho, lam = _split([[[10.0], [30.0]]])
+    assert rho[0, 0, 1] == pytest.approx(0.9, abs=1e-15)
+    assert lam[0, 0, 1] == pytest.approx(0.1, abs=1e-15)
+
+
+def test_relative_variance_degenerate_treatment():
+    rho, lam = _split([[[5.0], [0.0]]])
+    assert (rho[0, 0, 1], lam[0, 0, 1]) == (0.0, 1.0)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 6), st.integers(1, 3)),
+              elements=st.floats(min_value=0.0, max_value=1e6)))
+def test_relative_variance_sums_to_one(stddevs):
+    # a table of B belief rows: each row's split is the split of that row alone
+    stddevs[:, 0] = np.maximum(stddevs[:, 0], 1e-6)  # the control's is > 0
+    rho, lam = _split(stddevs)
+    assert np.all((0.0 <= rho) & (rho <= 1.0) & (0.0 <= lam) & (lam <= 1.0))
+    assert np.all(np.abs(rho + lam - 1.0) < 1e-12)
+    for b in range(len(stddevs)):
+        assert [t.tobytes() for t in _split(stddevs[b:b + 1])] == \
+            [rho[:, b:b + 1].tobytes(), lam[:, b:b + 1].tobytes()]
+
+
 # --- set scales ------------------------------------------------------------
 
 def test_set_variances_two_even_treatments():

@@ -16,12 +16,10 @@ from m3ab import (
     ExperimentConfig,
     ValidationConfig,
     confidence_eliminate,
-    effective_gap,
     empirical_z,
     error_bound,
     h3,
     joint_pass_probability,
-    kappa,
     mean_eliminate,
     minz_eliminate,
     num_stages,
@@ -78,11 +76,6 @@ ENTRY_POINTS = [
     ("sweep.budget", lambda v: sweep(_config(), "budget", [v]), "budget values",
      500, 0),
     ("sweep.t_v", lambda v: sweep(_config(), "t_v", [v]), "t_v values", 100, 0),
-    ("kappa.treatment", lambda v: kappa(EXP1, [1, 2], v, 0), "treatment", 2, 17),
-    ("kappa.metric", lambda v: kappa(EXP1, [1, 2], 2, v), "metric", 0, 3),
-    ("kappa.subset", lambda v: kappa(EXP1, [v, 2], 2, 0), "subset", 1, 17),
-    ("effective_gap.subset", lambda v: effective_gap(EXP1, [1, 2, v], 2),
-     "subset", 3, 0),
     ("h3.max_enumeration", lambda v: h3(SMALL, max_enumeration=v),
      "max_enumeration", 4, None),
     ("shrvar_allocation.active", lambda v: shrvar_allocation(EXP1, [v, 2], 100),
@@ -168,13 +161,10 @@ def test_sweep_reports_keep_the_callers_value():
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: kappa(EXP1, [1, 1, 2], 2, 0), id="kappa"),
-    pytest.param(lambda: effective_gap(EXP1, [1, 2, 2], 2), id="effective_gap"),
     pytest.param(lambda: shrvar_allocation(EXP1, [1, 1, 2], 100), id="alloc"),
-    pytest.param(lambda: kappa(EXP1, [], 1, 0), id="empty"),
+    pytest.param(lambda: uniform_allocation([], 100), id="empty"),
 ])
 def test_treatment_sets_must_be_nonempty_and_distinct(call):
-    # complexity used to drop the repeated treatment silently
     with pytest.raises(ValueError, match="nonempty and distinct"):
         call()
 

@@ -1,4 +1,5 @@
-"""Hardness diagnostics: kappa weights, effective gaps, subset minima, bounds."""
+"""Hardness diagnostics: kappa weights and effective gaps (one-row calls of
+the subset kernel), subset minima, bounds."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from _gen import homogeneous_single_metric, random_instance
+from _kernels import relative_variances, subset_gaps
 from _oracles import (
     KAPPA_UNITS,
     UNIT,
@@ -25,28 +27,28 @@ from m3ab import complexity
 from m3ab.complexity import (
     _subset_kernel,
     delta_min,
-    effective_gap,
-    effective_gap_tilde,
     error_bound,
     h3,
     h3_prime,
     h3_tilde,
-    kappa,
 )
 from m3ab.core import (
     Instance,
     ValidationConfig,
     best_treatment,
-    relative_variance,
     z_profile,
 )
 from m3ab.errors import TooLargeError
-from m3ab.instances import preset
+from m3ab.instances import from_z_parameterization, preset
 
 
 def _rho2_rows(inst: Instance) -> list[list[float]]:
-    rows, _ = relative_variance(inst.stddevs[1:], inst.stddevs[0])
-    return [[float(v) for v in row] for row in rows]
+    return [[float(v) for v in row] for row in relative_variances(inst)[0]]
+
+
+def _gap(inst: Instance, subset, a: int, budget: float | None = None) -> float:
+    """D(S, a), or the corrected gap at a budget: the root of the kernel's D^2."""
+    return math.sqrt(subset_gaps(inst, subset, budget).gap_sq[a - 1])
 
 
 def _z_rows(inst: Instance) -> list[list[float]]:
@@ -65,8 +67,9 @@ def single_metric_instance(means, stddevs, delta=0.05) -> Instance:
 
 def test_kappa_homogeneous_single_metric_is_one():
     inst = single_metric_instance([0, 1.0, 0.5, 0.2], [1, 1, 1, 1])
+    kap = subset_gaps(inst, [1, 2, 3]).kappa
     for a in (1, 2, 3):
-        assert kappa(inst, [1, 2, 3], a, 0) == pytest.approx(1.0, abs=1e-12)
+        assert kap[a - 1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kappa_metric_with_both_maxima_is_one():
@@ -78,9 +81,10 @@ def test_kappa_metric_with_both_maxima_is_one():
         stddevs=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 3.0]]),
         validation=ValidationConfig.non_bayesian([0.05, 0.05], 100),
     )
-    assert kappa(inst, [1, 2], 1, 0) == pytest.approx(1.0, abs=1e-12)
-    assert kappa(inst, [1, 2], 1, 1) == pytest.approx(1.0, abs=1e-12)
-    assert kappa(inst, [1, 2], 2, 0) < 1.0
+    kap = subset_gaps(inst, [1, 2]).kappa
+    assert kap[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert kap[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert kap[1, 0] < 1.0
 
 
 def test_kappa_matches_reference_and_stays_in_unit_interval():
@@ -92,22 +96,13 @@ def test_kappa_matches_reference_and_stays_in_unit_interval():
                                    size=rng.integers(1, a_count + 1),
                                    replace=False).tolist())
         rho2 = _rho2_rows(inst)
+        kap = subset_gaps(inst, subset).kappa
         for a in subset:
             for i in range(inst.num_metrics):
-                got = kappa(inst, subset, a, i)
+                got = kap[a - 1, i]
                 want = kappa_reference(rho2, [s - 1 for s in subset], a - 1, i)
                 assert got == pytest.approx(want, rel=1e-12)
                 assert 0.0 < got <= 1.0 + 1e-12
-
-
-def test_kappa_rejects_outsiders():
-    inst = single_metric_instance([0, 1, 0.5], [1, 1, 1])
-    with pytest.raises(ValueError):
-        kappa(inst, [1], 2, 0)
-    with pytest.raises(ValueError):
-        kappa(inst, [1, 2], 1, 3)
-    with pytest.raises(ValueError):
-        kappa(inst, [1, 5], 1, 0)
 
 
 # --- effective gap -----------------------------------------------------------
@@ -117,7 +112,7 @@ def test_effective_gap_single_metric_homogeneous_is_half_gap():
     z = z_profile(inst).z[:, 0]
     for a in (2, 3):
         want = (z[0] - z[a - 1]) / 2.0
-        assert effective_gap(inst, [1, 2, 3], a) == pytest.approx(want, rel=1e-12)
+        assert _gap(inst, [1, 2, 3], a) == pytest.approx(want, rel=1e-12)
 
 
 def test_effective_gap_duplicate_row_is_zero():
@@ -127,7 +122,7 @@ def test_effective_gap_duplicate_row_is_zero():
         validation=ValidationConfig.non_bayesian([0.05, 0.1], 100),
     )
     assert best_treatment(inst) == 1
-    assert effective_gap(inst, [1, 2], 2) == 0.0
+    assert _gap(inst, [1, 2], 2) == 0.0
 
 
 def test_effective_gap_never_below_half_bottleneck_gap():
@@ -140,26 +135,16 @@ def test_effective_gap_never_below_half_bottleneck_gap():
         star = best_treatment(inst)
         minz = z_profile(inst).z.min(axis=1)
         subset = list(inst.treatments)
+        one = subset_gaps(inst, subset)
         for a in subset:
             if a == star:
                 continue
             bottleneck_gap = minz[star - 1] - minz[a - 1]
-            assert effective_gap(inst, subset, a) >= bottleneck_gap / 2 - 1e-12
+            gap = math.sqrt(one.gap_sq[a - 1])
+            assert gap >= bottleneck_gap / 2 - 1e-12
             # and the full gap whenever the involved weights allow it
-            kappas = [kappa(inst, subset, a, j) for j in range(inst.num_metrics)]
-            kappas += [kappa(inst, subset, star, i) for i in range(inst.num_metrics)]
-            if max(kappas) <= 0.5:
-                assert effective_gap(inst, subset, a) >= bottleneck_gap - 1e-12
-
-
-def test_effective_gap_argument_errors():
-    inst = single_metric_instance([0, 1, 0.5], [1, 1, 1])
-    with pytest.raises(ValueError):
-        effective_gap(inst, [1, 2], 1)  # best treatment
-    with pytest.raises(ValueError):
-        effective_gap(inst, [2], 2)  # subset must include the best
-    with pytest.raises(ValueError):
-        effective_gap(inst, [1], 2)  # treatment not in subset
+            if max(one.kappa[a - 1].max(), one.kappa[star - 1].max()) <= 0.5:
+                assert gap >= bottleneck_gap - 1e-12
 
 
 # --- h3 ---------------------------------------------------------------------
@@ -359,8 +344,7 @@ def test_branch_and_bound_equals_sweep_oracle_on_presets(name, seed, a_count):
 @pytest.mark.parametrize("budget", [None, 64000.0])
 def test_subset_kernel_rows_do_not_depend_on_the_batch(budget):
     """Every output row of the kernel is that mask's own: a 1024-mask batch
-    equals its rows computed one at a time, and kappa and effective_gap read
-    the same numbers for a subset as its row of the batch."""
+    equals its rows computed one at a time."""
     inst = preset("exp3", seed=7, num_treatments=20)
     correction = None if budget is None else 8.0 * 20 * math.log2(20) ** 2 / budget
     star, gaps, _ = _subset_kernel(inst, correction)
@@ -370,16 +354,6 @@ def test_subset_kernel_rows_do_not_depend_on_the_batch(budget):
     rows = [gaps(member[r:r + 1]) for r in range(len(member))]
     for k, got in enumerate(batch):
         assert np.array_equal(got, np.concatenate([row[k] for row in rows]))
-    for r in (0, 1, 517, 1023):
-        subset = [int(a) for a in np.flatnonzero(member[r]) + 1]
-        for a in subset:
-            if budget is None:
-                for i in range(inst.num_metrics):
-                    assert kappa(inst, subset, a, i) == batch[1][r, a - 1, i]
-            if a != star:
-                gap = (effective_gap(inst, subset, a) if budget is None
-                       else effective_gap_tilde(inst, subset, a, budget))
-                assert gap == math.sqrt(batch[0][r, a - 1])
 
 
 def test_h3_gap_doubling_quarters_complexity():
@@ -450,24 +424,30 @@ def test_h3_enumeration_cap():
     assert h3(inst, max_enumeration=6).h3 > 0
 
 
-@pytest.mark.parametrize("subset, treatment, metric", [
-    ([1.5, 2], 2, 0), ([True, 2], 2, 0), ([1, 2], True, 0), ([1, 2], 1.5, 0),
-    ([1, 2], 2, True), ([1, 2], 2, 0.5), ([1, math.nan], 1, 0)])
-def test_treatment_ids_must_be_whole_numbers(subset, treatment, metric):
-    # int() used to truncate 1.5 and read True as treatment 1
-    inst = preset("exp1")
-    with pytest.raises(ValueError, match="whole number"):
-        kappa(inst, subset, treatment, metric)
-    if metric == 0:
-        with pytest.raises(ValueError, match="whole number"):
-            effective_gap(inst, subset, treatment)
+def _tied_to_best(a_count: int, tied) -> Instance:
+    """One metric, z = 1 for treatment 1 and the tied ones, -1 elsewhere: the
+    gap to a tied arm is 0, so h3 is inf, attained first by {1, min(tied)}."""
+    z = np.full((a_count, 1), -1.0)
+    z[[0, *(a - 1 for a in tied)]] = 1.0
+    return from_z_parameterization(z, np.full_like(z, 0.5), [0.0], [1.0],
+                                   ValidationConfig.non_bayesian([0.05], 100))
 
 
-def test_whole_treatment_ids_of_any_numeric_type_are_accepted():
-    inst = preset("exp1")
-    want = kappa(inst, [1, 2], 2, 0)
-    assert kappa(inst, [np.int64(1), 2.0], np.int32(2), np.int64(0)) == want
-    assert effective_gap(inst, [1.0, np.int64(2)], 2.0) == effective_gap(inst, [1, 2], 2)
+@pytest.mark.parametrize("a_count, tied", [(65, [64, 65]), (66, [66]), (70, [70])],
+                         ids=["A65", "A66", "A70"])
+def test_h3_refuses_more_treatments_than_mask_bits(a_count, tied):
+    # int64 masks overflowed past 64 treatments: arm 66 got no bit, so h3 was
+    # finite, and (1, 65) was reported over the lower mask (1, 64)
+    inst = _tied_to_best(a_count, tied)
+    with pytest.raises(TooLargeError, match="63-bit subset mask"):
+        h3(inst, max_enumeration=200)
+    with pytest.raises(TooLargeError, match="63-bit subset mask"):
+        h3_tilde(inst, 1e6, max_enumeration=200)
+
+
+def test_h3_at_the_mask_limit_of_64_treatments():
+    report = h3(_tied_to_best(64, [63, 64]), max_enumeration=64)
+    assert (report.h3, report.argmin_subset) == (math.inf, (1, 63))
 
 
 @pytest.mark.parametrize("cap", [math.nan, math.inf, 20.5, True])
@@ -485,12 +465,8 @@ def test_enumeration_cap_must_be_a_whole_number(cap):
 def test_tilde_functions_refuse_nan_and_overflowing_budgets(budget):
     # A NaN budget used to give h3_tilde = 0, and 1e-310 an infinite
     # correction that computed inf - inf inside the subset kernel.
-    inst = preset("exp1")
-    other = next(a for a in inst.treatments if a != best_treatment(inst))
     with pytest.raises(ValueError, match="budget"):
-        h3_tilde(inst, budget)
-    with pytest.raises(ValueError, match="budget"):
-        effective_gap_tilde(inst, list(inst.treatments), other, budget)
+        h3_tilde(preset("exp1"), budget)
 
 
 # --- h3_prime ----------------------------------------------------------------
@@ -507,8 +483,7 @@ def test_h3_prime_unit_relative_variance():
 def test_h3_prime_single_metric_collapse():
     rng = np.random.default_rng(41)
     inst = homogeneous_single_metric(rng, num_treatments=6, sigma=1.7)
-    rho2 = relative_variance(inst.stddevs[1:], inst.stddevs[0])[0][:, 0]
-    lam2 = 1.0 - rho2
+    rho2, lam2 = (v[:, 0] for v in relative_variances(inst))
     minz = z_profile(inst).z[:, 0]
     dmin = minz.max() - np.sort(minz)[-2]
     want = (rho2.sum() + lam2.max()) / dmin**2
@@ -534,8 +509,7 @@ def test_tilde_gap_never_exceeds_plain_gap():
         for a in subset:
             if a == star:
                 continue
-            assert (effective_gap_tilde(inst, subset, a, budget)
-                    <= effective_gap(inst, subset, a) + 1e-12)
+            assert _gap(inst, subset, a, budget) <= _gap(inst, subset, a) + 1e-12
         assert h3_tilde(inst, budget) >= h3(inst).h3 - 1e-9
 
 
@@ -596,10 +570,11 @@ def test_tilde_oracle_found_gap_reference_agreement(seed, frac):
         return
     without_best = [a for a in others if rng.random() < 0.5] or others[:1]
     kappas = exact_kappas(inst.stddevs, [a - 1 for a in without_best])
+    kap = subset_gaps(inst, without_best).kappa
     for a in without_best:
         for i in range(inst.num_metrics):
             want = kappas[a - 1, i]
-            _assert_encloses(kappa(inst, without_best, a, i), want,
+            _assert_encloses(kap[a - 1, i], want,
                              want * iv.mpf([1 - KAPPA_UNITS * UNIT, 1 + KAPPA_UNITS * UNIT]),
                              f"kappa({without_best}, {a}, {i})")
     picked = [a for a in others if rng.random() < 0.5] or others[:1]
@@ -622,8 +597,8 @@ def test_tilde_oracle_found_gap_reference_agreement(seed, frac):
     kappas = exact_kappas(inst.stddevs, members)
     for a in picked:
         for name, got, terms in (
-                ("D^2", effective_gap(inst, subset, a), {}),
-                ("corrected D^2", effective_gap_tilde(inst, subset, a, budget),
+                ("D^2", _gap(inst, subset, a), {}),
+                ("corrected D^2", _gap(inst, subset, a, budget),
                  {"delta_min_sq": dm2, "correction": corr})):
             exact, bound = (exact_gap_sq(z, kappas, star - 1, a - 1, rounding=r, **terms)
                             for r in (0.0, UNIT))

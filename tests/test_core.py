@@ -24,7 +24,6 @@ from m3ab.core import (
     best_treatment,
     joint_pass_probability,
     pass_probability,
-    relative_variance,
     validation_terms,
     z_profile,
 )
@@ -39,41 +38,6 @@ def table_instance() -> Instance:
             [oracle.TABLE_Q] * 2, [oracle.TABLE_TAU] * 2, oracle.TABLE_HORIZON
         ),
     )
-
-
-# --- relative_variance ------------------------------------------------------
-
-def test_relative_variance_equal_split():
-    assert relative_variance(1.0, 1.0) == (0.5, 0.5)
-
-
-def test_relative_variance_ratio():
-    rho, lam = relative_variance(30.0, 10.0)
-    assert rho == pytest.approx(0.9, abs=1e-15)
-    assert lam == pytest.approx(0.1, abs=1e-15)
-
-
-def test_relative_variance_degenerate_treatment():
-    assert relative_variance(0.0, 5.0) == (0.0, 1.0)
-
-
-def test_relative_variance_rejects_bad_input():
-    with pytest.raises(ValueError):
-        relative_variance(float("inf"), 1.0)
-    with pytest.raises(ValueError):
-        relative_variance(1.0, 0.0)
-    with pytest.raises(ValueError):
-        relative_variance(-1.0, 1.0)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1e6),
-    st.floats(min_value=1e-6, max_value=1e6),
-)
-def test_relative_variance_sums_to_one(sigma_a, sigma_0):
-    rho, lam = relative_variance(sigma_a, sigma_0)
-    assert 0.0 <= rho <= 1.0 and 0.0 <= lam <= 1.0
-    assert abs(rho + lam - 1.0) < 1e-12
 
 
 # --- xi, the first of validation_terms --------------------------------------

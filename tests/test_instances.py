@@ -13,7 +13,6 @@ from m3ab.core import (
     Instance,
     ValidationConfig,
     best_treatment,
-    relative_variance,
     validation_terms,
     z_profile,
 )
@@ -28,6 +27,7 @@ from m3ab.instances import (
 )
 
 from _gen import random_instance
+from _kernels import relative_variances
 
 
 def _random_validation(rng: np.random.Generator, m: int) -> ValidationConfig:
@@ -56,7 +56,7 @@ def test_from_z_round_trips_z_and_rho():
         cfg = _random_validation(rng, m)
         inst = from_z_parameterization(z, rho_sq, mu0, s0, cfg)
         assert np.allclose(z_profile(inst).z, z, atol=1e-9)
-        got_rho, got_lam = relative_variance(inst.stddevs[1:], inst.stddevs[0])
+        got_rho, got_lam = relative_variances(inst)
         assert np.allclose(got_rho, rho_sq, atol=1e-12)
         assert np.allclose(got_lam, 1.0 - rho_sq, atol=1e-12)
         assert np.array_equal(inst.means[0], mu0)
@@ -190,7 +190,7 @@ def test_exp3_structure_and_reproducibility():
     z = z_profile(inst).z
     assert np.allclose(z[0], [0.15, 0.15, 0.05], atol=1e-9)
     assert np.allclose(z[1:], np.tile([-0.05, 0.25, 0.25], (127, 1)), atol=1e-9)
-    rho_sq, _ = relative_variance(inst.stddevs[1:], inst.stddevs[0])
+    rho_sq, _ = relative_variances(inst)
     base = np.array([0.8, 0.5, 0.2])
     assert np.all(np.abs(rho_sq - base) <= 0.1 + 1e-12)
     assert np.all((rho_sq >= 0.05) & (rho_sq <= 0.95))
@@ -229,11 +229,8 @@ def test_exp3_null_no_treatment_beats_control_everywhere():
     assert not np.any(np.all(z > 0.0, axis=1))
     assert best_treatment(inst) == 1
     # same seed -> same relative-variance draw as exp3
-    assert np.allclose(
-        relative_variance(inst.stddevs[1:], inst.stddevs[0])[0],
-        relative_variance(preset("exp3", seed=11).stddevs[1:], 1.0)[0],
-        atol=1e-12,
-    )
+    assert np.allclose(relative_variances(inst)[0],
+                       relative_variances(preset("exp3", seed=11))[0], atol=1e-12)
 
 
 def test_neyman_gap_structure():

@@ -1,4 +1,5 @@
-"""The package's public names: each one listed in ``m3ab.__all__`` exists."""
+"""The package's public names: each one listed in ``m3ab.__all__`` and in
+the ``__all__`` of its submodules exists."""
 
 from __future__ import annotations
 
@@ -7,12 +8,16 @@ import subprocess
 import sys
 
 import m3ab
+import m3ab.cli
+import m3ab.complexity
+import m3ab.harness
 
 
 def test_all_names_resolve_without_duplicates():
-    assert len(m3ab.__all__) == len(set(m3ab.__all__))
-    missing = [name for name in m3ab.__all__ if not hasattr(m3ab, name)]
-    assert missing == []
+    for module in (m3ab, m3ab.complexity, m3ab.harness, m3ab.cli):
+        assert len(module.__all__) == len(set(module.__all__)), module.__name__
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -17,14 +17,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _gen import random_instance
+from _kernels import subset_gaps
 from m3ab import (
     BAYESIAN,
     ExperimentConfig,
     Instance,
-    effective_gap,
     h3,
     h3_tilde,
-    kappa,
     preset,
     run_experiment,
     run_validation,
@@ -63,7 +62,7 @@ def _counts(inst: Instance, algorithms, source: str, seed: int):
 def test_power_of_two_metric_scales_change_no_bit(seed, mask, k):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, max_treatments=8)
-    assume(inst.num_treatments >= 2)  # kappa needs a treatment besides the best
+    assume(inst.num_treatments >= 2)  # h3 needs a treatment besides the best
     metrics = [i for i in range(inst.num_metrics) if mask >> i & 1] or [0]
     scaled = _scaled(inst, metrics, k)
 
@@ -75,10 +74,9 @@ def test_power_of_two_metric_scales_change_no_bit(seed, mask, k):
         _bits(*(getattr(want, f) for f in fields))
 
     subset = list(inst.treatments)
-    other = next(a for a in subset if a != want.best)
     for fn in (lambda i: h3(i).h3, lambda i: h3_tilde(i, 5000.0),
-               lambda i: kappa(i, subset, other, 0),
-               lambda i: effective_gap(i, subset, other)):
+               lambda i: subset_gaps(i, subset).kappa,
+               lambda i: subset_gaps(i, subset).gap_sq):
         assert _bits(fn(scaled)) == _bits(fn(inst))
 
     active = np.array([subset])
