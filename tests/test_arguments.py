@@ -22,16 +22,19 @@ from m3ab import (
     joint_pass_probability,
     mean_eliminate,
     minz_eliminate,
+    neyman_allocation,
     num_stages,
     pass_probability,
     preset,
     run_experiment,
     run_exploration,
+    run_exploration_adaptive,
     run_validation,
     shrvar_allocation,
     sweep,
     table1,
     uniform_allocation,
+    variance_allocation,
     wilson_interval,
 )
 from m3ab.alloc import StageAllocation
@@ -49,12 +52,15 @@ def _config(**overrides):
     return ExperimentConfig(**{**fields, **overrides})
 
 
+def _outcome(result):
+    return (result.recommended, result.total_pulls_used,
+            [stats.counts.tolist() for stats in result.trail])
+
+
 def _explore(algorithm):
     def run(budget):
-        result = run_exploration(EXP1, algorithm, budget, "means",
-                                 np.random.default_rng(0))
-        return (result.recommended, result.total_pulls_used,
-                [stats.counts.tolist() for stats in result.trail])
+        return _outcome(run_exploration(EXP1, algorithm, budget, "means",
+                                        np.random.default_rng(0)))
     return run
 
 
@@ -82,10 +88,20 @@ ENTRY_POINTS = [
      "active set", 1, 17),
     ("uniform_allocation.active", lambda v: uniform_allocation([v, 2], 100),
      "active set", 1, 0),
+    ("variance_allocation.active",
+     lambda v: variance_allocation(EXP1, [v, 2], 100), "active set", 1, 17),
+    ("neyman_allocation.active", lambda v: neyman_allocation(EXP1, [v, 2], 100),
+     "active set", 1, 17),
     ("empirical_z.active",
      lambda v: empirical_z(SAMPLES, EXP1, [v, 2]).z.tolist(), "active set", 1, 0),
     ("uniform_allocation.stage_budget", lambda v: uniform_allocation([1, 2], v),
      "stage_budget", 30, 2**40 + 1),
+    ("shrvar_allocation.stage_budget",
+     lambda v: shrvar_allocation(EXP1, [1, 2], v), "stage_budget", 30, 2**40 + 1),
+    ("variance_allocation.stage_budget",
+     lambda v: variance_allocation(EXP1, [1, 2], v), "stage_budget", 30, 2**40 + 1),
+    ("neyman_allocation.stage_budget",
+     lambda v: neyman_allocation(EXP1, [1, 2], v), "stage_budget", 30, 2**40 + 1),
     ("StageAllocation.control_pulls",
      lambda v: repr(StageAllocation(v, {1: 2}, 10)), "control_pulls", 3, -1),
     ("StageAllocation.treatment_pulls",
@@ -114,6 +130,9 @@ ENTRY_POINTS = [
     ("run_exploration.budget", _explore("shrvar"), "budget", 8000, -1),
     ("run_exploration.budget (adaptive)", _explore("shrvar-ada"), "budget", 8000,
      -1),
+    ("run_exploration_adaptive.budget",
+     lambda v: _outcome(run_exploration_adaptive(EXP1, v, np.random.default_rng(0),
+                                                 "means")), "budget", 8000, -1),
     ("run_validation.treatment", _validate, "treatment", 2, 3),
     ("minz_eliminate.keep", lambda v: minz_eliminate(STATS, v), "keep", 2, 4),
     ("mean_eliminate.keep", lambda v: mean_eliminate(STATS, v), "keep", 2, 0),
@@ -162,6 +181,10 @@ def test_sweep_reports_keep_the_callers_value():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: shrvar_allocation(EXP1, [1, 1, 2], 100), id="alloc"),
+    pytest.param(lambda: variance_allocation(EXP1, [1, 2, 2], 100),
+                 id="variance_allocation"),
+    pytest.param(lambda: neyman_allocation(EXP1, [2, 1, 2], 100),
+                 id="neyman_allocation"),
     pytest.param(lambda: uniform_allocation([], 100), id="empty"),
 ])
 def test_treatment_sets_must_be_nonempty_and_distinct(call):
