@@ -5,13 +5,6 @@ variance (SHRVar and friends), analytic validation-pass probabilities,
 instance complexity diagnostics, and a reproducible Monte-Carlo harness.
 """
 
-from m3ab.alloc import (
-    StageAllocation,
-    neyman_allocation,
-    shrvar_allocation,
-    uniform_allocation,
-    variance_allocation,
-)
 from m3ab.complexity import (
     ComplexityReport,
     ErrorBound,
@@ -41,13 +34,9 @@ from m3ab.errors import (
 from m3ab.halving import (
     AlgorithmSpec,
     ExplorationResult,
-    confidence_eliminate,
-    mean_eliminate,
     empirical_z,
-    minz_eliminate,
     num_stages,
     run_exploration,
-    run_exploration_adaptive,
 )
 from m3ab.harness import (
     METRICS,
@@ -87,20 +76,11 @@ __all__ = [
     "TooLargeError",
     "DegenerateVarianceError",
     "SchemaError",
-    "StageAllocation",
-    "shrvar_allocation",
-    "uniform_allocation",
-    "variance_allocation",
-    "neyman_allocation",
     "AlgorithmSpec",
     "ExplorationResult",
     "empirical_z",
-    "mean_eliminate",
-    "minz_eliminate",
-    "confidence_eliminate",
     "num_stages",
     "run_exploration",
-    "run_exploration_adaptive",
     "ValidationOutcome",
     "run_validation",
     "METRICS",

@@ -38,30 +38,6 @@ from m3ab.errors import InsufficientBudgetError
 
 MAX_STAGE_BUDGET = 2**40  # near 2^52 the float shares stop resolving single pulls
 
-@dataclass(frozen=True)
-class StageAllocation:
-    """Pull counts for one stage; treatment_pulls is keyed by treatment index."""
-
-    control_pulls: int
-    treatment_pulls: dict[int, int]
-    stage_budget: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "treatment_pulls", {
-            arm: _whole(n, "treatment_pulls", 0) for arm, n in self.treatment_pulls.items()})
-        object.__setattr__(self, "control_pulls", _whole(self.control_pulls, "control_pulls", 0))
-        object.__setattr__(self, "stage_budget",
-                           _whole(self.stage_budget, "stage_budget", 0, MAX_STAGE_BUDGET))
-        total = self.control_pulls + sum(self.treatment_pulls.values())
-        if total > self.stage_budget:
-            raise ValueError(
-                f"allocation spends {total} pulls, stage budget is {self.stage_budget}"
-            )
-
-    @property
-    def total_pulls(self) -> int:
-        return self.control_pulls + sum(self.treatment_pulls.values())
-
 
 @dataclass(frozen=True)
 class ArmWeights:
@@ -152,38 +128,34 @@ def stage_counts(sampling: str, w: ArmWeights | None, active: np.ndarray,
 
 
 def _allocation(sampling: str, instance: Instance | None, active,
-                stage_budget: int) -> StageAllocation:
-    """The kernel's counts for a public call, keyed by arm."""
+                stage_budget: int) -> dict[int, int]:
+    """The kernel's counts for a public call, keyed by arm over
+    [0, *active]: the control, then the active treatments ascending."""
     arms = _treatment_ids(active, getattr(instance, "num_treatments", None), "active set")
     stage_budget = _whole(stage_budget, "stage_budget", 1, MAX_STAGE_BUDGET)
     w = None if instance is None else arm_weights(instance.stddevs[None])
-    control, *treated = stage_counts(sampling, w, arms[None],
-                                     stage_budget)[0].tolist()
-    return StageAllocation(control_pulls=control,
-                           treatment_pulls=dict(zip(arms.tolist(), treated)),
-                           stage_budget=stage_budget)
+    counts = stage_counts(sampling, w, arms[None], stage_budget)[0]
+    return dict(zip([0, *arms.tolist()], counts.tolist()))
 
 
-def shrvar_allocation(
-    instance: Instance, active, stage_budget: int
-) -> StageAllocation:
+def shrvar_allocation(instance: Instance, active, stage_budget: int) -> dict[int, int]:
     """Relative-variance allocation with the algorithm's floor rounding and
     starved-arm funding (module docstring).  Raises InsufficientBudgetError
     when the budget cannot cover one pull per arm."""
     return _allocation("relative_variance", instance, active, stage_budget)
 
 
-def uniform_allocation(active, stage_budget: int) -> StageAllocation:
+def uniform_allocation(active, stage_budget: int) -> dict[int, int]:
     """Every arm (control included) gets floor(B / (|active|+1)) pulls."""
     return _allocation("uniform", None, active, stage_budget)
 
 
-def variance_allocation(instance: Instance, active, stage_budget: int) -> StageAllocation:
+def variance_allocation(instance: Instance, active, stage_budget: int) -> dict[int, int]:
     """Pulls proportional to max_i sigma[arm,i]^2, control folded in as an arm."""
     return _allocation("variance", instance, active, stage_budget)
 
 
-def neyman_allocation(instance: Instance, active, stage_budget: int) -> StageAllocation:
+def neyman_allocation(instance: Instance, active, stage_budget: int) -> dict[int, int]:
     """Pulls proportional to max_i sigma[arm,i], control folded in as an arm."""
     return _allocation("neyman", instance, active, stage_budget)
 

@@ -307,7 +307,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_complexity(args) -> int:
     instance = _resolve_instance(args)
-    surrogate = h3_prime(instance)  # rejects single-treatment instances
     lines = [f"instance: A={instance.num_treatments} treatments, "
              f"M={instance.num_metrics} metrics",
              f"best treatment: {best_treatment(instance)}",
@@ -322,7 +321,7 @@ def cmd_complexity(args) -> int:
     except TooLargeError as exc:
         report = None
         lines.append(f"H3: too large to enumerate ({exc})")
-    lines.append(f"H3': {surrogate:.6g}")
+    lines.append(f"H3': {h3_prime(instance):.6g}")
     for budget in args.budget or ():
         # h3' lies below h3, so it cannot stand in for h3 in a bound
         if report is None:

@@ -210,15 +210,15 @@ def _best_over_subsets(instance: Instance, correction: float | None,
     a_count = instance.num_treatments
     if a_count < 2:
         raise ValueError("need at least two treatments for a gap")
-    if a_count > _whole(max_enumeration, "max_enumeration"):
-        raise TooLargeError(
-            f"{a_count} treatments means 2^{a_count - 1} subsets; raise "
-            f"max_enumeration (currently {max_enumeration})"
-        )
     if a_count > _MAX_ARMS:
         raise TooLargeError(
             f"{a_count} treatments exceed the 63-bit subset mask, which takes "
             f"at most {_MAX_ARMS} treatments (the best one needs no bit)"
+        )
+    if a_count > _whole(max_enumeration, "max_enumeration"):
+        raise TooLargeError(
+            f"{a_count} treatments means 2^{a_count - 1} subsets; raise "
+            f"max_enumeration (currently {max_enumeration})"
         )
     star, gaps, floor = _subset_kernel(instance, correction)
     star_idx = star - 1

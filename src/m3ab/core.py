@@ -160,7 +160,8 @@ class Instance(_ArrayFields):
     """A full problem instance: reward model plus validation configuration.
 
     means, stddevs: (A+1) x M arrays; row 0 is the control, row a is
-    treatment a.  All stddevs strictly positive, everything finite.
+    treatment a.  All stddevs strictly positive, everything finite, and
+    the squares and z within the domain rule of ``_profile``.
     """
 
     means: np.ndarray
@@ -189,6 +190,8 @@ class Instance(_ArrayFields):
         stddevs.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stddevs", stddevs)
+        with np.errstate(all="ignore"):  # the domain rule reads what overflows
+            self._profile
 
     @property
     def num_treatments(self) -> int:
@@ -205,13 +208,23 @@ class Instance(_ArrayFields):
 
     @cached_property
     def _profile(self) -> ZProfile:
-        """The tables of ``z_profile``, derived on first read;
-        posterior(1.0, ...) is the shrink factor exactly (x * 1.0 = x)."""
+        """The tables of ``z_profile``, derived at construction, where they
+        hold the domain rule: every sigma^2 finite and positive, every
+        sigma_a^2 + sigma_0^2 finite, every z finite and the squared range of
+        z (a bound on every squared gap) finite; posterior(1.0, ...) is the
+        shrink factor exactly (x * 1.0 = x)."""
         cfg, sd = self.validation, self.stddevs
-        var_sum = sd[1:] ** 2 + sd[0] ** 2
+        var = sd**2
+        var_sum = var[1:] + var[0]
+        if not (np.isfinite(var_sum).all() and var.min() > 0.0):
+            raise ValueError("stddevs must have finite, positive squares "
+                             "whose sums sigma_a^2 + sigma_0^2 are finite")
         snr = (self.means[1:] - self.means[0]) / np.sqrt(var_sum)
         xi, critical, inflation = validation_terms(cfg, var_sum)
         z = snr + xi
+        if not (np.isfinite(z).all() and np.isfinite(np.ptp(z) ** 2)):
+            raise ValueError("means must give finite z = snr + xi whose "
+                             "squared range is finite")
         min_z = z.min(axis=1)
         shrink, variance = (posterior(1.0, sd[1:], sd[0], cfg.tau, cfg.horizon)
                             if cfg.variant == BAYESIAN else (None, None))

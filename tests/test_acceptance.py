@@ -216,7 +216,7 @@ def _reference_validation_success(inst, budget: int, picks: list[int]):
         stages == num_stages(inst.num_treatments)
         and shrvar_reference_counts(inst.stddevs.tolist(), inst.treatments,
                                     budget // stages)
-        == [engine.control_pulls] + [engine.treatment_pulls[a] for a in inst.treatments]
+        == [engine[arm] for arm in (0, *inst.treatments)]
     )
     min_z = z_profile(inst).min_z
     score = {a: joint_pass_probability(inst, a) * float(min_z[a - 1] > 0.0)

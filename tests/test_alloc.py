@@ -13,7 +13,6 @@ from _gen import random_instance
 from _kernels import set_scales, shrvar_shares
 from m3ab import alloc, halving
 from m3ab.alloc import (
-    StageAllocation,
     _fund_starved,
     arm_weights,
     neyman_allocation,
@@ -110,15 +109,13 @@ def test_set_variances_uses_row_maxima():
 
 def test_shrvar_reference_split():
     inst = instance_from_stddevs([[1.0], [1.0], [1.0]])
-    got = shrvar_allocation(inst, {1, 2}, 100)
-    assert got.control_pulls == 41
-    assert got.treatment_pulls == {1: 29, 2: 29}
+    assert shrvar_allocation(inst, {1, 2}, 100) == {0: 41, 1: 29, 2: 29}
 
 
 def test_shrvar_homogeneous_equal_pulls():
     inst = instance_from_stddevs([[2.0]] + [[2.0]] * 5)
     got = shrvar_allocation(inst, range(1, 6), 200)
-    assert len(set(got.treatment_pulls.values())) == 1
+    assert len({got[a] for a in range(1, 6)}) == 1
 
 
 def test_shrvar_insufficient_budget():
@@ -133,11 +130,11 @@ def test_shrvar_funds_floored_to_zero_arm():
     # exact floors and the total stays within budget
     inst = instance_from_stddevs([[1.0], [0.001], [1.0]])
     got = shrvar_allocation(inst, [1, 2], 20)
-    assert got.treatment_pulls[1] == 1
-    assert got.total_pulls <= 20
+    assert got[1] == 1
+    assert sum(got.values()) <= 20
     unrounded_control, unrounded = shrvar_shares(inst, [1, 2], 20)
-    assert got.control_pulls == int(unrounded_control)
-    assert got.treatment_pulls[2] == int(unrounded[2])
+    assert got[0] == int(unrounded_control)
+    assert got[2] == int(unrounded[2])
 
 
 def test_shrvar_funding_never_exceeds_budget():
@@ -145,9 +142,8 @@ def test_shrvar_funding_never_exceeds_budget():
     # arm still gets >= 1 pull and the total equals the budget
     inst = instance_from_stddevs([[1.0], [1e-4], [1e4], [1.0]])
     got = shrvar_allocation(inst, [1, 2, 3], 4)
-    pulls = [got.control_pulls, *got.treatment_pulls.values()]
-    assert min(pulls) >= 1
-    assert got.total_pulls <= 4
+    assert min(got.values()) >= 1
+    assert sum(got.values()) <= 4
 
 
 def test_shrvar_unrounded_shares_sum_to_budget():
@@ -198,68 +194,65 @@ def test_shrvar_matches_minmax_oracle():
 # --- baselines --------------------------------------------------------------
 
 def test_uniform_examples():
-    got = uniform_allocation([1, 2, 3], 40)
-    assert got.control_pulls == 10
-    assert got.treatment_pulls == {1: 10, 2: 10, 3: 10}
-    got = uniform_allocation([1], 2)
-    assert (got.control_pulls, got.treatment_pulls[1]) == (1, 1)
+    assert uniform_allocation([1, 2, 3], 40) == {0: 10, 1: 10, 2: 10, 3: 10}
+    assert uniform_allocation([1], 2) == {0: 1, 1: 1}
     with pytest.raises(InsufficientBudgetError):
         uniform_allocation([1, 2, 3], 3)
 
 
 def test_variance_equal_is_uniform():
     inst = instance_from_stddevs([[3.0], [3.0], [3.0], [3.0]])
-    got = variance_allocation(inst, [1, 2, 3], 40)
-    assert got.control_pulls == 10
-    assert set(got.treatment_pulls.values()) == {10}
+    assert variance_allocation(inst, [1, 2, 3], 40) == {0: 10, 1: 10, 2: 10, 3: 10}
 
 
 def test_variance_exact_ratio():
     inst = instance_from_stddevs([[1.0], [np.sqrt(3.0)]])
-    got = variance_allocation(inst, [1], 40)
-    assert got.control_pulls == 10
-    assert got.treatment_pulls == {1: 30}
+    assert variance_allocation(inst, [1], 40) == {0: 10, 1: 30}
 
 
 def test_variance_row_maxima():
     inst = instance_from_stddevs([[2.0, 2.0], [1.0, 2.0], [2.0, 1.0]])
-    got = variance_allocation(inst, [1, 2], 30)
-    assert got.control_pulls == got.treatment_pulls[1] == got.treatment_pulls[2] == 10
+    assert variance_allocation(inst, [1, 2], 30) == {0: 10, 1: 10, 2: 10}
 
 
 def test_neyman_examples():
     inst = instance_from_stddevs([[1.0], [3.0]])
-    got = neyman_allocation(inst, [1], 40)
-    assert (got.control_pulls, got.treatment_pulls[1]) == (10, 30)
+    assert neyman_allocation(inst, [1], 40) == {0: 10, 1: 30}
 
     inst = instance_from_stddevs([[2.0], [2.0], [2.0]])
-    got = neyman_allocation(inst, [1, 2], 30)
-    assert got.control_pulls == 10 and set(got.treatment_pulls.values()) == {10}
+    assert neyman_allocation(inst, [1, 2], 30) == {0: 10, 1: 10, 2: 10}
 
     inst = instance_from_stddevs([[1.0], [4.0], [9.0]])
-    got = neyman_allocation(inst, [1, 2], 140)
-    assert got.control_pulls == 10
-    assert got.treatment_pulls == {1: 40, 2: 90}
+    assert neyman_allocation(inst, [1, 2], 140) == {0: 10, 1: 40, 2: 90}
 
 
 def test_proportional_guard_keeps_every_arm_alive():
     # sigma^2 ratios of 1e8: a plain floor would starve the small arms.
     inst = instance_from_stddevs([[1.0], [10000.0], [1.0], [1.0]])
     got = variance_allocation(inst, [1, 2, 3], 100)
-    assert min(got.treatment_pulls.values()) >= 1
-    assert got.control_pulls >= 1
-    assert got.total_pulls <= 100
+    assert min(got.values()) >= 1
+    assert sum(got.values()) <= 100
     # the big arm pays for the bumps
-    assert got.treatment_pulls[1] == 100 - 3
+    assert got[1] == 100 - 3
     with pytest.raises(InsufficientBudgetError):
         variance_allocation(inst, [1, 2, 3], 3)
 
 
 def test_stage_allocation_invariants():
-    with pytest.raises(ValueError):
-        StageAllocation(control_pulls=5, treatment_pulls={1: 6}, stage_budget=10)
-    with pytest.raises(ValueError):
-        StageAllocation(control_pulls=-1, treatment_pulls={1: 2}, stage_budget=10)
+    # Each call maps [0, *sorted(active)], in that order, to whole
+    # non-negative counts that spend at most the stage budget; active sets
+    # out of order and starved arms included.
+    inst = instance_from_stddevs([[1.0], [10000.0], [1.0], [0.001], [3.0]])
+    for active, budget in (([3, 1], 7), ({4, 2, 1}, 100), (range(1, 5), 5),
+                           ([2], 2**40)):
+        for call in (lambda: shrvar_allocation(inst, active, budget),
+                     lambda: uniform_allocation(active, budget),
+                     lambda: variance_allocation(inst, active, budget),
+                     lambda: neyman_allocation(inst, active, budget)):
+            got = call()
+            assert type(got) is dict and list(got) == [0, *sorted(active)]
+            assert all(type(n) is int and n >= 0 for n in got.values())
+            assert sum(got.values()) <= budget
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,10 +275,9 @@ def test_all_rules_respect_budget(seed, budget):
             got = rule()
         except InsufficientBudgetError:
             continue
-        assert got.total_pulls <= budget
-        assert got.control_pulls >= 0
-        assert set(got.treatment_pulls) == set(arms)
-        assert all(n >= 0 for n in got.treatment_pulls.values())
+        assert list(got) == [0, *arms]
+        assert sum(got.values()) <= budget
+        assert all(n >= 0 for n in got.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -407,10 +399,7 @@ def test_stage_budgets_above_bound_are_refused_where_they_enter():
                  lambda b: neyman_allocation(inst, [1, 2], b)):
         with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
             call(2**40 + 1)
-        assert call(2**40).stage_budget == 2**40
-    with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
-        StageAllocation(0, {}, 2**40 + 1)
-    assert StageAllocation(0, {}, 2**40).stage_budget == 2**40
+        assert sum(call(2**40).values()) <= 2**40
     with pytest.raises(ValueError, match="stage_budget .*2\\^40"):
         run_exploration(inst, "shrvar", 2**62, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="stage_budget .*2\\^40"):

@@ -15,29 +15,32 @@ import pytest
 from m3ab import (
     ExperimentConfig,
     ValidationConfig,
-    confidence_eliminate,
     empirical_z,
     error_bound,
     h3,
     joint_pass_probability,
-    mean_eliminate,
-    minz_eliminate,
-    neyman_allocation,
     num_stages,
     pass_probability,
     preset,
     run_experiment,
     run_exploration,
-    run_exploration_adaptive,
     run_validation,
-    shrvar_allocation,
     sweep,
     table1,
-    uniform_allocation,
-    variance_allocation,
     wilson_interval,
 )
-from m3ab.alloc import StageAllocation
+from m3ab.alloc import (
+    neyman_allocation,
+    shrvar_allocation,
+    uniform_allocation,
+    variance_allocation,
+)
+from m3ab.halving import (
+    confidence_eliminate,
+    mean_eliminate,
+    minz_eliminate,
+    run_exploration_adaptive,
+)
 
 EXP1 = preset("exp1")  # 16 treatments, 3 metrics
 SMALL = preset("exp3", num_treatments=4)
@@ -102,12 +105,6 @@ ENTRY_POINTS = [
      lambda v: variance_allocation(EXP1, [1, 2], v), "stage_budget", 30, 2**40 + 1),
     ("neyman_allocation.stage_budget",
      lambda v: neyman_allocation(EXP1, [1, 2], v), "stage_budget", 30, 2**40 + 1),
-    ("StageAllocation.control_pulls",
-     lambda v: repr(StageAllocation(v, {1: 2}, 10)), "control_pulls", 3, -1),
-    ("StageAllocation.treatment_pulls",
-     lambda v: repr(StageAllocation(3, {1: v}, 10)), "treatment_pulls", 2, -1),
-    ("StageAllocation.stage_budget",
-     lambda v: repr(StageAllocation(3, {1: 2}, v)), "stage_budget", 10, -1),
     ("ValidationConfig.horizon",
      lambda v: ValidationConfig.non_bayesian([0.05], v), "horizon", 100, 0),
     ("wilson_interval.successes", lambda v: wilson_interval(v, 10), "successes",

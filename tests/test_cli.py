@@ -25,7 +25,7 @@ from m3ab import (
 )
 from m3ab import harness
 from m3ab.cli import RUN_COLUMNS, SWEEP_COLUMNS, main
-from m3ab.instances import table1
+from m3ab.instances import table1, to_payload
 
 
 def parse_csv(text):
@@ -354,6 +354,44 @@ def test_complexity_too_large_falls_back(capsys):
     assert "budget 120000: no error bound (H3 not enumerated)" in out
 
 
+def test_complexity_refuses_past_the_subset_mask_first(capsys, tmp_path):
+    # Above 64 treatments no max_enumeration helps, so the mask refusal comes
+    # first; exp3 used to advise raising a cap of 20, then refuse at 128.
+    for cap in ((), ("--max-enum", "128")):
+        code, out, _ = run_cli(capsys, "complexity", "--preset", "exp3", *cap)
+        assert code == 0
+        assert ("H3: too large to enumerate (128 treatments exceed the 63-bit "
+                "subset mask") in out and "raise max_enumeration" not in out
+    path = tmp_path / "a21.json"
+    save(preset("exp3", seed=7, num_treatments=21), path)
+    code, out, _ = run_cli(capsys, "complexity", "--instance", str(path))
+    assert code == 0
+    assert "raise max_enumeration (currently 20)" in out
+
+
+@pytest.mark.parametrize("field, row, value, argv", [
+    ("means", 5, 1e200, ("complexity", "--budget", "8000")),
+    ("means", 0, -1e300, ("complexity", "--budget", "8000")),
+    ("stddevs", 3, 1e160, ("complexity",)),
+    ("stddevs", 3, 1e160, ("run", "--algo", "shrvar", "--algo", "sh",
+                           "--budget", "2000", "--reps", "50")),
+    ("stddevs", 3, 5e-324, ("complexity",)),
+], ids=["big-mean", "big-control-mean", "big-sd", "big-sd-run", "sd-squares-to-0"])
+def test_instances_outside_the_domain_are_input_errors(capsys, tmp_path, field,
+                                                       row, value, argv):
+    # Accepted once: h3_prime's squared gap overflowed (uncaught
+    # OverflowError), and sigma^2 = inf printed "H3': nan" or ran every cell
+    # on NaN shares.  sigma = 5e-324 squares to 0.  A RuntimeWarning fails
+    # the test (pyproject's filterwarnings).
+    doc = to_payload(preset("exp2", l=3))
+    doc[field][row][0] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"[m3ab] error: document: {field} must ")
+
+
 def test_complexity_single_treatment_is_input_error(capsys, tmp_path):
     path = tmp_path / "one.json"
     save(Instance(means=np.array([[0.0], [0.5]]), stddevs=np.ones((2, 1)),
@@ -438,7 +476,7 @@ FROZEN_STDOUT = {
     # above --max-enum no bound is printed: h3' lies below h3
     "complexity-exp3-no-bound": (
         ("complexity", "--preset", "exp3", "--budget", "1000000"),
-        "bf36e053f23d859190032a930877de3f4dd6626926d006eacb2696ef87bb7d12"),
+        "2fdca29c072a95b9ba6ee4465e86713e95e35414f8f046e0123cf08695ff062b"),
     "table1": (
         ("table1",),
         "62fcad28096986e3205b8971831e5d0bfb80d197f1f4ebf8245f60151b258be2"),

@@ -314,6 +314,11 @@ def test_instance_rejects_bad_matrices():
             stddevs=np.ones((2, 2)),
             validation=cfg,
         )
+    # The domain rule on the derived tables: tau^2 = 0 makes the Bayesian
+    # inflation, so xi and z, infinite.
+    with pytest.raises(ValueError, match="^means must give finite z"):
+        Instance(means=np.zeros((2, 2)), stddevs=np.ones((2, 2)),
+                 validation=ValidationConfig.bayesian([0.9, 0.9], [1e-200, 1.0], 100))
 
 
 @settings(max_examples=50)
