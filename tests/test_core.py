@@ -321,6 +321,38 @@ def test_instance_rejects_bad_matrices():
                  validation=ValidationConfig.bayesian([0.9, 0.9], [1e-200, 1.0], 100))
 
 
+def _edited(cells, base):
+    matrix = np.full((3, 2), base)
+    for (arm, metric), value in cells.items():
+        matrix[arm, metric] = value
+    return matrix
+
+
+@pytest.mark.parametrize("means, stddevs, field", [
+    # sigma^2 underflows to 0 / overflows to inf
+    pytest.param({}, {(1, 0): 5e-324}, "stddevs", id="sigma-square-zero"),
+    pytest.param({}, {(1, 0): 1e160}, "stddevs", id="sigma-square-inf"),
+    # each sigma^2 is 1e308, their sum is not finite
+    pytest.param({}, {(0, 0): 1e154, (1, 0): 1e154}, "stddevs",
+                 id="sigma-sum-inf"),
+    # the gap itself overflows, so snr and z are infinite
+    pytest.param({(0, 0): -1.7e308, (1, 0): 1.7e308}, {}, "means", id="z-inf"),
+    # z is finite, its squared range is not
+    pytest.param({(2, 1): 1e200}, {}, "means", id="z-range-treatment"),
+    pytest.param({(0, 0): -1e300}, {}, "means", id="z-range-control"),
+])
+def test_instance_domain_rule_names_the_field(means, stddevs, field):
+    # Tier-1 turns a RuntimeWarning into a failure, so each refusal is also
+    # computed without one.
+    with pytest.raises(ValueError, match=f"^{field} must have finite|^{field} must give finite"):
+        Instance(means=_edited(means, 0.0), stddevs=_edited(stddevs, 1.0),
+                 validation=ValidationConfig.non_bayesian([0.05, 0.1], 100))
+    # The same matrices one step inside the domain are accepted.
+    Instance(means=_edited({k: 0.0 for k in means}, 0.0),
+             stddevs=_edited({k: 2.0 for k in stddevs}, 1.0),
+             validation=ValidationConfig.non_bayesian([0.05, 0.1], 100))
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_instances_satisfy_invariants(seed):

@@ -7,10 +7,43 @@ import os
 import subprocess
 import sys
 
+import importlib
+
+import pytest
+
 import m3ab
 import m3ab.cli
 import m3ab.complexity
 import m3ab.harness
+
+# One-row calls that the benchmark reads from their modules; the package
+# itself no longer re-exports them.
+ONE_ROW = {
+    "m3ab.alloc": ["shrvar_allocation", "uniform_allocation",
+                   "variance_allocation", "neyman_allocation"],
+    "m3ab.halving": ["minz_eliminate", "mean_eliminate", "confidence_eliminate",
+                     "run_exploration_adaptive"],
+}
+
+
+@pytest.mark.parametrize("name", [
+    "StageAllocation", *ONE_ROW["m3ab.alloc"], *ONE_ROW["m3ab.halving"]])
+def test_retired_names_are_not_in_the_package_namespace(name):
+    assert name not in m3ab.__all__
+    assert not hasattr(m3ab, name)
+
+
+@pytest.mark.parametrize("module, name", [
+    pytest.param(module, name, id=f"{module}.{name}")
+    for module, names in ONE_ROW.items() for name in names])
+def test_one_row_functions_stay_in_their_modules(module, name):
+    function = getattr(importlib.import_module(module), name)
+    assert callable(function) and function.__module__ == module
+
+
+def test_stage_allocation_record_is_gone():
+    import m3ab.alloc
+    assert not hasattr(m3ab.alloc, "StageAllocation")
 
 
 def test_all_names_resolve_without_duplicates():
