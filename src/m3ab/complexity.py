@@ -264,10 +264,14 @@ def _best_over_subsets(instance: Instance, correction: float | None,
         elif keep.any():
             evaluate(fill(nodes[keep], rest))
 
-    full = np.ones((1, a_count), dtype=bool)
-    evaluate(full)
-    root = np.arange(a_count) == star_idx
-    search(root, list(np.flatnonzero(bit)), floor(root[None], full)[0])
+    if delta_min(instance) == 0.0:  # a tie: the minimum 0, first at {star, lowest tie}
+        min_z = z_profile(instance).min_z
+        evaluate(np.isin(np.arange(a_count), np.flatnonzero(min_z == min_z[star_idx])[:2])[None])
+    else:
+        full = np.ones((1, a_count), dtype=bool)
+        evaluate(full)
+        root = np.arange(a_count) == star_idx
+        search(root, list(np.flatnonzero(bit)), floor(root[None], full)[0])
     value, _, row, *scales = best
     h = 1.0 / float(value) if value > 0 else math.inf
     return h, np.flatnonzero(row) + 1, tuple(map(float, scales))
@@ -278,10 +282,10 @@ def h3_prime(instance: Instance) -> float:
     squared bottleneck z-gap), O(A M).  Not an upper bound on h3: on every
     instance checked (exp1; exp3 at A = 12, 14, 16, 20) it lies 2.0 to 2.5
     times below h3, so an error bound computed from it understates h3's."""
-    dm = delta_min(instance)
+    dm2 = delta_min(instance) ** 2  # 0 also when a tiny delta_min underflows
     w = arm_weights(instance.stddevs[None])
     total = float(w.max_rho_sq[0, 1:].sum() + w.max_lambda_sq[0, 1:].max())
-    return total / dm**2 if dm != 0.0 else math.inf
+    return total / dm2 if dm2 != 0.0 else math.inf
 
 
 def h3(instance: Instance,

@@ -26,17 +26,18 @@ random sampling happens here.
 
 Each instance derives these numbers once, as the ZProfile that every reader
 takes from ``z_profile``; ``validation_terms`` and ``posterior`` hold each
-formula of the test once.
+formula of the test once.  Phi and Phi^-1 are ``ndtr`` and ``ndtri``, ported
+bit for bit from the Cephes routines that scipy.special evaluates: no result
+depends on whether or which scipy is installed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 NON_BAYESIAN = "non_bayesian"
 BAYESIAN = "bayesian"
@@ -297,6 +298,91 @@ def validation_terms(config: ValidationConfig,
         lower, upper = ndtri(1.0 - config.q), ndtri(config.q)
         inflation = np.sqrt(1.0 + 2.0 * var_sum / (config.tau**2 * config.horizon))
     return lower / half * inflation, upper, inflation
+
+
+# Cephes ndtri (P0/Q0 for |y - 1/2| <= 1/2 - exp(-2), else P1/Q1 below
+# sqrt(-2 log y) = 8, P2/Q2 above) and erf/erfc (T/U; P/Q below 8, R/S above, 0
+# past MAXLOG).  A Q, U or S opens with p1evl's implicit 1: 1 * x + c, same bits.
+_S2PI, _EXP_M2 = 2.50662827463100050242E0, 0.13533528323661269189  # sqrt(2 pi), exp(-2)
+_MAXLOG = 7.09782712893383996843E2  # log(2^1024)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+
+
+def _poly(x: float, coef) -> float:
+    """Cephes polevl: Horner's rule in the C order, in floats that round as C's."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _each(f):
+    """f over each element, in a list: a ufunc would turn f's FPU flags into warnings."""
+    return wraps(f)(lambda x: np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x)))
+
+
+@_each
+def ndtri(y: float) -> float:
+    """Phi^-1, the standard normal quantile, element by element."""
+    if not 0.0 < y < 1.0:
+        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
+    upper, y = (True, 1.0 - y) if y > 1.0 - _EXP_M2 else (False, y)
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _poly(y2, _P0) / _poly(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _poly(z, p) / _poly(z, q)
+    return x if upper else -x
+
+
+@_each
+def ndtr(a: float) -> float:
+    """Phi, the standard normal cdf, element by element; Cephes ndtr with erf(x) =
+    x T(x^2) / U(x^2) (odd: either sign) and erfc(|x|) inlined."""
+    x = a * math.sqrt(0.5)
+    z = abs(x)
+    if z < 1.0:
+        erf = x * _poly(x * x, _T) / _poly(x * x, _U)
+        if z < math.sqrt(0.5):
+            return 0.5 + 0.5 * erf
+        y = 0.5 * (1.0 - abs(erf))
+    else:
+        p, q = (_P, _Q) if z < 8.0 else (_R, _S)
+        y = 0.0 if -z * z < -_MAXLOG else 0.5 * (math.exp(-z * z) * _poly(z, p) / _poly(z, q))
+    return 1.0 - y if x > 0 else y
 
 
 def posterior(sample_mean_diff, sigma_a, sigma_0, tau, t_v: int):

@@ -54,10 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtri
 
 from m3ab.alloc import fold
-from m3ab.core import Instance, _whole, best_treatment, z_profile
+from m3ab.core import Instance, _whole, best_treatment, ndtri, z_profile
 from m3ab.errors import InsufficientBudgetError
 from m3ab.halving import (
     ALGORITHMS,

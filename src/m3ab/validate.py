@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from m3ab.core import BAYESIAN, Instance, _whole, z_profile
+from m3ab.core import BAYESIAN, Instance, _whole, ndtr, z_profile
 from m3ab.halving import GaussianPullSource, _standard_normals, _stat_means
 
 

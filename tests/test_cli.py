@@ -401,6 +401,18 @@ def test_complexity_single_treatment_is_input_error(capsys, tmp_path):
     assert "need at least two treatments" in err
 
 
+def test_complexity_prints_infinite_h3_prime_for_an_underflowing_gap(capsys, tmp_path):
+    # delta_min = 7.07e-201 squares to 0: h3' raised an uncaught
+    # ZeroDivisionError, where h3 already read inf
+    path = tmp_path / "tiny-gap.json"
+    save(Instance(means=np.array([[0.0], [1e-200], [0.0]]), stddevs=np.ones((3, 1)),
+                  validation=ValidationConfig.non_bayesian([0.5], 1000)), path)
+    code, out, _ = run_cli(capsys, "complexity", "--instance", str(path),
+                           "--budget", "8000")
+    assert code == 0
+    assert "H3: inf\n" in out and "H3': inf\n" in out
+
+
 # --- gen ---------------------------------------------------------------------
 
 
@@ -560,6 +572,51 @@ def test_pooled_sweep_command_exits_and_leaves_no_worker(tmp_path):
     assert runs["2"][1] == runs["1"][1]
     assert len(workers) == (2 if harness._cpu_count() > 1 else 0)
     assert left == []
+
+
+# Runs each JSON-listed command of the m3ab CLI in this one interpreter, with
+# scipy importable or, given "blocked", not; prints each exit code and stdout,
+# then the scipy modules loaded.
+_COMMANDS_WITH_SCIPY = (
+    "import io, json, sys\n"
+    "if sys.argv[1] == 'blocked': sys.modules['scipy'] = None\n"
+    "from contextlib import redirect_stdout\n"
+    "from m3ab import cli\n"
+    "runs = []\n"
+    "for argv in json.loads(sys.argv[2]):\n"
+    "    with redirect_stdout(io.StringIO()) as out: code = cli.main(argv)\n"
+    "    runs.append((code, out.getvalue()))\n"
+    "loaded = sorted(m for m, v in sys.modules.items() if v and m.split('.')[0] == 'scipy')\n"
+    "print(json.dumps({'runs': runs, 'scipy': loaded}))\n")
+
+
+def test_cli_needs_no_scipy(tmp_path):
+    """scipy is test-only: with it blocked, every command prints the bytes it
+    prints with scipy importable, and neither run loads a scipy module."""
+    bayesian = tmp_path / "bayesian.json"
+    save(table1(), bayesian)
+    exp1 = ["--preset", "exp1", "--budget", "8000", "--reps", "50"]
+    commands = [
+        ["run", *exp1, "--algo", "shrvar", "--algo", "shrvar-ada"],
+        ["sweep", *exp1, "--algo", "shrvar", "--param", "t_v", "--values", "20,100"],
+        ["complexity", "--preset", "exp1", "--budget", "8000"],
+        ["table1"],
+        ["run", "--instance", str(bayesian), "--algo", "shrvar", "--algo", "sh-c",
+         "--budget", "200", "--reps", "60", "--source", "pulls"],
+    ]
+    env = {k: v for k, v in _env_with_src().items() if k != "M3AB_THREADS"}
+    results = {}
+    for mode in ("blocked", "importable"):
+        proc = subprocess.run([sys.executable, "-c", _COMMANDS_WITH_SCIPY, mode,
+                               json.dumps(commands)], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results[mode] = json.loads(proc.stdout)
+        assert results[mode]["scipy"] == [], mode
+        assert [code for code, _ in results[mode]["runs"]] == [0] * len(commands)
+    assert results["blocked"]["runs"] == results["importable"]["runs"]
+    run_header = results["blocked"]["runs"][0][1].splitlines()[0]
+    assert run_header == ",".join(RUN_COLUMNS) and "acc_ci_lo" in run_header
 
 
 # Keeps a two-worker pool, names its workers on stdout and waits to be killed.

@@ -450,6 +450,69 @@ def test_h3_at_the_mask_limit_of_64_treatments():
     assert (report.h3, report.argmin_subset) == (math.inf, (1, 63))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    a_count=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=1, max_value=3),
+    ties=st.integers(min_value=1, max_value=3),
+    bayesian=st.booleans(),
+    budget=st.sampled_from([1e-3, 500.0, 1e6, math.inf]),
+)
+def test_tied_shortcut_equals_the_search(seed, a_count, m, ties, bayesian, budget):
+    """At delta_min = 0 h3 and h3_tilde evaluate one row and skip the
+    search: h3's (value, subset, scales) equal the branch and bound's, run by
+    hiding the tie, and both equal the exhaustive sweep."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1.0, 1.0, size=(a_count + 1, m))
+    stddevs = rng.uniform(0.3, 3.0, size=(a_count + 1, m))
+    validation = (ValidationConfig.bayesian(rng.uniform(0.1, 0.9, size=m),
+                                            rng.uniform(0.5, 20.0, size=m), 100)
+                  if bayesian else
+                  ValidationConfig.non_bayesian(rng.uniform(0.05, 0.5, size=m), 100))
+    star = best_treatment(Instance(means=means, stddevs=stddevs, validation=validation))
+    for dst in rng.permutation([a for a in range(1, a_count + 1) if a != star])[:ties]:
+        means[dst], stddevs[dst] = means[star], stddevs[star]
+    inst = Instance(means=means, stddevs=stddevs, validation=validation)
+    min_z = z_profile(inst).min_z
+    tied = tuple(a for a in inst.treatments if min_z[a - 1] == min_z.max())
+    assert delta_min(inst) == 0.0 and best_treatment(inst) == tied[0]
+    report = h3(inst)
+    shortcut = (report.h3, report.argmin_subset, report.rho_sigma, report.lambda_sigma)
+    assert shortcut[:2] == (math.inf, tied[:2])
+    with pytest.MonkeyPatch.context() as patch:  # the uncorrected kernel reads no delta_min
+        patch.setattr(complexity, "delta_min", lambda instance: 1.0)
+        searched = h3(inst)
+    assert shortcut == (searched.h3, searched.argmin_subset, searched.rho_sigma,
+                        searched.lambda_sigma)
+    _assert_search_equals_sweep(inst, budget)
+
+
+@pytest.mark.parametrize("a_count", [16, 24])
+def test_tied_shortcut_evaluates_one_row(a_count):
+    # linearly spaced means with arm 2 tied to the best: the search took
+    # 0.36 s at A = 24 and doubles per arm; the shortcut is one kernel row
+    means = np.zeros((a_count + 1, 1))
+    means[1:, 0] = np.linspace(1.0, 0.0, a_count)
+    means[2] = means[1]
+    inst = single_metric_instance(means, np.ones(a_count + 1))
+    rows = []
+    kernel = complexity._subset_kernel
+
+    def counting_kernel(instance, correction):
+        star, gaps, floor = kernel(instance, correction)
+        return star, lambda member: rows.append(len(member)) or gaps(member), floor
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_subset_kernel", counting_kernel)
+        report = h3(inst, max_enumeration=64)
+        assert h3_tilde(inst, 8000.0, max_enumeration=64) == math.inf
+    assert (report.h3, report.argmin_subset) == (math.inf, (1, 2))
+    assert rows == [1, 1]
+    with pytest.raises(TooLargeError, match="raise max_enumeration"):
+        h3(inst, max_enumeration=a_count - 1)  # the refusals come first
+
+
 @pytest.mark.parametrize("cap", [math.nan, math.inf, 20.5, True])
 def test_enumeration_cap_must_be_a_whole_number(cap):
     # a NaN cap used to pass the size check and run
@@ -493,6 +556,13 @@ def test_h3_prime_single_metric_collapse():
 def test_h3_prime_degenerate_gap_is_infinite():
     inst = single_metric_instance([0.0, 1.0, 1.0], [1, 1, 1])
     assert h3_prime(inst) == math.inf
+
+
+def test_h3_prime_underflowing_gap_is_infinite():
+    # delta_min = 7.07e-201 is not 0, but its square is: h3' divided by 0
+    inst = single_metric_instance([0.0, 1e-200, 0.0], [1, 1, 1], delta=0.5)
+    assert 0.0 < delta_min(inst) and delta_min(inst) ** 2 == 0.0
+    assert h3_prime(inst) == math.inf == h3(inst).h3
 
 
 # --- budget-corrected variant --------------------------------------------------

@@ -55,7 +55,7 @@ def test_all_names_resolve_without_duplicates():
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone more than doubles the import time; the package takes
-    # its normal quantile and cdf from scipy.special.
+    # its normal quantile and cdf from its own port of Cephes (m3ab.core).
     src = os.path.dirname(os.path.dirname(m3ab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
